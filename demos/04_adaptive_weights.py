@@ -9,8 +9,14 @@ shifts as labeling progresses.
 
 import numpy as np
 
-from rankal import SplitSpec, benchmark_blobs, normalize_features, oracle_label, split_pool
-from rankal.loop import ALConfig, _Caches, fused_step, initial_batch
+from rankal import (
+    ALConfig,
+    SplitSpec,
+    benchmark_blobs,
+    normalize_features,
+    run_active_learning,
+    split_pool,
+)
 from rankal.weighting import blend_weights, bvsb_weight, duplicate_weight
 
 # --- the two raw weight rules on hand-made score lists -------------------
@@ -30,14 +36,14 @@ print("non-committee mass:", wv.weights[:2].sum(), " committee mass:", wv.weight
 # --- live weight trajectory over a short run ------------------------------
 data = normalize_features(benchmark_blobs(seed=0))
 test, pool = split_pool(data, SplitSpec(0.5, 3))
-cfg = ALConfig(criteria=("diversity", "margin", "qbc"), aggregator="mc2", seed=3)
-caches = _Caches(pool, cfg)
-state = initial_batch(pool, cfg, caches)
+# 4 initial labels plus one query per iteration: 0.06 of the 300-sample pool
+# (18 labels) covers the 12 iterations shown
+cfg = ALConfig(criteria=("diversity", "margin", "qbc"), aggregator="mc2", seed=3,
+               budget=0.06, checkpoints=(0.06,))
+trace = run_active_learning(pool, test, cfg)
 
 print("\niter   diversity   margin      qbc")
-for _ in range(12):
-    batch, wv, _ = fused_step(state, cfg, caches)
-    state = oracle_label(state, batch)
-    d, m, q = wv.weights
-    print(f"{state.iteration:4d}   {d:.4f}      {m:.4f}     {q:.4f}")
+for rec in trace.iterations[:12]:
+    d, m, q = (rec.weights[c] for c in cfg.criteria)
+    print(f"{rec.iteration:4d}   {d:.4f}      {m:.4f}     {q:.4f}")
 print("(the committee weight stays at its group share; the other two trade off)")

@@ -4,7 +4,9 @@ rank aggregation."""
 from .aggregation import (
     AggregatedRanking,
     BordaConfig,
+    METHODS,
     TransitionMatrix,
+    aggregate,
     borda_aggregate,
     brute_force_aggregate,
     bucklin_aggregate,

@@ -15,6 +15,9 @@ Three families are provided:
   an optional truncation step that restricts the chain to samples appearing
   near the top of at least one non-committee list.
 
+``aggregate(method, ...)`` is the one entry point that maps the names in
+``METHODS`` to these backends.
+
 A factorial brute-force minimizer of the weighted Kendall objective serves
 as an oracle for small instances, and Kendall / Spearman-footrule distances
 measure agreement between rankings.
@@ -89,13 +92,37 @@ def _as_rank_matrix(rank_lists):
     return r
 
 
-def _norm_weights(weights, n_lists):
+def _check_weights(weights, n_lists):
     w = np.asarray(weights, dtype=float)
     if w.shape != (n_lists,):
         raise ValueError(f"need one weight per list, got shape {w.shape}")
     if np.any(w < 0) or w.sum() <= 0:
         raise ValueError("weights must be non-negative with positive sum")
+    return w
+
+
+def _norm_weights(weights, n_lists):
+    w = _check_weights(weights, n_lists)
     return w / w.sum()
+
+
+def _preference(r, w):
+    """pref[i, j]: total weight of the lists ranking j strictly before i."""
+    n = r.shape[1]
+    pref = np.zeros((n, n))
+    for k in range(len(r)):
+        col = r[k]
+        pref += w[k] * (col[:, None] > col[None, :])
+    return pref
+
+
+def _ranking(order, scores, ids):
+    """AggregatedRanking for sample positions ``order`` (best first)."""
+    n = len(order)
+    ranks = np.empty(n, dtype=int)
+    ranks[order] = np.arange(1, n + 1)
+    sample_ids = np.arange(n) if ids is None else np.asarray(ids)
+    return AggregatedRanking(ids=sample_ids[order], scores=scores, ranks=ranks)
 
 
 def ordinalize(rank_lists):
@@ -113,12 +140,6 @@ def ordinalize(rank_lists):
     return out
 
 
-def _order_to_ranks(order, n):
-    ranks = np.empty(n, dtype=int)
-    ranks[order] = np.arange(1, n + 1)
-    return ranks
-
-
 def borda_aggregate(rank_lists, weights, cfg: BordaConfig = BordaConfig(),
                     ids=None) -> AggregatedRanking:
     """Fuse weighted rank values positionally; lowest fused score wins.
@@ -132,11 +153,7 @@ def borda_aggregate(rank_lists, weights, cfg: BordaConfig = BordaConfig(),
     """
     r = _as_rank_matrix(rank_lists)
     n_lists, n = r.shape
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n_lists,):
-        raise ValueError(f"need one weight per list, got shape {w.shape}")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
+    w = _check_weights(weights, n_lists)
     if cfg.fusion == "geometric-mean":
         w = np.maximum(w, 1e-9)
     elif cfg.fusion in ("minimum", "median"):
@@ -155,10 +172,7 @@ def borda_aggregate(rank_lists, weights, cfg: BordaConfig = BordaConfig(),
     pos = np.arange(n)
     tie_key = -pos if cfg.fusion == "pnorm" else pos
     order = np.lexsort((tie_key, fused))
-    sample_ids = np.arange(n) if ids is None else np.asarray(ids)
-    return AggregatedRanking(
-        ids=sample_ids[order], scores=fused[order], ranks=_order_to_ranks(order, n)
-    )
+    return _ranking(order, fused[order], ids)
 
 
 def bucklin_aggregate(rank_lists, weights, ids=None) -> AggregatedRanking:
@@ -190,13 +204,7 @@ def bucklin_aggregate(rank_lists, weights, ids=None) -> AggregatedRanking:
             break
     if alive.any():
         raise RuntimeError("majority never reached; weights do not sum to 1?")
-    order = np.array(order, dtype=int)
-    sample_ids = np.arange(n) if ids is None else np.asarray(ids)
-    return AggregatedRanking(
-        ids=sample_ids[order],
-        scores=np.array(depths, dtype=float),
-        ranks=_order_to_ranks(order, n),
-    )
+    return _ranking(np.array(order, dtype=int), np.array(depths, dtype=float), ids)
 
 
 def truncate_candidates(rank_lists, committee_flags, n_select, tun2=5) -> np.ndarray:
@@ -236,11 +244,7 @@ def build_transition(rank_lists, weights, variant="mc2", tun1=0.05) -> Transitio
     n_lists, n = r.shape
     if n < 2:
         raise ValueError("need at least 2 candidates")
-    w = _norm_weights(weights, n_lists)
-    pref = np.zeros((n, n))
-    for k in range(n_lists):
-        col = r[k]
-        pref += w[k] * (col[:, None] > col[None, :])
+    pref = _preference(r, _norm_weights(weights, n_lists))
     if variant == "mc1":
         t = (pref > 0).astype(float) / n
     elif variant == "mc2":
@@ -295,10 +299,36 @@ def markov_aggregate(rank_lists, weights, variant="mc2", n_select=1,
     order = np.concatenate([cand_order, rest]).astype(int)
     scores = np.zeros(n)
     scores[: len(cand)] = np.sort(pi)[::-1]
-    sample_ids = np.arange(n) if ids is None else np.asarray(ids)
-    return AggregatedRanking(
-        ids=sample_ids[order], scores=scores, ranks=_order_to_ranks(order, n)
-    )
+    return _ranking(order, scores, ids)
+
+
+_BORDA_FUSIONS = {
+    "borda-min": "minimum",
+    "borda-median": "median",
+    "borda-geo": "geometric-mean",
+    "borda-pnorm": "pnorm",
+}
+METHODS = (*_BORDA_FUSIONS, "bucklin", "mc1", "mc2", "mc3")
+
+
+def aggregate(method, rank_lists, weights, *, ids=None, n_select=1, tun1=0.05,
+              tun2=5, p=1.0, committee_flags=None, truncate=True) -> AggregatedRanking:
+    """Run the aggregator named ``method`` (one of ``METHODS``).
+
+    The Borda fusions use ``p``; the Markov chains use ``n_select``, ``tun1``,
+    ``tun2``, ``committee_flags`` and ``truncate``; Bucklin uses none of them.
+    """
+    if method in _BORDA_FUSIONS:
+        cfg = BordaConfig(fusion=_BORDA_FUSIONS[method], p=p)
+        return borda_aggregate(rank_lists, weights, cfg, ids=ids)
+    if method == "bucklin":
+        return bucklin_aggregate(rank_lists, weights, ids=ids)
+    if method in ("mc1", "mc2", "mc3"):
+        return markov_aggregate(
+            rank_lists, weights, variant=method, n_select=n_select, tun1=tun1,
+            tun2=tun2, committee_flags=committee_flags, truncate=truncate, ids=ids,
+        )
+    raise ValueError(f"unknown aggregation method {method!r}; expected one of {METHODS}")
 
 
 def kendall_distance(a, b) -> int:
@@ -350,12 +380,8 @@ def brute_force_aggregate(rank_lists, weights, ids=None):
     n_lists, n = r.shape
     if n > 8:
         raise ValueError("brute force search is limited to 8 samples")
-    w = np.asarray(weights, dtype=float)
     # pair_cost[i, j]: weighted discordance mass incurred by placing i before j
-    pair_cost = np.zeros((n, n))
-    for k in range(n_lists):
-        col = r[k]
-        pair_cost += w[k] * (col[:, None] > col[None, :])
+    pair_cost = _preference(r, np.asarray(weights, dtype=float))
     best_order = None
     best_cost = np.inf
     for perm in itertools.permutations(range(n)):
@@ -367,11 +393,7 @@ def brute_force_aggregate(rank_lists, weights, ids=None):
         if cost < best_cost - 1e-12:
             best_cost = cost
             best_order = perm
-    order = np.array(best_order, dtype=int)
-    sample_ids = np.arange(n) if ids is None else np.asarray(ids)
-    ranking = AggregatedRanking(
-        ids=sample_ids[order],
-        scores=np.arange(1, n + 1, dtype=float),
-        ranks=_order_to_ranks(order, n),
+    ranking = _ranking(
+        np.array(best_order, dtype=int), np.arange(1, n + 1, dtype=float), ids
     )
     return ranking, float(best_cost / n_lists)

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .data import (
 )
 from .evaluation import LearningCurve, win_tie_loss
 from .learner import LearnerConfig
-from .loop import AGGREGATORS, ALConfig, run_active_learning
+from .loop import ALConfig, run_active_learning
 from .toy import format_toy_report, run_toy_benchmark
 
 
@@ -41,7 +42,7 @@ class UsageError(Exception):
 
 
 def _read_rank_csv(path):
-    ids, columns = [], None
+    ids, columns, id_rows = [], None, {}
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -62,6 +63,15 @@ def _read_rank_csv(path):
                 raise UsageError(f"{path}: need an id column plus at least one rank list")
         elif len(values) != columns:
             raise UsageError(f"{path}: row {lineno}: inconsistent field count")
+        sid = values[0]
+        if not sid.is_integer():
+            raise UsageError(f"{path}: row {lineno}: sample id {row[0]!r} is not an integer")
+        if sid in id_rows:
+            raise UsageError(
+                f"{path}: row {lineno}: duplicate sample id {int(sid)} "
+                f"(first on row {id_rows[sid]})"
+            )
+        id_rows[sid] = lineno
         ids.append(values)
     table = np.array(ids)
     sample_ids = table[:, 0].astype(int)
@@ -85,25 +95,6 @@ def _read_weights(path, n_lists):
     return w
 
 
-def _aggregate_once(method, ranks, weights, ids, n_select, tun1, tun2, p, truncate):
-    if method.startswith("borda-"):
-        fusion = {
-            "borda-min": "minimum", "borda-median": "median",
-            "borda-geo": "geometric-mean", "borda-pnorm": "pnorm",
-        }[method]
-        return agg.borda_aggregate(ranks, weights, agg.BordaConfig(fusion, p), ids=ids)
-    if method == "bucklin":
-        return agg.bucklin_aggregate(ranks, weights, ids=ids)
-    if method in ("mc1", "mc2", "mc3"):
-        return agg.markov_aggregate(
-            ranks, weights, variant=method, n_select=n_select,
-            tun1=tun1, tun2=tun2,
-            committee_flags=np.zeros(len(ranks), dtype=bool),
-            truncate=truncate, ids=ids,
-        )
-    raise UsageError(f"unknown aggregation method {method!r}")
-
-
 def cmd_aggregate(args):
     sample_ids, ranks = _read_rank_csv(args.lists)
     weights = (
@@ -111,9 +102,9 @@ def cmd_aggregate(args):
         if args.weights
         else np.full(len(ranks), 1.0 / len(ranks))
     )
-    ranking = _aggregate_once(
-        args.method, ranks, weights, sample_ids,
-        args.n, args.tun1, args.tun2, args.p, not args.no_truncate,
+    ranking = agg.aggregate(
+        args.method, ranks, weights, ids=sample_ids, n_select=args.n,
+        tun1=args.tun1, tun2=args.tun2, p=args.p, truncate=not args.no_truncate,
     )
     print(f"method: {args.method}")
     print("order (best first): " + " ".join(str(i) for i in ranking.ids))
@@ -136,18 +127,26 @@ def cmd_toy_table2(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-_METHOD_KEYS = {
-    "name", "strategy", "criteria", "aggregator", "n_select", "initial_batch",
-    "n_initial", "budget", "tun1", "tun2", "p", "g", "diversity_reduce",
-    "ted_lambda", "serial_layers", "fixed_weights", "learner",
-}
+# every ALConfig field except the two the runner sets itself
+_METHOD_KEYS = {f.name for f in fields(ALConfig)} - {"seed", "checkpoints"}
 _TOP_KEYS = {
     "dataset", "split", "seeds", "checkpoints", "output_dir", "methods",
     "normalize_stats",
 }
 
 
+def _method_config(spec, checkpoints):
+    """The ALConfig (seed 0) that one ``methods`` entry describes."""
+    spec = dict(spec)
+    learner = LearnerConfig(**spec.pop("learner", {}))
+    for key in ("criteria", "serial_layers", "fixed_weights"):
+        if spec.get(key) is not None:
+            spec[key] = tuple(spec[key])
+    return ALConfig(learner=learner, checkpoints=tuple(checkpoints), **spec)
+
+
 def _load_config(path):
+    """The parsed config and one ALConfig per method; UsageError lists every problem."""
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     problems = []
@@ -158,13 +157,6 @@ def _load_config(path):
         problems.append("missing 'dataset'")
     if "output_dir" not in cfg:
         problems.append("missing 'output_dir'")
-    methods = cfg.get("methods", [])
-    if not methods:
-        problems.append("'methods' must list at least one method")
-    for i, m in enumerate(methods):
-        for key in m:
-            if key not in _METHOD_KEYS:
-                problems.append(f"methods[{i}]: unknown key {key!r}")
     seeds = cfg.get("seeds", list(range(10)))
     if not seeds:
         problems.append("'seeds' must be non-empty")
@@ -173,6 +165,33 @@ def _load_config(path):
         not 0 < c <= 1 for c in checkpoints
     ):
         problems.append("'checkpoints' must be strictly increasing within (0, 1]")
+    methods = cfg.get("methods", [])
+    if not methods:
+        problems.append("'methods' must list at least one method")
+    al_configs, first_index = [], {}
+    for i, m in enumerate(methods):
+        unknown = [key for key in m if key not in _METHOD_KEYS]
+        problems.extend(f"methods[{i}]: unknown key {key!r}" for key in unknown)
+        if unknown:
+            continue
+        try:
+            al = _method_config(m, checkpoints)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"methods[{i}]: {exc}")
+            continue
+        # traces, curve and summary entry are keyed by the label
+        first = first_index.setdefault(al.label, i)
+        if first != i:
+            problems.append(
+                f"methods[{i}]: label {al.label!r} already used by methods[{first}]; "
+                "give each method a distinct 'name'"
+            )
+        if checkpoints and max(checkpoints) > al.budget:
+            problems.append(
+                f"methods[{i}]: checkpoint {max(checkpoints):g} exceeds budget "
+                f"{al.budget:g} and would never be reached"
+            )
+        al_configs.append(al)
     if cfg.get("normalize_stats", "full") not in ("full", "pool"):
         problems.append("'normalize_stats' must be 'full' or 'pool'")
     if problems:
@@ -180,7 +199,7 @@ def _load_config(path):
     cfg["seeds"] = seeds
     cfg["checkpoints"] = checkpoints
     cfg["normalize_stats"] = cfg.get("normalize_stats", "full")
-    return cfg
+    return cfg, al_configs
 
 
 def _load_dataset(spec):
@@ -227,15 +246,13 @@ def _split_normalized(dataset, spec, mode):
     if mode == "full":
         return split_pool(normalize_features(dataset), spec)
     test, pool = split_pool(dataset, spec)
-    from dataclasses import replace
-
     norm_pool = normalize_features(pool.data)
     norm_test = normalize_features(test, stats_from=pool.data)
     return norm_test, replace(pool, data=norm_pool)
 
 
 def cmd_run(args):
-    cfg = _load_config(args.config)
+    cfg, al_configs = _load_config(args.config)
     dataset = _load_dataset(cfg["dataset"])
     split = cfg.get("split", {})
     base_split_seed = split.get("seed", 0)
@@ -243,15 +260,14 @@ def cmd_run(args):
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
 
-    method_traces = {}
-    method_specs = {}
-    for spec in cfg["methods"]:
-        spec = dict(spec)
-        original_spec = dict(spec)
-        learner = LearnerConfig(**spec.pop("learner", {}))
-        for key in ("criteria", "serial_layers", "fixed_weights", "checkpoints"):
-            if key in spec and spec[key] is not None:
-                spec[key] = tuple(spec[key])
+    summary = {
+        "checkpoints": cfg["checkpoints"],
+        "seeds": cfg["seeds"],
+        "normalize_stats": cfg["normalize_stats"],
+        "methods": {},
+    }
+    curves = {}
+    for spec, method_cfg in zip(cfg["methods"], al_configs):
         traces = []
         for seed in cfg["seeds"]:
             test, pool = _split_normalized(
@@ -259,37 +275,21 @@ def cmd_run(args):
                 SplitSpec(test_fraction, base_split_seed + seed),
                 cfg["normalize_stats"],
             )
-            al_cfg = ALConfig(
-                learner=learner, seed=seed,
-                checkpoints=tuple(cfg["checkpoints"]), **spec,
-            )
+            al_cfg = replace(method_cfg, seed=seed)
             trace = run_active_learning(pool, test, al_cfg)
             _write_trace(
                 os.path.join(out, f"trace_{al_cfg.label}_seed{seed}.csv"),
                 trace, al_cfg.criteria,
             )
             traces.append(trace)
-        method_traces[traces[0].method] = traces
-        method_specs[traces[0].method] = original_spec
-        _write_curve(os.path.join(out, f"curve_{traces[0].method}.csv"), traces)
-
-    curves = {
-        name: LearningCurve.from_traces(traces)
-        for name, traces in method_traces.items()
-    }
-    summary = {
-        "checkpoints": cfg["checkpoints"],
-        "seeds": cfg["seeds"],
-        "normalize_stats": cfg["normalize_stats"],
-        "methods": {},
-    }
-    for name, traces in method_traces.items():
-        entry = {"config": method_specs.get(name, {})}
+        _write_curve(os.path.join(out, f"curve_{method_cfg.label}.csv"), traces)
+        entry = {"config": spec}
         for metric in ("accuracy", "f1", "auc"):
             curve = LearningCurve.from_traces(traces, metric)
             entry[f"{metric}_mean"] = curve.mean.tolist()
             entry[f"{metric}_sd"] = curve.sd.tolist()
-        summary["methods"][name] = entry
+        summary["methods"][method_cfg.label] = entry
+        curves[method_cfg.label] = LearningCurve.from_traces(traces)
     names = list(curves)
     if len(names) > 1:
         table = win_tie_loss(curves[names[0]], [curves[n] for n in names[1:]])
@@ -335,14 +335,8 @@ def cmd_compare(args):
     curves_a = _curves_from_dir(args.dir_a)
     curves_b = _curves_from_dir(args.dir_b)
     for target in curves_a.values():
-        baselines = []
-        for base in curves_b.values():
-            if base.fractions != target.fractions:
-                raise UsageError("checkpoint grids differ between directories")
-            if base.values.shape[0] != target.values.shape[0]:
-                raise UsageError("seed sets differ between directories")
-            baselines.append(base)
-        print(win_tie_loss(target, baselines).format())
+        # win_tie_loss rejects differing checkpoint grids and seed sets
+        print(win_tie_loss(target, list(curves_b.values())).format())
         print()
     return 0
 
@@ -357,7 +351,7 @@ def build_parser():
     p = sub.add_parser("aggregate", help="aggregate a rank-list CSV")
     p.add_argument("lists", help="CSV: column 1 sample id, columns 2..L+1 ranks")
     p.add_argument("--weights", help="file with one weight per list")
-    p.add_argument("--method", default="borda-pnorm", choices=AGGREGATORS)
+    p.add_argument("--method", default="borda-pnorm", choices=agg.METHODS)
     p.add_argument("--n", type=int, default=1, help="batch size for truncation")
     p.add_argument("--tun1", type=float, default=0.05)
     p.add_argument("--tun2", type=int, default=5)
@@ -384,10 +378,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ are computed once per run and sliced per iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,10 +33,6 @@ from .evaluation import accuracy, auc, f1
 from .learner import LearnerConfig, fit, fit_committee
 from .weighting import blend_weights, bvsb_weight, duplicate_weight
 
-AGGREGATORS = (
-    "borda-min", "borda-median", "borda-geo", "borda-pnorm",
-    "bucklin", "mc1", "mc2", "mc3",
-)
 STRATEGIES = ("fused", "serial", "parallel", "random")
 
 
@@ -65,8 +61,8 @@ class ALConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if self.aggregator not in AGGREGATORS:
-            raise ValueError(f"aggregator must be one of {AGGREGATORS}")
+        if self.aggregator not in agg.METHODS:
+            raise ValueError(f"aggregator must be one of {agg.METHODS}")
         if self.n_select < 1:
             raise ValueError("n_select must be >= 1")
         if self.n_initial < 2:
@@ -111,19 +107,14 @@ def _rng(cfg, *stream):
     return np.random.default_rng((cfg.seed,) + stream)
 
 
-class _Caches:
-    """Per-run memoization: the self-reconstruction scores over the full pool."""
-
-    def __init__(self, pool: PoolState, cfg: ALConfig):
-        self.ted_scores = None
-        need_ted = "ted" in cfg.criteria or (
-            cfg.strategy != "random" and cfg.initial_batch == "ted"
-        )
-        if need_ted:
-            self.ted_scores = score_ted(pool.data.features, lam=cfg.ted_lambda)
+def pool_ted_scores(pool: PoolState, cfg: ALConfig):
+    """Self-reconstruction scores over the full pool, or None if the run uses none."""
+    if "ted" in cfg.criteria or (cfg.strategy != "random" and cfg.initial_batch == "ted"):
+        return score_ted(pool.data.features, lam=cfg.ted_lambda)
+    return None
 
 
-def _criterion_scores(name, pool, cfg, caches, t, model=None, committee=None):
+def _criterion_scores(name, pool, cfg, ted_scores, model=None, committee=None):
     if name == "margin":
         return score_margin(model, pool.unlabeled_features)
     if name == "diversity":
@@ -134,9 +125,9 @@ def _criterion_scores(name, pool, cfg, caches, t, model=None, committee=None):
     if name == "qbc":
         return score_qbc(committee, pool.unlabeled_features)
     if name == "ted":
-        return caches.ted_scores[pool.unlabeled_idx]
+        return ted_scores[pool.unlabeled_idx]
     if name == "random":
-        return score_random(pool.n_unlabeled, _rng(cfg, 910, t))
+        return score_random(pool.n_unlabeled, _rng(cfg, 910, pool.iteration))
     raise ValueError(f"unknown criterion {name!r}")
 
 
@@ -158,16 +149,14 @@ def top_positions(scores, k):
     return order[:k]
 
 
-def fused_step(pool: PoolState, cfg: ALConfig, caches: _Caches):
+def fused_step(pool: PoolState, cfg: ALConfig, ted_scores):
     """One aggregation-driven selection: returns (batch, weights, ranking)."""
     n_batch = min(cfg.n_select, pool.n_unlabeled)
     model, committee = _fit_needed(pool, cfg, pool.iteration)
 
     rank_rows, raw_weights, flags = [], [], []
     for name in cfg.criteria:
-        scores = _criterion_scores(
-            name, pool, cfg, caches, pool.iteration, model, committee
-        )
+        scores = _criterion_scores(name, pool, cfg, ted_scores, model, committee)
         normalized, ranks = normalize_and_rank(scores)
         committee_based = is_committee(name)
         sorted_vals = normalized.sorted_values
@@ -184,27 +173,11 @@ def fused_step(pool: PoolState, cfg: ALConfig, caches: _Caches):
         flags.append(committee_based)
 
     wv = blend_weights(raw_weights, flags)
-    rank_matrix = np.array(rank_rows, dtype=float)
-    ids = pool.unlabeled_idx
-
-    if cfg.aggregator.startswith("borda-"):
-        fusion = {
-            "borda-min": "minimum",
-            "borda-median": "median",
-            "borda-geo": "geometric-mean",
-            "borda-pnorm": "pnorm",
-        }[cfg.aggregator]
-        ranking = agg.borda_aggregate(
-            rank_matrix, wv.weights, agg.BordaConfig(fusion=fusion, p=cfg.p), ids=ids
-        )
-    elif cfg.aggregator == "bucklin":
-        ranking = agg.bucklin_aggregate(rank_matrix, wv.weights, ids=ids)
-    else:
-        ranking = agg.markov_aggregate(
-            rank_matrix, wv.weights, variant=cfg.aggregator,
-            n_select=n_batch, tun1=cfg.tun1, tun2=cfg.tun2,
-            committee_flags=np.array(flags), ids=ids,
-        )
+    ranking = agg.aggregate(
+        cfg.aggregator, np.array(rank_rows, dtype=float), wv.weights,
+        ids=pool.unlabeled_idx, n_select=n_batch, tun1=cfg.tun1, tun2=cfg.tun2,
+        p=cfg.p, committee_flags=np.array(flags),
+    )
     return ranking.top(n_batch), wv, ranking
 
 
@@ -228,20 +201,19 @@ def _serial_layer_sizes(cfg, n_unlabeled):
     return sizes
 
 
-def serial_step(pool: PoolState, cfg: ALConfig, caches: _Caches):
+def serial_step(pool: PoolState, cfg: ALConfig, ted_scores):
     """Multi-layer filtering: each criterion keeps its top slice of survivors."""
     model, committee = _fit_needed(pool, cfg, pool.iteration)
     sizes = _serial_layer_sizes(cfg, pool.n_unlabeled)
     survivors = np.arange(pool.n_unlabeled)
     for name, size in zip(cfg.criteria, sizes):
-        scores = _criterion_scores(
-            name, pool, cfg, caches, pool.iteration, model, committee
-        )[survivors]
+        scores = _criterion_scores(name, pool, cfg, ted_scores, model, committee)
+        scores = scores[survivors]
         survivors = survivors[top_positions(scores, min(size, len(survivors)))]
     return pool.unlabeled_idx[survivors]
 
 
-def parallel_step(pool: PoolState, cfg: ALConfig, caches: _Caches):
+def parallel_step(pool: PoolState, cfg: ALConfig, ted_scores):
     """Fixed-weight sum of normalized score lists; lowest total wins."""
     if cfg.fixed_weights is None:
         raise ValueError("parallel strategy requires fixed_weights")
@@ -251,21 +223,27 @@ def parallel_step(pool: PoolState, cfg: ALConfig, caches: _Caches):
     model, committee = _fit_needed(pool, cfg, pool.iteration)
     total = np.zeros(pool.n_unlabeled)
     for name, wk in zip(cfg.criteria, w):
-        scores = _criterion_scores(
-            name, pool, cfg, caches, pool.iteration, model, committee
-        )
+        scores = _criterion_scores(name, pool, cfg, ted_scores, model, committee)
         total += wk * normalize_and_rank(scores)[0].values
     n_batch = min(cfg.n_select, pool.n_unlabeled)
     return pool.unlabeled_idx[top_positions(total, n_batch)]
 
 
-def initial_batch(pool: PoolState, cfg: ALConfig, caches: _Caches) -> PoolState:
+def random_step(pool: PoolState, cfg: ALConfig, ted_scores):
+    """Uniform draw without replacement from the unlabeled pool."""
+    n_batch = min(cfg.n_select, pool.n_unlabeled)
+    return _rng(cfg, 2, pool.iteration).choice(
+        pool.unlabeled_idx, size=n_batch, replace=False
+    )
+
+
+def initial_batch(pool: PoolState, cfg: ALConfig, ted_scores) -> PoolState:
     """Label the starting batch; top up randomly until both classes appear."""
     if pool.n_unlabeled < cfg.n_initial:
         raise ValueError("pool smaller than the initial batch")
     rng = _rng(cfg, 1)
     if cfg.initial_batch == "ted" and cfg.strategy != "random":
-        scores = caches.ted_scores[pool.unlabeled_idx]
+        scores = ted_scores[pool.unlabeled_idx]
         batch = pool.unlabeled_idx[top_positions(scores, cfg.n_initial)]
     else:
         batch = rng.choice(pool.unlabeled_idx, size=cfg.n_initial, replace=False)
@@ -296,11 +274,11 @@ def _evaluate(pool: PoolState, test: Dataset, cfg: ALConfig):
 
 def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig) -> RunTrace:
     """Run one seeded query loop to the budget; returns the full trace."""
-    caches = _Caches(pool, cfg)
+    ted_scores = pool_ted_scores(pool, cfg)
     n_pool = len(pool.data)
     target = math.ceil(cfg.budget * n_pool)
     checkpoints = sorted(cfg.checkpoints)
-    state = initial_batch(pool, cfg, caches)
+    state = initial_batch(pool, cfg, ted_scores)
 
     iterations = []
     cp_records = []
@@ -323,24 +301,16 @@ def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig) -> RunTra
 
     note_checkpoints(state)
     while state.n_labeled < target and state.n_unlabeled > 0:
+        weights = {}
         if state.n_unlabeled <= cfg.n_select:
             batch = state.unlabeled_idx  # drain the pool; nothing to rank
-            weights = {}
         elif cfg.strategy == "fused":
-            batch, wv, _ = fused_step(state, cfg, caches)
+            batch, wv, _ = fused_step(state, cfg, ted_scores)
             weights = dict(zip(cfg.criteria, wv.weights.tolist()))
-        elif cfg.strategy == "serial":
-            batch = serial_step(state, cfg, caches)
-            weights = {}
-        elif cfg.strategy == "parallel":
-            batch = parallel_step(state, cfg, caches)
-            weights = {}
         else:
-            n_batch = min(cfg.n_select, state.n_unlabeled)
-            batch = _rng(cfg, 2, state.iteration).choice(
-                state.unlabeled_idx, size=n_batch, replace=False
-            )
-            weights = {}
+            # looked up per call so that a wrapped module attribute takes effect
+            step = {"serial": serial_step, "parallel": parallel_step, "random": random_step}
+            batch = step[cfg.strategy](state, cfg, ted_scores)
         state = oracle_label(state, batch)
         iterations.append(
             IterationRecord(

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import (
-    AggregatedRanking,
-    BordaConfig,
-    borda_aggregate,
-    bucklin_aggregate,
-    markov_aggregate,
-    ordinalize,
-    ranking_distances,
-)
+from .aggregation import AggregatedRanking, aggregate, ordinalize, ranking_distances
 
 # rank of sample i (row) in list k (column); ties are competition-style
 TOY_RANK_LISTS = np.array(
@@ -88,32 +80,11 @@ class ToyResult:
 
 def aggregate_toy(method: str, tun1=0.05, p=1.0) -> AggregatedRanking:
     """Run one aggregation method on the embedded lists, uniform weights."""
-    weights = np.ones(TOY_RANK_LISTS.shape[0])
-    if method.startswith("borda-"):
-        fusion = {
-            "borda-min": "minimum",
-            "borda-median": "median",
-            "borda-pnorm": "pnorm",
-            "borda-geo": "geometric-mean",
-        }[method]
-        return borda_aggregate(
-            ordinalize(TOY_RANK_LISTS),
-            weights,
-            BordaConfig(fusion=fusion, p=p),
-            ids=TOY_SAMPLE_IDS,
-        )
-    if method == "bucklin":
-        return bucklin_aggregate(ordinalize(TOY_RANK_LISTS), weights, ids=TOY_SAMPLE_IDS)
-    if method in ("mc1", "mc2", "mc3"):
-        return markov_aggregate(
-            TOY_RANK_LISTS,
-            weights,
-            variant=method,
-            tun1=tun1,
-            truncate=False,
-            ids=TOY_SAMPLE_IDS,
-        )
-    raise ValueError(f"unknown toy method {method!r}")
+    lists = TOY_RANK_LISTS if method in ("mc1", "mc2", "mc3") else ordinalize(TOY_RANK_LISTS)
+    return aggregate(
+        method, lists, np.ones(TOY_RANK_LISTS.shape[0]),
+        ids=TOY_SAMPLE_IDS, tun1=tun1, p=p, truncate=False,
+    )
 
 
 def run_toy_benchmark() -> list[ToyResult]:

@@ -1,11 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankal.aggregation import (
+    METHODS,
     AggregatedRanking,
     BordaConfig,
+    aggregate,
     borda_aggregate,
     brute_force_aggregate,
     bucklin_aggregate,
@@ -293,3 +298,84 @@ def test_all_aggregators_return_permutations():
         assert sorted(out.ranks.tolist()) == list(range(1, 12))
         kd, sd = ranking_distances(out.ranks, lists)
         assert kd >= 0 and sd >= 0
+
+
+class TestAggregateDispatch:
+    # tied ranks in every list, and one committee list that may not nominate
+    LISTS = np.array([
+        [1, 1, 3, 4, 5, 6, 7, 8, 9, 9],
+        [2, 1, 1, 4, 4, 6, 7, 10, 8, 9],
+        [1, 1, 1, 1, 5, 5, 5, 5, 9, 9],
+    ], dtype=float)
+    WEIGHTS = np.array([0.5, 0.2, 0.3])
+    FLAGS = np.array([False, False, True])
+    IDS = np.arange(100, 110)
+
+    def direct(self, method):
+        fusions = {"borda-min": "minimum", "borda-median": "median",
+                   "borda-geo": "geometric-mean", "borda-pnorm": "pnorm"}
+        if method in fusions:
+            return borda_aggregate(self.LISTS, self.WEIGHTS,
+                                   BordaConfig(fusions[method], p=2.0), ids=self.IDS)
+        if method == "bucklin":
+            return bucklin_aggregate(self.LISTS, self.WEIGHTS, ids=self.IDS)
+        return markov_aggregate(
+            self.LISTS, self.WEIGHTS, variant=method, n_select=2, tun1=0.1, tun2=1,
+            committee_flags=self.FLAGS, ids=self.IDS,
+        )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_backend(self, method):
+        out = aggregate(method, self.LISTS, self.WEIGHTS, ids=self.IDS, n_select=2,
+                        tun1=0.1, tun2=1, p=2.0, committee_flags=self.FLAGS)
+        ref = self.direct(method)
+        np.testing.assert_array_equal(out.ids, ref.ids)
+        np.testing.assert_array_equal(out.scores, ref.scores)
+        np.testing.assert_array_equal(out.ranks, ref.ranks)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="condorcet"):
+            aggregate("condorcet", self.LISTS, self.WEIGHTS)
+
+
+@st.composite
+def permutation_lists(draw):
+    n = draw(st.integers(2, 40))
+    n_lists = draw(st.integers(1, 4))
+    lists = [draw(st.permutations(range(1, n + 1))) for _ in range(n_lists)]
+    # integer weights keep every fused score exact, so the 12-decimal rounding
+    # that settles fused-score ties cannot move with the scale
+    weights = draw(st.lists(st.integers(1, 9), min_size=n_lists, max_size=n_lists))
+    return np.array(lists, dtype=float), np.array(weights, dtype=float)
+
+
+class TestAggregateProperties:
+    @given(permutation_lists(), st.integers(-4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_weight_scale_leaves_ranks(self, instance, exponent):
+        lists, w = instance
+        scale = 2.0 ** exponent  # exact in floating point
+        for method in METHODS:
+            a = aggregate(method, lists, w)
+            b = aggregate(method, lists, scale * w)
+            if method != "borda-geo":
+                np.testing.assert_array_equal(a.ranks, b.ranks, err_msg=method)
+        # The geometric mean goes through log/exp, so samples whose weighted
+        # rank products are exactly equal are ordered by round-off, which the
+        # scale can flip.  Both orders must still follow the exact products.
+        products = [math.prod(int(r * wk) for r, wk in zip(col, w)) for col in lists.T]
+        for weights in (w, scale * w):
+            order = aggregate("borda-geo", lists, weights).ids
+            assert all(products[i] <= products[j] for i, j in zip(order, order[1:]))
+
+    @given(st.integers(2, 40).flatmap(
+        lambda n: st.tuples(st.permutations(range(1, n + 1)), st.integers(1, n))
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_single_list_yields_its_top(self, case):
+        perm, n_select = case
+        lists = np.array([perm], dtype=float)
+        expected = np.argsort(lists[0])[:n_select]
+        for method in METHODS:
+            out = aggregate(method, lists, [1.0], n_select=n_select)
+            np.testing.assert_array_equal(out.top(n_select), expected, err_msg=method)

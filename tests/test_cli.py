@@ -47,6 +47,22 @@ class TestAggregate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "body, row, message",
+        [
+            ("id,l1\n1.5,1\n2,2\n", 2, "not an integer"),
+            ("id,l1\n1,1\n2,2\n1,3\n", 4, "duplicate sample id 1"),
+        ],
+        ids=["non-integer", "duplicate"],
+    )
+    def test_bad_sample_id_exits_2(self, tmp_path, capsys, body, row, message):
+        path = tmp_path / "ids.csv"
+        path.write_text(body, encoding="utf-8")
+        code, out, err = run_cli(capsys, "aggregate", str(path))
+        assert code == 2
+        assert str(path) in err and f"row {row}" in err and message in err
+        assert "order" not in out
+
     def test_unknown_method_rejected(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("id,l1\n1,1\n2,2\n", encoding="utf-8")
@@ -117,6 +133,29 @@ class TestRun:
         assert code == 2
         assert "aggregation" in err and "surprise" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # two unnamed fused/mc2 methods both resolve to the label "fused-mc2"
+            (lambda m: [dict(m[0], name="", criteria=["margin"]),
+                        dict(m[0], name="", criteria=["diversity", "margin"])],
+             "methods[1]: label 'fused-mc2' already used by methods[0]"),
+            (lambda m: [dict(m[0], budget=0.3), m[1]],
+             "methods[0]: checkpoint 0.4 exceeds budget 0.3"),
+        ],
+        ids=["duplicate-label", "checkpoint-above-budget"],
+    )
+    def test_config_that_would_lose_results_exits_2(self, tmp_path, capsys, edit, message):
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg["methods"] = edit(cfg["methods"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert message in err
+        assert not out_dir.exists()
+
 
 class TestCompare:
     def test_self_comparison_all_ties(self, tmp_path, capsys):
@@ -137,3 +176,13 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", str(tmp_path), str(tmp_path))
         assert code == 2
         assert "no curve" in err
+
+    def test_differing_checkpoint_grids_exit_2(self, tmp_path, capsys):
+        header = "seed,fraction,n_labeled,accuracy,f1,auc\n"
+        for name, fractions in (("a", (0.1, 0.2)), ("b", (0.1, 0.3))):
+            (tmp_path / name).mkdir()
+            rows = "".join(f"{s},{f},4,0.9,0.9,0.9\n" for s in (0, 1) for f in fractions)
+            (tmp_path / name / "curve_m.csv").write_text(header + rows, encoding="utf-8")
+        code, _, err = run_cli(capsys, "compare", str(tmp_path / "a"), str(tmp_path / "b"))
+        assert code == 2
+        assert "checkpoint grids" in err

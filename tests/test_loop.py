@@ -6,10 +6,10 @@ from rankal.data import SplitSpec, make_two_blobs, normalize_features, oracle_la
 from rankal.learner import LearnerConfig, fit
 from rankal.loop import (
     ALConfig,
-    _Caches,
     fused_step,
     initial_batch,
     parallel_step,
+    pool_ted_scores,
     run_active_learning,
     serial_step,
     top_positions,
@@ -36,14 +36,14 @@ class TestFusedStep:
         expected = state.unlabeled_idx[top_positions(raw, 3)]
         for aggregator in AGGS:
             cfg = ALConfig(criteria=("margin",), aggregator=aggregator, n_select=3)
-            batch, wv, _ = fused_step(state, cfg, _Caches(state, cfg))
+            batch, wv, _ = fused_step(state, cfg, pool_ted_scores(state, cfg))
             assert batch.tolist() == expected.tolist(), aggregator
             assert wv.weights.tolist() == [1.0]
 
     def test_group_mass_law_live(self):
         state = prepared_pool(seed=1)
         cfg = ALConfig(criteria=("diversity", "margin", "qbc"), aggregator="mc2")
-        _, wv, _ = fused_step(state, cfg, _Caches(state, cfg))
+        _, wv, _ = fused_step(state, cfg, pool_ted_scores(state, cfg))
         non_committee = wv.weights[:2].sum()
         assert non_committee == pytest.approx(2 / 3, abs=1e-12)
         assert wv.weights[2] == pytest.approx(1 / 3, abs=1e-12)
@@ -52,8 +52,8 @@ class TestFusedStep:
         state = prepared_pool(seed=2)
         single = ALConfig(criteria=("margin",), aggregator="borda-pnorm", n_select=2)
         double = ALConfig(criteria=("margin", "margin"), aggregator="borda-pnorm", n_select=2)
-        b1, _, _ = fused_step(state, single, _Caches(state, single))
-        b2, wv, _ = fused_step(state, double, _Caches(state, double))
+        b1, _, _ = fused_step(state, single, pool_ted_scores(state, single))
+        b2, wv, _ = fused_step(state, double, pool_ted_scores(state, double))
         assert wv.weights[0] == pytest.approx(wv.weights[1])
         assert b1.tolist() == b2.tolist()
 
@@ -64,7 +64,7 @@ class TestStrategiesAgainstDirectComputation:
         cfg = ALConfig(
             strategy="serial", criteria=("margin",), serial_layers=(1,), n_select=1
         )
-        batch = serial_step(state, cfg, _Caches(state, cfg))
+        batch = serial_step(state, cfg, pool_ted_scores(state, cfg))
         model = fit(LearnerConfig(), state.labeled_features, state.labeled_labels)
         raw = score_margin(model, state.unlabeled_features)
         assert batch.tolist() == state.unlabeled_idx[top_positions(raw, 1)].tolist()
@@ -77,7 +77,7 @@ class TestStrategiesAgainstDirectComputation:
             serial_layers=(10, 1),
             n_select=1,
         )
-        batch = serial_step(state, cfg, _Caches(state, cfg))
+        batch = serial_step(state, cfg, pool_ted_scores(state, cfg))
         model = fit(LearnerConfig(), state.labeled_features, state.labeled_labels)
         margin = score_margin(model, state.unlabeled_features)
         survivors = top_positions(margin, 10)
@@ -98,9 +98,9 @@ class TestStrategiesAgainstDirectComputation:
             serial_layers=(n_u, 1),
             n_select=1,
         )
-        batch = serial_step(state, cfg, _Caches(state, cfg))
+        batch = serial_step(state, cfg, pool_ted_scores(state, cfg))
         cfg2 = ALConfig(strategy="serial", criteria=("margin",), serial_layers=(1,))
-        assert batch.tolist() == serial_step(state, cfg2, _Caches(state, cfg2)).tolist()
+        assert batch.tolist() == serial_step(state, cfg2, pool_ted_scores(state, cfg2)).tolist()
 
     def test_parallel_null_weight_is_single_criterion(self):
         state = prepared_pool(seed=6)
@@ -110,7 +110,7 @@ class TestStrategiesAgainstDirectComputation:
             fixed_weights=(1.0, 0.0),
             n_select=2,
         )
-        batch = parallel_step(state, cfg, _Caches(state, cfg))
+        batch = parallel_step(state, cfg, pool_ted_scores(state, cfg))
         model = fit(LearnerConfig(), state.labeled_features, state.labeled_labels)
         raw = score_margin(model, state.unlabeled_features)
         assert batch.tolist() == state.unlabeled_idx[top_positions(raw, 2)].tolist()
@@ -123,7 +123,7 @@ class TestStrategiesAgainstDirectComputation:
             fixed_weights=(0.5, 0.5),
             n_select=1,
         )
-        batch = parallel_step(state, cfg, _Caches(state, cfg))
+        batch = parallel_step(state, cfg, pool_ted_scores(state, cfg))
         model = fit(LearnerConfig(), state.labeled_features, state.labeled_labels)
         total = (
             0.5 * normalize_and_rank(score_margin(model, state.unlabeled_features))[0].values
@@ -139,7 +139,7 @@ class TestStrategiesAgainstDirectComputation:
             strategy="parallel", criteria=("margin",), fixed_weights=(0.0,)
         )
         with pytest.raises(ValueError):
-            parallel_step(state, cfg, _Caches(state, cfg))
+            parallel_step(state, cfg, pool_ted_scores(state, cfg))
 
 
 class TestInitialBatch:
@@ -147,17 +147,17 @@ class TestInitialBatch:
         d = normalize_features(make_two_blobs(n=60, seed=9))
         _, pool = split_pool(d, SplitSpec(0.5, 9))
         cfg = ALConfig(initial_batch="ted", n_initial=4)
-        caches = _Caches(pool, cfg)
-        state = initial_batch(pool, cfg, caches)
-        expected = pool.unlabeled_idx[top_positions(caches.ted_scores, 4)]
+        ted_scores = pool_ted_scores(pool, cfg)
+        state = initial_batch(pool, cfg, ted_scores)
+        expected = pool.unlabeled_idx[top_positions(ted_scores, 4)]
         assert set(expected.tolist()) <= set(state.labeled_idx.tolist())
 
     def test_random_init_reproducible(self):
         d = normalize_features(make_two_blobs(n=60, seed=10))
         _, pool = split_pool(d, SplitSpec(0.5, 10))
         cfg = ALConfig(initial_batch="random", n_initial=4, strategy="random")
-        s1 = initial_batch(pool, cfg, _Caches(pool, cfg))
-        s2 = initial_batch(pool, cfg, _Caches(pool, cfg))
+        s1 = initial_batch(pool, cfg, pool_ted_scores(pool, cfg))
+        s2 = initial_batch(pool, cfg, pool_ted_scores(pool, cfg))
         assert s1.labeled_idx.tolist() == s2.labeled_idx.tolist()
 
     def test_both_classes_probability_and_topup(self):
@@ -174,7 +174,7 @@ class TestInitialBatch:
         assert both / 1000 > 0.85
         for seed in range(10):
             cfg = ALConfig(initial_batch="random", n_initial=4, seed=seed, strategy="random")
-            state = initial_batch(pool, cfg, _Caches(pool, cfg))
+            state = initial_batch(pool, cfg, pool_ted_scores(pool, cfg))
             assert len(np.unique(state.labeled_labels)) == 2
 
     def test_single_class_pool_aborts(self):
@@ -188,7 +188,7 @@ class TestInitialBatch:
         )
         cfg = ALConfig(initial_batch="random", n_initial=4, strategy="random")
         with pytest.raises(RuntimeError, match="two-class"):
-            initial_batch(pool, cfg, _Caches(pool, cfg))
+            initial_batch(pool, cfg, pool_ted_scores(pool, cfg))
 
 
 class TestRuns:
@@ -246,14 +246,14 @@ class TestRuns:
         d = normalize_features(make_two_blobs(n=60, seed=17))
         test, pool = split_pool(d, SplitSpec(0.5, 17))
         cfg = ALConfig(criteria=("ted", "margin"), budget=0.3, seed=17)
-        caches = _Caches(pool, cfg)
+        ted_scores = pool_ted_scores(pool, cfg)
         direct = score_ted(pool.data.features, lam=cfg.ted_lambda)
-        np.testing.assert_array_equal(caches.ted_scores, direct)
-        state = initial_batch(pool, cfg, caches)
+        np.testing.assert_array_equal(ted_scores, direct)
+        state = initial_batch(pool, cfg, ted_scores)
         for _ in range(3):
-            batch, _, _ = fused_step(state, cfg, caches)
+            batch, _, _ = fused_step(state, cfg, ted_scores)
             state = oracle_label(state, batch)
-        np.testing.assert_array_equal(caches.ted_scores, direct)
+        np.testing.assert_array_equal(ted_scores, direct)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
