@@ -96,8 +96,8 @@ def _check_weights(weights, n_lists):
     w = np.asarray(weights, dtype=float)
     if w.shape != (n_lists,):
         raise ValueError(f"need one weight per list, got shape {w.shape}")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
+    if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
+        raise ValueError("weights must be finite and non-negative with positive sum")
     return w
 
 
@@ -147,6 +147,9 @@ def borda_aggregate(rank_lists, weights, cfg: BordaConfig = BordaConfig(),
     Fused-score ties are broken deterministically: the p-norm fusion ranks
     later sample positions first, the other fusions rank earlier positions
     first (fixed conventions chosen to keep reference outputs reproducible).
+    The geometric mean orders by the product of the ranks, which the weights
+    only scale, so ties between equal products (exact for integer ranks while
+    the products stay below 2**53) do not depend on the weights.
     Zero-weight lists cast no vote: they are excluded from the minimum and
     median fusions, and floored at 1e-9 under the geometric mean so no fused
     score collapses through a zero factor.
@@ -171,7 +174,9 @@ def borda_aggregate(rank_lists, weights, cfg: BordaConfig = BordaConfig(),
     fused = np.round(fused, 12)
     pos = np.arange(n)
     tie_key = -pos if cfg.fusion == "pnorm" else pos
-    order = np.lexsort((tie_key, fused))
+    # equal rank products tie exactly; log/exp would split them by round-off
+    sort_key = np.prod(r, axis=0) if cfg.fusion == "geometric-mean" else fused
+    order = np.lexsort((tie_key, sort_key))
     return _ranking(order, fused[order], ids)
 
 

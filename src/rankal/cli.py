@@ -33,7 +33,7 @@ from .data import (
 )
 from .evaluation import LearningCurve, win_tie_loss
 from .learner import LearnerConfig
-from .loop import ALConfig, run_active_learning
+from .loop import ALConfig, pool_ted_scores, run_active_learning
 from .toy import format_toy_report, run_toy_benchmark
 
 
@@ -63,6 +63,8 @@ def _read_rank_csv(path):
                 raise UsageError(f"{path}: need an id column plus at least one rank list")
         elif len(values) != columns:
             raise UsageError(f"{path}: row {lineno}: inconsistent field count")
+        if not np.all(np.isfinite(values[1:])):
+            raise UsageError(f"{path}: row {lineno}: rank values must be finite")
         sid = values[0]
         if not sid.is_integer():
             raise UsageError(f"{path}: row {lineno}: sample id {row[0]!r} is not an integer")
@@ -82,8 +84,20 @@ def _read_rank_csv(path):
 
 
 def _read_weights(path, n_lists):
+    values = []
     with open(path, encoding="utf-8") as fh:
-        values = [float(line.strip()) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                value = np.nan
+            if not np.isfinite(value):
+                raise UsageError(
+                    f"{path}: row {lineno}: weight {line.strip()!r} is not a finite number"
+                )
+            values.append(value)
     if len(values) != n_lists:
         raise UsageError(f"{path}: expected {n_lists} weights, got {len(values)}")
     w = np.array(values)
@@ -145,6 +159,14 @@ def _method_config(spec, checkpoints):
     return ALConfig(learner=learner, checkpoints=tuple(checkpoints), **spec)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_config(path):
     """The parsed config and one ALConfig per method; UsageError lists every problem."""
     with open(path, encoding="utf-8") as fh:
@@ -158,10 +180,24 @@ def _load_config(path):
     if "output_dir" not in cfg:
         problems.append("missing 'output_dir'")
     seeds = cfg.get("seeds", list(range(10)))
-    if not seeds:
-        problems.append("'seeds' must be non-empty")
+    if not isinstance(seeds, list) or not seeds or not all(
+        _is_int(s) and s >= 0 for s in seeds
+    ):
+        problems.append("'seeds' must be a non-empty list of non-negative integers")
+    split = cfg.get("split", {})
+    if not isinstance(split, dict) or set(split) - {"test_fraction", "seed"}:
+        problems.append("'split' may only hold 'test_fraction' and 'seed'")
+    else:
+        fraction, split_seed = split.get("test_fraction", 0.5), split.get("seed", 0)
+        if not (_is_number(fraction) and 0 < fraction < 1):
+            problems.append("'split.test_fraction' must be a number in (0, 1)")
+        if not (_is_int(split_seed) and split_seed >= 0):
+            problems.append("'split.seed' must be a non-negative integer")
     checkpoints = cfg.get("checkpoints", [0.05, 0.10, 0.15, 0.20, 0.25, 0.30])
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or any(
+    if not isinstance(checkpoints, list) or not all(_is_number(c) for c in checkpoints):
+        problems.append("'checkpoints' must be a list of numbers")
+        checkpoints = []
+    elif any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or any(
         not 0 < c <= 1 for c in checkpoints
     ):
         problems.append("'checkpoints' must be strictly increasing within (0, 1]")
@@ -267,16 +303,25 @@ def cmd_run(args):
         "methods": {},
     }
     curves = {}
+    # every method runs on the same split per seed: split, normalize and solve
+    # the self-reconstruction (per ted_lambda) once per seed, not per method
+    splits = {
+        seed: _split_normalized(
+            dataset, SplitSpec(test_fraction, base_split_seed + seed),
+            cfg["normalize_stats"],
+        )
+        for seed in cfg["seeds"]
+    }
+    ted = {}
     for spec, method_cfg in zip(cfg["methods"], al_configs):
         traces = []
         for seed in cfg["seeds"]:
-            test, pool = _split_normalized(
-                dataset,
-                SplitSpec(test_fraction, base_split_seed + seed),
-                cfg["normalize_stats"],
-            )
+            test, pool = splits[seed]
             al_cfg = replace(method_cfg, seed=seed)
-            trace = run_active_learning(pool, test, al_cfg)
+            key = (seed, al_cfg.ted_lambda)
+            if ted.get(key) is None:  # None: no method so far needed them
+                ted[key] = pool_ted_scores(pool, al_cfg)
+            trace = run_active_learning(pool, test, al_cfg, ted[key])
             _write_trace(
                 os.path.join(out, f"trace_{al_cfg.label}_seed{seed}.csv"),
                 trace, al_cfg.criteria,

@@ -100,14 +100,6 @@ class TedSolution:
     converged: bool
 
 
-def _ted_objective(d, z, lam, transpose_reg=True):
-    resid = d - d @ z
-    col_norms = np.sqrt(np.sum(resid * resid, axis=0))
-    pen_mat = z if transpose_reg else z.T
-    row_norms = np.sqrt(np.sum(pen_mat * pen_mat, axis=1))
-    return float(col_norms.sum() + lam * row_norms.sum())
-
-
 def solve_ted(
     pool_features,
     lam=0.1,
@@ -118,11 +110,20 @@ def solve_ted(
     """Sparse self-reconstruction of the pool by iteratively reweighted ridge.
 
     Minimizes  sum_j ||d_j - D z_j||_2  +  lam * sum_i ||row_i(Z)||_2  where
-    D has samples as columns.  Each sweep fixes diagonal reweighting matrices
-    from the current residual column norms and coefficient row norms, then
-    solves the induced ridge problem for all columns through one
-    eigendecomposition.  The true objective is non-increasing across sweeps.
-    ``transpose_reg=False`` penalizes columns of Z instead of rows.
+    D (d x n) has samples as columns.  Each sweep fixes residual weights
+    u_j = 1/||d_j - D z_j|| and penalty weights v_i = 1/||row_i(Z)|| from the
+    current solution and solves, for every column,
+    (D'D + c_j diag(v)) z_j = D'd_j with c_j = lam/u_j.
+
+    The sweep works in the at most min(d, n)-dimensional span of the data:
+    with the thin SVD U S W' of B = D diag(v)^-1/2, the right-hand side
+    diag(v)^-1/2 D'd_j lies in range(W), so every column solves exactly as
+    Z = diag(v)^-1/2 W Y with Y[:, j] = S * (U'd_j) / (S^2 + c_j).  The
+    residual D - DZ = D - U S Y and the row norms of Z follow from these
+    factors, so no n x n matrix is formed before the last sweep has run.
+    ``transpose_reg=False`` penalizes columns of Z instead of rows: the same
+    sweep with v = 1 (one SVD of D) and c_j = lam * v_j / u_j.  The true
+    objective is non-increasing across sweeps.
     """
     x = np.atleast_2d(np.asarray(pool_features, dtype=float))
     n = len(x)
@@ -130,48 +131,44 @@ def solve_ted(
         raise ValueError("need at least 2 pool samples")
     if lam <= 0:
         raise ValueError("lam must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     d = x.T  # samples as columns
-    gram = d.T @ d
     eps = 1e-10
 
-    z = np.zeros((n, n))
-    history = [_ted_objective(d, z, lam, transpose_reg)]
+    row_scale = np.ones(n)  # diag(v)^-1/2; stays 1 under the column penalty
+    if not transpose_reg:
+        u_mat, s, wt = np.linalg.svd(d, full_matrices=False)
+    col_norms = np.sqrt(np.sum(d * d, axis=0))  # residual of Z = 0
+    pen_norms = np.zeros(n)
+    history = [float(col_norms.sum())]
     converged = False
     for _ in range(max_iter):
-        resid = d - d @ z
-        col_norms = np.maximum(np.sqrt(np.sum(resid * resid, axis=0)), eps)
-        pen_mat = z if transpose_reg else z.T
-        row_norms = np.maximum(np.sqrt(np.sum(pen_mat * pen_mat, axis=1)), eps)
-        u = 1.0 / col_norms  # residual weights, one per column
-        v = 1.0 / row_norms  # penalty weights, one per row of the penalized matrix
-
+        u = 1.0 / np.maximum(col_norms, eps)  # residual weights, one per column
+        v = 1.0 / np.maximum(pen_norms, eps)  # penalty weights, one per penalized row
         if transpose_reg:
-            # (G + (lam/u_j) diag(v)) z_j = G[:, j]; shared eigenbasis after
-            # the diag(v) similarity scaling
-            v_isqrt = 1.0 / np.sqrt(v)
-            m = gram * np.outer(v_isqrt, v_isqrt)
-            evals, evecs = np.linalg.eigh(m)
-            evals = np.maximum(evals, 0.0)
-            rhs = evecs.T @ (gram * v_isqrt[:, None])
-            scale = lam / u
-            y = rhs / (evals[:, None] + scale[None, :])
-            z_new = v_isqrt[:, None] * (evecs @ y)
+            row_scale = 1.0 / np.sqrt(v)
+            u_mat, s, wt = np.linalg.svd(d * row_scale, full_matrices=False)
+            c = lam / u
         else:
-            # column penalty: (G + (lam*v_j/u_j) I) z_j = G[:, j]
-            evals, evecs = np.linalg.eigh(gram)
-            evals = np.maximum(evals, 0.0)
-            rhs = evecs.T @ gram
-            scale = lam * v / u
-            y = rhs / (evals[:, None] + scale[None, :])
-            z_new = evecs @ y
-
-        obj = _ted_objective(d, z_new, lam, transpose_reg)
+            c = lam * v / u
+        y = s[:, None] * (u_mat.T @ d) / (s[:, None] ** 2 + c[None, :])
+        resid = d - u_mat @ (s[:, None] * y)
+        col_norms = np.sqrt(np.sum(resid * resid, axis=0))
+        if transpose_reg:
+            # row_i(Z) = v_i^-1/2 W_i Y, and Y = R'Q' with orthonormal Q
+            r = np.linalg.qr(y.T, mode="r")
+            pen_norms = row_scale * np.sqrt(np.sum((wt.T @ r.T) ** 2, axis=1))
+        else:
+            pen_norms = np.sqrt(np.sum(y * y, axis=0))  # W has orthonormal columns
+        obj = float(col_norms.sum() + lam * pen_norms.sum())
         history.append(obj)
-        z = z_new
         if abs(history[-2] - obj) < tol * max(1.0, abs(history[-2])):
             converged = True
             break
 
+    z = wt.T @ y
+    z *= row_scale[:, None]
     return TedSolution(
         Z=z,
         lam=lam,
@@ -189,7 +186,8 @@ def score_ted(
 
     Row (default) or column absolute sums of the self-reconstruction matrix,
     negated: samples that reconstruct many others score low (most valuable).
-    Computed once per pool and cached by the query loop.
+    Computed once per pool: the query loop slices it per iteration, and
+    ``rankal run`` shares it between the methods run on one split.
     """
     sol = solve_ted(pool_features, lam=lam, max_iter=max_iter, tol=tol,
                     transpose_reg=transpose_reg)

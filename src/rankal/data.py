@@ -12,6 +12,7 @@ sorted order (smaller -> -1, larger -> +1).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -144,6 +145,8 @@ def load_dense_csv(path) -> Dataset:
                 feats = [float(v) for v in row[:-1]]
             except ValueError as exc:
                 raise DataFormatError(f"{path}: row {lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in feats):
+                raise DataFormatError(f"{path}: row {lineno}: feature values must be finite")
             rows.append((feats, _parse_label(row[-1])))
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -173,6 +176,8 @@ def load_sparse(path) -> Dataset:
                     ) from None
                 if idx < 1:
                     raise DataFormatError(f"{path}: row {lineno}: index {idx} < 1")
+                if not math.isfinite(val):
+                    raise DataFormatError(f"{path}: row {lineno}: feature values must be finite")
                 pairs.append((idx, val))
                 max_index = max(max_index, idx)
             entries.append((_parse_label(tokens[0]), pairs))

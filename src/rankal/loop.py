@@ -8,7 +8,10 @@ criterion, turns the score lists into tie-aware rank lists, computes
 self-adaptive weights, and feeds everything to the configured aggregator.
 
 Self-reconstruction (ted) scores depend only on the initial pool, so they
-are computed once per run and sliced per iteration.
+are computed once per run and sliced per iteration; a caller that runs
+several methods on one pool (``rankal run``) computes them once with
+``pool_ted_scores`` and passes them in.  The solve itself works in the
+feature-space span of the pool (see ``criteria.solve_ted``).
 """
 
 from __future__ import annotations
@@ -272,9 +275,15 @@ def _evaluate(pool: PoolState, test: Dataset, cfg: ALConfig):
     )
 
 
-def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig) -> RunTrace:
-    """Run one seeded query loop to the budget; returns the full trace."""
-    ted_scores = pool_ted_scores(pool, cfg)
+def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
+                        ted_scores=None) -> RunTrace:
+    """Run one seeded query loop to the budget; returns the full trace.
+
+    ``ted_scores`` are ``pool_ted_scores(pool, cfg)`` when the caller already
+    has them; by default they are computed here.
+    """
+    if ted_scores is None:
+        ted_scores = pool_ted_scores(pool, cfg)
     n_pool = len(pool.data)
     target = math.ceil(cfg.budget * n_pool)
     checkpoints = sorted(cfg.checkpoints)

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -71,6 +70,15 @@ class TestBorda:
         lists = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
         out = borda_aggregate(lists, np.array([1.0, 0.0]), BordaConfig("geometric-mean"))
         assert sorted(out.ranks.tolist()) == [1, 2, 3]
+
+    def test_geometric_mean_equal_products_tie_by_position(self):
+        # rank products 9*12*9 = 18*18*3 = 972: the tie goes to the earlier
+        # position, whatever log/exp round-off the weights bring
+        lists = np.array([[9.0, 18.0], [12.0, 18.0], [9.0, 3.0]])
+        for scale in (1.0, 8.0, 0.3, 1e-6):
+            out = borda_aggregate(lists, scale * np.array([2.0, 9.0, 2.0]),
+                                  BordaConfig("geometric-mean"))
+            assert out.ids.tolist() == [0, 1]
 
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -337,6 +345,14 @@ class TestAggregateDispatch:
         with pytest.raises(ValueError, match="condorcet"):
             aggregate("condorcet", self.LISTS, self.WEIGHTS)
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, method, bad):
+        weights = np.array(self.WEIGHTS, dtype=float)
+        weights[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            aggregate(method, self.LISTS, weights, committee_flags=self.FLAGS)
+
 
 @st.composite
 def permutation_lists(draw):
@@ -358,15 +374,7 @@ class TestAggregateProperties:
         for method in METHODS:
             a = aggregate(method, lists, w)
             b = aggregate(method, lists, scale * w)
-            if method != "borda-geo":
-                np.testing.assert_array_equal(a.ranks, b.ranks, err_msg=method)
-        # The geometric mean goes through log/exp, so samples whose weighted
-        # rank products are exactly equal are ordered by round-off, which the
-        # scale can flip.  Both orders must still follow the exact products.
-        products = [math.prod(int(r * wk) for r, wk in zip(col, w)) for col in lists.T]
-        for weights in (w, scale * w):
-            order = aggregate("borda-geo", lists, weights).ids
-            assert all(products[i] <= products[j] for i, j in zip(order, order[1:]))
+            np.testing.assert_array_equal(a.ranks, b.ranks, err_msg=method)
 
     @given(st.integers(2, 40).flatmap(
         lambda n: st.tuples(st.permutations(range(1, n + 1)), st.integers(1, n))

@@ -40,6 +40,17 @@ class TestAggregate:
         assert code == 0
         assert "normalizing" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "heavy"])
+    def test_bad_weight_exits_2(self, tmp_path, capsys, value):
+        lists = tmp_path / "two.csv"
+        lists.write_text("id,l1,l2\n1,1,2\n2,2,1\n", encoding="utf-8")
+        weights = tmp_path / "w.txt"
+        weights.write_text(f"1\n\n{value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "aggregate", str(lists), "--weights", str(weights))
+        assert code == 2
+        assert f"{weights}: row 3: weight {value!r} is not a finite number" in err
+        assert "order" not in out
+
     def test_parse_failure_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("id,l1\n1,not_a_rank\n", encoding="utf-8")
@@ -61,6 +72,15 @@ class TestAggregate:
         code, out, err = run_cli(capsys, "aggregate", str(path))
         assert code == 2
         assert str(path) in err and f"row {row}" in err and message in err
+        assert "order" not in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rank_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "ranks.csv"
+        path.write_text(f"id,l1,l2\n1,1,2\n2,{value},1\n3,3,3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "aggregate", str(path), "--method", "bucklin")
+        assert code == 2
+        assert str(path) in err and "row 3" in err and "finite" in err
         assert "order" not in out
 
     def test_unknown_method_rejected(self, tmp_path):
@@ -154,6 +174,33 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(cfg_path))
         assert code == 2
         assert message in err
+        assert not out_dir.exists()
+
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("checkpoints", ["a"], "'checkpoints' must be a list of numbers"),
+            ("checkpoints", [0.2, None], "'checkpoints' must be a list of numbers"),
+            ("checkpoints", [True], "'checkpoints' must be a list of numbers"),
+            ("checkpoints", 0.2, "'checkpoints' must be a list of numbers"),
+            ("seeds", ["a"], "'seeds' must be a non-empty list of non-negative integers"),
+            ("seeds", [0.5], "'seeds' must be a non-empty list of non-negative integers"),
+            ("seeds", [-1], "'seeds' must be a non-empty list of non-negative integers"),
+            ("split", {"test_fraction": "x"}, "'split.test_fraction' must be a number"),
+            ("split", {"seed": 1.5}, "'split.seed' must be a non-negative integer"),
+            ("split", {"test_fraciton": 0.3}, "'split' may only hold"),
+        ],
+    )
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, key, value, message):
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert "config errors" in err and message in err
         assert not out_dir.exists()
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankal.criteria import (
-    _ted_objective,
     is_committee,
     normalize_and_rank,
     score_diversity,
@@ -115,7 +114,64 @@ class TestQbc:
         assert abs(scores[0] + np.sqrt(0.06)) < 1e-12
 
 
+def dense_objective(d, z, lam, transpose_reg=True):
+    """TED objective evaluated directly from the full coefficient matrix."""
+    resid = np.linalg.norm(d - d @ z, axis=0)
+    pen = np.linalg.norm(z if transpose_reg else z.T, axis=1)
+    return float(resid.sum() + lam * pen.sum())
+
+
+def dense_sweeps(x, lam, sweeps, transpose_reg):
+    """The reweighted ridge sweeps of solve_ted, one np.linalg.solve per column."""
+    d = x.T
+    n = d.shape[1]
+    gram = d.T @ d
+    eps = 1e-10
+    z = np.zeros((n, n))
+    for _ in range(sweeps):
+        u = 1.0 / np.maximum(np.linalg.norm(d - d @ z, axis=0), eps)
+        v = 1.0 / np.maximum(np.linalg.norm(z if transpose_reg else z.T, axis=1), eps)
+        z_new = np.empty((n, n))
+        for j in range(n):
+            if transpose_reg:  # rows of Z penalized: (G + (lam/u_j) diag(v)) z_j = G e_j
+                a = gram + (lam / u[j]) * np.diag(v)
+            else:  # columns penalized: (G + (lam v_j/u_j) I) z_j = G e_j
+                a = gram + (lam * v[j] / u[j]) * np.eye(n)
+            z_new[:, j] = np.linalg.solve(a, gram[:, j])
+        z = z_new
+    return z
+
+
+@st.composite
+def ted_pools(draw):
+    """Random pools with n 2-40 samples and 1-8 features, so d >= n occurs."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).normal(size=(n, d))
+
+
 class TestTed:
+    @given(ted_pools(), st.sampled_from([0.01, 0.1, 1.0]), st.integers(1, 3),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_sweeps_match_dense_solve(self, x, lam, sweeps, transpose_reg):
+        sol = solve_ted(x, lam=lam, max_iter=sweeps, tol=0.0, transpose_reg=transpose_reg)
+        ref = dense_sweeps(x, lam, sweeps, transpose_reg)
+        np.testing.assert_allclose(sol.Z, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
+        assert len(sol.objective_history) == sweeps + 1
+        assert sol.residual == pytest.approx(
+            dense_objective(x.T, ref, lam, transpose_reg), rel=1e-10)
+
+    @given(ted_pools(), st.sampled_from([0.01, 0.1, 1.0]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_objective_never_increases(self, x, lam, transpose_reg):
+        sol = solve_ted(x, lam=lam, transpose_reg=transpose_reg)
+        hist = np.array(sol.objective_history)
+        # the 1e-10 floor on zero norms may cost lam * 1e-10 per sample
+        slack = lam * len(x) * 1e-10 + 1e-12 * hist[:-1]
+        assert np.all(np.diff(hist) <= slack)
+
     def test_duplicate_rows_equal_scores(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 3))
@@ -138,7 +194,7 @@ class TestTed:
         hist = np.array(sol.objective_history)
         assert np.all(np.diff(hist) <= 1e-8)
         # final objective re-evaluated directly from the returned Z
-        direct = _ted_objective(x.T, sol.Z, 0.1, transpose_reg=True)
+        direct = dense_objective(x.T, sol.Z, 0.1, transpose_reg=True)
         assert abs(direct - sol.residual) < 1e-8
 
     def test_row_vs_column_aggregate_flag(self):
@@ -151,6 +207,10 @@ class TestTed:
     def test_small_pool_rejected(self):
         with pytest.raises(ValueError):
             solve_ted(np.zeros((1, 2)), lam=0.1)
+
+    def test_no_sweep_rejected(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_ted(np.ones((3, 2)), lam=0.1, max_iter=0)
 
 
 class TestNormalizeAndRank:

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ class TestLoadDense:
         with pytest.raises(DataFormatError, match="row 3"):
             load_table(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        path = write(tmp_path, "d.csv", f"a,b,y\n1,2,0\n3,4,1\n5,{value},0\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: row 4:") + ".*finite"):
+            load_table(path)
+
     def test_three_labels_rejected(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,y\n1,0\n2,1\n3,2\n")
         with pytest.raises(ValueError, match="two distinct"):
@@ -61,6 +68,12 @@ class TestLoadSparse:
     def test_bad_token_reports_line(self, tmp_path):
         path = write(tmp_path, "s.txt", "1 2:0.5\n1 nope\n")
         with pytest.raises(DataFormatError, match="row 2"):
+            load_table(path, "sparse-index-value")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        path = write(tmp_path, "s.txt", f"1 2:0.5\n-1 1:{value} 3:2.0\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: row 2:") + ".*finite"):
             load_table(path, "sparse-index-value")
 
     def test_unknown_format(self, tmp_path):
