@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -167,6 +168,33 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# make_two_blobs parameter -> (accepts the value, what it must be)
+_SYNTHETIC = {
+    "kind": (lambda v: v == "two-blobs", "'two-blobs'"),
+    "n": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "n_features": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "center_distance": (lambda v: _is_number(v) and 0 <= v < math.inf, "a finite number >= 0"),
+    "sigma": (lambda v: _is_number(v) and 0 <= v < math.inf, "a finite number >= 0"),
+    "pos_fraction": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+}
+
+
+def _dataset_problems(spec):
+    if not isinstance(spec, dict) or ("synthetic" in spec) == ("path" in spec):
+        return ["'dataset' must hold exactly one of 'synthetic' and 'path'"]
+    params = spec.get("synthetic", {})
+    if not isinstance(params, dict):
+        return ["'dataset.synthetic' must be an object"]
+    problems = []
+    for key, value in params.items():
+        if key not in _SYNTHETIC:
+            problems.append(f"'dataset.synthetic' has unknown key {key!r}")
+        elif not _SYNTHETIC[key][0](value):
+            problems.append(f"'dataset.synthetic.{key}' must be {_SYNTHETIC[key][1]}")
+    return problems
+
+
 def _load_config(path):
     """The parsed config and one ALConfig per method; UsageError lists every problem."""
     with open(path, encoding="utf-8") as fh:
@@ -177,6 +205,8 @@ def _load_config(path):
             problems.append(f"unknown top-level key {key!r}")
     if "dataset" not in cfg:
         problems.append("missing 'dataset'")
+    else:
+        problems.extend(_dataset_problems(cfg["dataset"]))
     if "output_dir" not in cfg:
         problems.append("missing 'output_dir'")
     seeds = cfg.get("seeds", list(range(10)))
@@ -241,9 +271,7 @@ def _load_config(path):
 def _load_dataset(spec):
     if "synthetic" in spec:
         params = dict(spec["synthetic"])
-        kind = params.pop("kind", "two-blobs")
-        if kind != "two-blobs":
-            raise UsageError(f"unknown synthetic dataset {kind!r}")
+        params.pop("kind", None)  # _load_config accepts only "two-blobs"
         return make_two_blobs(**params)
     return load_table(spec["path"], spec.get("format", "dense-csv"))
 

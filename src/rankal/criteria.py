@@ -56,6 +56,13 @@ def score_margin(model: Model, pool_features) -> np.ndarray:
     return p_max
 
 
+def _kernel_diag(config: LearnerConfig, a):
+    """k(x, x) for every row x of ``a``: 1 for RBF, the squared norm for linear."""
+    if config.kernel == "linear":
+        return np.sum(a * a, axis=1)
+    return np.ones(len(a))
+
+
 def score_diversity(
     labeled_features, pool_features, config: LearnerConfig, reduce="max"
 ) -> np.ndarray:
@@ -73,8 +80,7 @@ def score_diversity(
     if len(labeled) == 0:
         raise ValueError("diversity needs at least one labeled sample")
     cross = kernel_matrix(config, pool, labeled)
-    k_pool = np.diag(kernel_matrix(config, pool, pool))
-    k_lab = np.diag(kernel_matrix(config, labeled, labeled))
+    k_pool, k_lab = _kernel_diag(config, pool), _kernel_diag(config, labeled)
     denom = np.sqrt(np.outer(k_pool, k_lab))
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.where(denom > 0, cross / np.where(denom > 0, denom, 1.0), 0.0)

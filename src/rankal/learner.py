@@ -2,8 +2,20 @@
 
 The model is kernel logistic regression (RBF or linear kernel) fitted by
 damped Newton iterations, so posterior probabilities come straight from the
-model instead of a separate calibration step.  Committees are built by
-bootstrap bagging with per-member RNG streams derived from (seed, member).
+model instead of a separate calibration step.  Newton stops when the step on
+the dual coefficients is below ``tol`` or when the penalized objective falls
+by no more than ``OBJ_RTOL * max(1, |objective|)``.  The coefficients keep
+drifting along the near-null space of K long after the objective has
+settled, so the objective rule is the one that usually fires.  ``Model.n_iter`` and
+``Model.converged`` record how each fit ended; a fit that reaches
+``max_iter`` returns what it has with ``converged=False`` and never raises.
+
+Samples may carry integer counts: ``fit(..., counts=c)`` minimizes the loss
+weighted by c, which is the fit on the rows repeated c times.  Committees are
+built by bootstrap bagging with per-member RNG streams derived from
+(seed, member); each member fits its unique draws weighted by their draw
+counts, the same optimum function as the fit on the resample with its
+duplicate rows, with a non-singular K and a smaller Newton system.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_CLAMP = 1e-6
+OBJ_RTOL = 1e-10  # Newton stops once the objective falls by no more than this, relatively
 
 
 @dataclass(frozen=True)
@@ -64,6 +77,8 @@ class Model:
     gamma: float | None
     degenerate: bool = False
     degenerate_label: int = 0
+    n_iter: int = 0  # Newton steps taken
+    converged: bool = True  # a stop rule fired before max_iter
 
     def predict_proba(self, x):
         """Posterior P(y = +1 | x) for each row of ``x``, clamped to (0, 1)."""
@@ -92,17 +107,18 @@ def posterior(model: Model, x):
     return p_pos, y_max, p_max
 
 
-def _penalized_nll(k, target, alpha, intercept, reg):
+def _penalized_nll(k, target, counts, alpha, intercept, reg):
     z = k @ alpha + intercept
     # log(1 + exp(-|z|)) formulation keeps the loss finite for large |z|
-    nll = np.sum(np.logaddexp(0.0, z) - target * z)
+    nll = counts @ (np.logaddexp(0.0, z) - target * z)
     return nll + 0.5 * reg * float(alpha @ (k @ alpha))
 
 
-def fit(config: LearnerConfig, features, labels) -> Model:
+def fit(config: LearnerConfig, features, labels, counts=None) -> Model:
     """Train kernel logistic regression on labels in {-1,+1}.
 
-    A single-class labeled set yields a degenerate model that predicts the
+    ``counts`` (default all ones) weights each sample's loss term.  A
+    single-class labeled set yields a degenerate model that predicts the
     observed class with probability 0.99 (flagged via ``Model.degenerate``).
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
@@ -123,43 +139,49 @@ def fit(config: LearnerConfig, features, labels) -> Model:
         )
 
     n = len(x)
+    c = np.ones(n) if counts is None else np.asarray(counts, dtype=float)
     target = (y + 1) / 2.0
     k = kernel_matrix(config, x, x, gamma=gamma)
     alpha = np.zeros(n)
     intercept = 0.0
-    obj = _penalized_nll(k, target, alpha, intercept, config.reg)
+    obj = _penalized_nll(k, target, c, alpha, intercept, config.reg)
     jitter = 1e-9 * (np.trace(k) / n + 1.0)
 
-    for _ in range(config.max_iter):
+    n_iter, converged = 0, False
+    while n_iter < config.max_iter:
+        n_iter += 1
         z = k @ alpha + intercept
         p = _sigmoid(z)
-        w = np.maximum(p * (1.0 - p), 1e-10)
-        grad_a = k @ (p - target) + config.reg * (k @ alpha)
-        grad_b = np.sum(p - target)
+        cw = c * np.maximum(p * (1.0 - p), 1e-10)
+        resid = c * (p - target)
+        grad_a = k @ resid + config.reg * (k @ alpha)
+        grad_b = np.sum(resid)
 
-        kw = k * w[None, :]
+        kw = k * cw[None, :]
         h = np.empty((n + 1, n + 1))
         h[:n, :n] = kw @ k + config.reg * k
         h[:n, :n] += jitter * np.eye(n)
-        h[:n, n] = k @ w
+        h[:n, n] = k @ cw
         h[n, :n] = h[:n, n]
-        h[n, n] = np.sum(w) + jitter
+        h[n, n] = np.sum(cw) + jitter
         try:
             step = np.linalg.solve(h, np.concatenate([grad_a, [grad_b]]))
         except np.linalg.LinAlgError:
-            step = np.concatenate([grad_a, [grad_b]]) / (np.sum(w) + 1.0)
+            step = np.concatenate([grad_a, [grad_b]]) / (np.sum(cw) + 1.0)
 
         scale = 1.0
         for _ in range(30):
             a_new = alpha - scale * step[:n]
             b_new = intercept - scale * step[n]
-            obj_new = _penalized_nll(k, target, a_new, b_new, config.reg)
+            obj_new = _penalized_nll(k, target, c, a_new, b_new, config.reg)
             if obj_new <= obj + 1e-12:
                 break
             scale *= 0.5
         moved = scale * np.max(np.abs(step))
+        stalled = obj - obj_new <= OBJ_RTOL * max(1.0, abs(obj))
         alpha, intercept, obj = a_new, b_new, obj_new
-        if moved < config.tol:
+        if moved < config.tol or stalled:
+            converged = True
             break
 
     return Model(
@@ -168,6 +190,8 @@ def fit(config: LearnerConfig, features, labels) -> Model:
         dual_coeffs=alpha,
         intercept=float(intercept),
         gamma=gamma,
+        n_iter=n_iter,
+        converged=converged,
     )
 
 
@@ -187,7 +211,8 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0) -> Commi
     """Train g models on size-n bootstrap resamples of the labeled set.
 
     ``seed`` may be an int or a sequence; member j resamples with the stream
-    seeded by (*seed, j), so committees are reproducible per member.
+    seeded by (*seed, j), so committees are reproducible per member.  Each
+    member fits the distinct drawn samples weighted by their draw counts.
     """
     if g < 2:
         raise ValueError("committee size g must be >= 2")
@@ -199,6 +224,6 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0) -> Commi
     members = []
     for j in range(g):
         rng = np.random.default_rng(base + (j,))
-        idx = rng.integers(0, len(x), size=len(x))
-        members.append(fit(config, x[idx], y[idx]))
+        idx, counts = np.unique(rng.integers(0, len(x), size=len(x)), return_counts=True)
+        members.append(fit(config, x[idx], y[idx], counts))
     return Committee(members=tuple(members), g=g)

@@ -1,0 +1,98 @@
+"""Plain reference implementations that the library's faster paths must match.
+
+* ``fit``: kernel logistic regression by damped Newton that stops only when
+  ``max|step|`` on the dual coefficients falls below ``config.tol``, capped
+  at 50 steps, with every sample weighted equally.
+* ``fit_committee``: each bagged member fits its bootstrap resample with the
+  duplicate rows kept, from the same (seed, member) streams as the library.
+* ``score_diversity``: the kernel angle with k(x, x) read off the diagonals
+  of full pool x pool and labeled x labeled kernel matrices.
+
+They stay frozen as written so that a change to the library is checked
+against an independent implementation, not against itself.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rankal.learner import Committee, LearnerConfig, Model, kernel_matrix
+
+MAX_ITER = 50
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+
+
+def _penalized_nll(k, target, alpha, intercept, reg):
+    z = k @ alpha + intercept
+    nll = np.sum(np.logaddexp(0.0, z) - target * z)
+    return nll + 0.5 * reg * float(alpha @ (k @ alpha))
+
+
+def fit(config: LearnerConfig, features, labels) -> Model:
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    y = np.asarray(labels, dtype=int)
+    gamma = config.gamma if config.gamma is not None else 1.0 / x.shape[1]
+    classes = np.unique(y)
+    if len(classes) == 1:
+        return Model(config=config, support=x, dual_coeffs=np.zeros(len(x)),
+                     intercept=0.0, gamma=gamma, degenerate=True,
+                     degenerate_label=int(classes[0]))
+    n = len(x)
+    target = (y + 1) / 2.0
+    k = kernel_matrix(config, x, x, gamma=gamma)
+    alpha = np.zeros(n)
+    intercept = 0.0
+    obj = _penalized_nll(k, target, alpha, intercept, config.reg)
+    jitter = 1e-9 * (np.trace(k) / n + 1.0)
+    for _ in range(MAX_ITER):
+        p = _sigmoid(k @ alpha + intercept)
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        grad = np.concatenate([k @ (p - target) + config.reg * (k @ alpha),
+                               [np.sum(p - target)]])
+        h = np.empty((n + 1, n + 1))
+        h[:n, :n] = (k * w[None, :]) @ k + config.reg * k + jitter * np.eye(n)
+        h[:n, n] = h[n, :n] = k @ w
+        h[n, n] = np.sum(w) + jitter
+        try:
+            step = np.linalg.solve(h, grad)
+        except np.linalg.LinAlgError:
+            step = grad / (np.sum(w) + 1.0)
+        scale = 1.0
+        for _ in range(30):
+            a_new = alpha - scale * step[:n]
+            b_new = intercept - scale * step[n]
+            obj_new = _penalized_nll(k, target, a_new, b_new, config.reg)
+            if obj_new <= obj + 1e-12:
+                break
+            scale *= 0.5
+        moved = scale * np.max(np.abs(step))
+        alpha, intercept, obj = a_new, b_new, obj_new
+        if moved < config.tol:
+            break
+    return Model(config=config, support=x, dual_coeffs=alpha,
+                 intercept=float(intercept), gamma=gamma)
+
+
+def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0) -> Committee:
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    y = np.asarray(labels, dtype=int)
+    base = (seed,) if np.isscalar(seed) else tuple(seed)
+    members = []
+    for j in range(g):
+        idx = np.random.default_rng(base + (j,)).integers(0, len(x), size=len(x))
+        members.append(fit(config, x[idx], y[idx]))
+    return Committee(members=tuple(members), g=g)
+
+
+def score_diversity(labeled, pool, config: LearnerConfig, reduce="max"):
+    cross = kernel_matrix(config, pool, labeled)
+    k_pool = np.diag(kernel_matrix(config, pool, pool))
+    k_lab = np.diag(kernel_matrix(config, labeled, labeled))
+    denom = np.sqrt(np.outer(k_pool, k_lab))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.where(denom > 0, cross / np.where(denom > 0, denom, 1.0), 0.0)
+    angles = np.arccos(np.clip(cos, -1.0, 1.0))
+    return -(angles.max(axis=1) if reduce == "max" else angles.min(axis=1))

@@ -204,6 +204,27 @@ class TestRun:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"bogus": 1}, "'dataset.synthetic' has unknown key 'bogus'"),
+            ({"n": "x"}, "'dataset.synthetic.n' must be a positive integer"),
+            ({"sigma": -1}, "'dataset.synthetic.sigma' must be a finite number >= 0"),
+        ],
+        ids=["unknown-key", "non-numeric", "out-of-range"],
+    )
+    def test_bad_synthetic_dataset_exits_2(self, tmp_path, capsys, params, message):
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg["dataset"]["synthetic"].update(params)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert "config errors" in err and message in err
+        assert not out_dir.exists()
+
+
 class TestCompare:
     def test_self_comparison_all_ties(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import reference
 
 from rankal.criteria import (
     is_committee,
@@ -83,6 +87,33 @@ class TestDiversity:
         pool = np.array([[0.0, 0.0]])
         scores = score_diversity(labeled, pool, cfg)
         assert abs(scores[0] + np.pi / 2) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_pool=st.integers(1, 40), n_labeled=st.integers(1, 10), d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1), kernel=st.sampled_from(["rbf", "linear"]),
+        reduce=st.sampled_from(["max", "min"]),
+    )
+    def test_matches_full_kernel_reference(self, n_pool, n_labeled, d, seed, kernel, reduce):
+        rng = np.random.default_rng(seed)
+        labeled, pool = rng.normal(size=(n_labeled, d)), rng.normal(size=(n_pool, d))
+        cfg = LearnerConfig(kernel=kernel)
+        np.testing.assert_allclose(
+            score_diversity(labeled, pool, cfg, reduce=reduce),
+            reference.score_diversity(labeled, pool, cfg, reduce=reduce),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_memory_stays_below_a_pool_by_pool_kernel(self):
+        rng = np.random.default_rng(2)
+        pool, labeled = rng.normal(size=(5000, 5)), rng.normal(size=(60, 5))
+        tracemalloc.start()
+        try:
+            score_diversity(labeled, pool, LearnerConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5000 * 5000 * 8 / 8  # the pool x pool kernel alone is 200 MB
 
 
 class _Stub:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from rankal.data import make_two_blobs, split_pool, SplitSpec
 from rankal.learner import (
     Committee,
     LearnerConfig,
     fit,
     fit_committee,
+    kernel_matrix,
     posterior,
 )
 
@@ -156,3 +160,72 @@ class TestCommittee:
     def test_small_committee_rejected(self):
         with pytest.raises(ValueError):
             fit_committee(CFG, np.zeros((2, 1)), np.array([-1, 1]), g=1)
+
+
+def test_fit_records_how_it_ended():
+    d = make_two_blobs(n=60, seed=12)
+    m = fit(LearnerConfig(), d.features, d.labels)
+    assert m.converged and 1 <= m.n_iter < LearnerConfig().max_iter
+    capped = fit(LearnerConfig(max_iter=2), d.features, d.labels)
+    assert capped.n_iter == 2 and not capped.converged
+    degenerate = fit(CFG, d.features[:3], np.ones(3, dtype=int))
+    assert degenerate.degenerate and degenerate.n_iter == 0 and degenerate.converged
+
+
+def test_members_fit_their_unique_draws():
+    d = make_two_blobs(n=40, seed=13)
+    committee = fit_committee(LearnerConfig(), d.features, d.labels, g=3, seed=(5, 2))
+    for j, member in enumerate(committee.members):
+        idx = np.random.default_rng((5, 2, j)).integers(0, 40, size=40)
+        np.testing.assert_array_equal(member.support, d.features[np.unique(idx)])
+
+
+def _pool(n, d, seed):
+    """Features, labels with both classes, and draw counts in 1..4."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = rng.choice([-1, 1], size=n)
+    y[:2] = (1, -1)
+    return x, y, rng.integers(1, 5, size=n)
+
+
+pools = dict(
+    n=st.integers(4, 80), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+    kernel=st.sampled_from(["rbf", "linear"]),
+)
+
+
+class TestOptimality:
+    """The fit reaches the optimum of the count-weighted penalized objective."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**pools)
+    def test_kkt_residual(self, n, d, seed, kernel):
+        x, y, c = _pool(n, d, seed)
+        cfg = LearnerConfig(kernel=kernel)
+        m = fit(cfg, x, y, c)
+        k = kernel_matrix(cfg, x, x, gamma=m.gamma)
+        t = (y + 1) / 2.0
+        p = 1.0 / (1.0 + np.exp(-(k @ m.dual_coeffs + m.intercept)))
+        # gradient in function space: blind to the near-null space of K,
+        # which changes no prediction
+        residual = np.abs(k @ (c * (p - t)) + cfg.reg * (k @ m.dual_coeffs)).max()
+        at_zero = np.abs(k @ (c * (0.5 - t))).max()
+        assert residual <= 1e-6 * at_zero
+        assert abs(c @ (p - t)) <= 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(**pools)
+    def test_committee_matches_duplicate_row_reference(self, n, d, seed, kernel):
+        x, y, _ = _pool(n, d, seed)
+        cfg = LearnerConfig(kernel=kernel)
+        got = fit_committee(cfg, x, y, g=3, seed=seed)
+        want = reference.fit_committee(cfg, x, y, g=3, seed=seed)
+        for member, ref in zip(got.members, want.members):
+            # posteriors on the rows the member was fitted on, duplicates
+            # included; off them, K at d <= 2 is too ill-conditioned for any
+            # two fits to agree to 1e-6 (both are up to 1e-4 off the optimum)
+            np.testing.assert_allclose(
+                member.predict_proba(ref.support), ref.predict_proba(ref.support),
+                rtol=0, atol=1e-6,
+            )
