@@ -37,6 +37,8 @@ from .learner import LearnerConfig
 from .loop import ALConfig, pool_ted_scores, run_active_learning
 from .toy import format_toy_report, run_toy_benchmark
 
+METRICS = ("accuracy", "f1", "auc")  # what each checkpoint records
+
 
 class UsageError(Exception):
     pass
@@ -357,7 +359,7 @@ def cmd_run(args):
             traces.append(trace)
         _write_curve(os.path.join(out, f"curve_{method_cfg.label}.csv"), traces)
         entry = {"config": spec}
-        for metric in ("accuracy", "f1", "auc"):
+        for metric in METRICS:
             curve = LearningCurve.from_traces(traces, metric)
             entry[f"{metric}_mean"] = curve.mean.tolist()
             entry[f"{metric}_sd"] = curve.sd.tolist()
@@ -378,25 +380,42 @@ def cmd_run(args):
     return 0
 
 
-def _curves_from_dir(path):
+def _curves_from_dir(path, metric):
     curves = {}
     for fname in sorted(os.listdir(path)):
         if not (fname.startswith("curve_") and fname.endswith(".csv")):
             continue
         method = fname[len("curve_"):-len(".csv")]
+        where = os.path.join(path, fname)
         rows = {}
-        with open(os.path.join(path, fname), newline="", encoding="utf-8") as fh:
-            for rec in csv.DictReader(fh):
-                seed = int(rec["seed"])
-                rows.setdefault(seed, []).append(
-                    (float(rec["fraction"]), float(rec["accuracy"]))
-                )
+        with open(where, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("seed", "fraction", metric)
+                       if c not in (reader.fieldnames or ())]
+            if missing:
+                raise UsageError(f"{where}: row 1: no {', '.join(missing)} column")
+            for rec in reader:
+                try:
+                    seed = int(rec["seed"])
+                    point = (float(rec["fraction"]), float(rec[metric]))
+                except (TypeError, ValueError):  # TypeError: a short row
+                    raise UsageError(
+                        f"{where}: row {reader.line_num}: bad seed, fraction or {metric}"
+                    ) from None
+                if not all(map(math.isfinite, point)):
+                    raise UsageError(
+                        f"{where}: row {reader.line_num}: fraction and {metric} "
+                        "must be finite"
+                    )
+                rows.setdefault(seed, []).append(point)
+        if not rows:
+            raise UsageError(f"{where}: row 1: header without data rows")
         seeds = sorted(rows)
         fractions = tuple(f for f, _ in rows[seeds[0]])
         values = []
         for seed in seeds:
             if tuple(f for f, _ in rows[seed]) != fractions:
-                raise UsageError(f"{fname}: inconsistent checkpoint grid")
+                raise UsageError(f"{where}: inconsistent checkpoint grid")
             values.append([v for _, v in rows[seed]])
         curves[method] = LearningCurve(method, fractions, np.array(values))
     if not curves:
@@ -405,8 +424,8 @@ def _curves_from_dir(path):
 
 
 def cmd_compare(args):
-    curves_a = _curves_from_dir(args.dir_a)
-    curves_b = _curves_from_dir(args.dir_b)
+    curves_a = _curves_from_dir(args.dir_a, args.metric)
+    curves_b = _curves_from_dir(args.dir_b, args.metric)
     for target in curves_a.values():
         # win_tie_loss rejects differing checkpoint grids and seed sets
         print(win_tie_loss(target, list(curves_b.values())).format())
@@ -442,6 +461,8 @@ def build_parser():
     p = sub.add_parser("compare", help="win/tie/loss between two result dirs")
     p.add_argument("dir_a")
     p.add_argument("dir_b")
+    p.add_argument("--metric", default="accuracy", choices=METRICS,
+                   help="curve column to compare (default: accuracy)")
     p.set_defaults(func=cmd_compare)
     return parser
 

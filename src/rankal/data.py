@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,14 +75,17 @@ class PoolState:
     labeled_idx: np.ndarray
     unlabeled_idx: np.ndarray
     iteration: int = 0
-    history: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        lab = set(self.labeled_idx.tolist())
-        unl = set(self.unlabeled_idx.tolist())
-        if lab & unl:
+        n = len(self.data)
+        both = np.concatenate([self.labeled_idx, self.unlabeled_idx])
+        if np.any((both < 0) | (both >= n)):
+            raise ValueError("labeled and unlabeled sets must partition the pool")
+        labeled = np.zeros(n, dtype=bool)
+        labeled[self.labeled_idx] = True
+        if np.any(labeled[self.unlabeled_idx]):
             raise ValueError("labeled and unlabeled index sets overlap")
-        if lab | unl != set(range(len(self.data))):
+        if np.any(np.bincount(both, minlength=n) != 1):
             raise ValueError("labeled and unlabeled sets must partition the pool")
 
     @property
@@ -248,7 +251,6 @@ def oracle_label(pool: PoolState, batch) -> PoolState:
         labeled_idx=labeled,
         unlabeled_idx=pool.unlabeled_idx[mask],
         iteration=pool.iteration + 1,
-        history=pool.history + (batch,),
     )
 
 

@@ -2,13 +2,28 @@
 
 The model is kernel logistic regression (RBF or linear kernel) fitted by
 damped Newton iterations, so posterior probabilities come straight from the
-model instead of a separate calibration step.  Newton stops when the step on
-the dual coefficients is below ``tol`` or when the penalized objective falls
-by no more than ``OBJ_RTOL * max(1, |objective|)``.  The coefficients keep
-drifting along the near-null space of K long after the objective has
-settled, so the objective rule is the one that usually fires.  ``Model.n_iter`` and
-``Model.converged`` record how each fit ended; a fit that reaches
-``max_iter`` returns what it has with ``converged=False`` and never raises.
+model instead of a separate calibration step.  With weights w = c p (1 - p),
+residuals r = c (p - t) and gradient [K (r + reg alpha), sum r], the Newton
+system ``[[K diag(w) K + reg K, K w], [w' K, sum w]]`` has K as a factor of
+its first block row.  Each step solves the system with that factor taken out,
+
+    [[diag(w) K + reg I, w], [(K w)', sum w]] step = [r + reg alpha, sum r],
+
+whose solutions all solve the full system.  It costs a row scaling and a
+matvec to build instead of an n^3 product, and its condition number is about
+0.25 n max(c) / reg instead of about cond(K)^2.  Its first block has
+eigenvalues with real part >= reg and its Schur complement is positive, so
+it is never singular and needs no jitter and no fallback step.
+
+Newton stops when half the Newton decrement ``step . gradient`` is at most
+``OBJ_RTOL * max(1, |objective|)``: the full step is taken and the fit is
+converged (Boyd & Vandenberghe, Convex Optimization, 9.5).  The rule does
+not compare objective values: with the linear kernel |alpha| grows to about
+c / reg, and near the optimum the objective's round-off exceeds what a step
+can still gain, so the line search alone would cut good steps.
+``Model.n_iter`` and ``Model.converged`` record how each fit ended; a fit
+that reaches ``max_iter``, or whose line search shrinks the step below
+``tol``, returns what it has with ``converged=False`` and never raises.
 
 Samples may carry integer counts: ``fit(..., counts=c)`` minimizes the loss
 weighted by c, which is the fit on the rows repeated c times.  Committees are
@@ -25,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_CLAMP = 1e-6
-OBJ_RTOL = 1e-10  # Newton stops once the objective falls by no more than this, relatively
+OBJ_RTOL = 1e-10  # Newton stops once half its decrement is this small, relatively
 
 
 @dataclass(frozen=True)
@@ -145,29 +160,30 @@ def fit(config: LearnerConfig, features, labels, counts=None) -> Model:
     alpha = np.zeros(n)
     intercept = 0.0
     obj = _penalized_nll(k, target, c, alpha, intercept, config.reg)
-    jitter = 1e-9 * (np.trace(k) / n + 1.0)
+    h = np.empty((n + 1, n + 1))
+    diag = np.arange(n)
 
     n_iter, converged = 0, False
     while n_iter < config.max_iter:
         n_iter += 1
-        z = k @ alpha + intercept
-        p = _sigmoid(z)
+        p = _sigmoid(k @ alpha + intercept)
         cw = c * np.maximum(p * (1.0 - p), 1e-10)
         resid = c * (p - target)
-        grad_a = k @ resid + config.reg * (k @ alpha)
-        grad_b = np.sum(resid)
+        g_a = resid + config.reg * alpha  # the gradient in alpha is K @ g_a
+        g_b = np.sum(resid)
 
-        kw = k * cw[None, :]
-        h = np.empty((n + 1, n + 1))
-        h[:n, :n] = kw @ k + config.reg * k
-        h[:n, :n] += jitter * np.eye(n)
-        h[:n, n] = k @ cw
-        h[n, :n] = h[:n, n]
-        h[n, n] = np.sum(cw) + jitter
-        try:
-            step = np.linalg.solve(h, np.concatenate([grad_a, [grad_b]]))
-        except np.linalg.LinAlgError:
-            step = np.concatenate([grad_a, [grad_b]]) / (np.sum(cw) + 1.0)
+        # the Newton system with K taken out of its first block row
+        h[:n, :n] = k * cw[:, None]
+        h[diag, diag] += config.reg
+        h[:n, n] = cw
+        h[n, :n] = k @ cw
+        h[n, n] = np.sum(cw)
+        step = np.linalg.solve(h, np.append(g_a, g_b))
+        decrement = step[:n] @ (k @ g_a) + step[n] * g_b
+        if 0.5 * decrement <= OBJ_RTOL * max(1.0, abs(obj)):
+            alpha, intercept = alpha - step[:n], intercept - step[n]
+            converged = True
+            break
 
         scale = 1.0
         for _ in range(30):
@@ -177,12 +193,9 @@ def fit(config: LearnerConfig, features, labels, counts=None) -> Model:
             if obj_new <= obj + 1e-12:
                 break
             scale *= 0.5
-        moved = scale * np.max(np.abs(step))
-        stalled = obj - obj_new <= OBJ_RTOL * max(1.0, abs(obj))
         alpha, intercept, obj = a_new, b_new, obj_new
-        if moved < config.tol or stalled:
-            converged = True
-            break
+        if scale * np.max(np.abs(step)) < config.tol:
+            break  # the line search found no descent: report not converged
 
     return Model(
         config=config,

@@ -254,3 +254,39 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", str(tmp_path / "a"), str(tmp_path / "b"))
         assert code == 2
         assert "checkpoint grids" in err
+
+    CURVE_HEADER = "seed,fraction,n_labeled,accuracy,f1,auc\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (CURVE_HEADER, "row 1: header without data rows"),
+            ("seed,fraction,n_labeled,f1,auc\n0,0.1,4,0.9,0.9\n", "row 1: no accuracy column"),
+            (CURVE_HEADER + "0,0.1,4,0.9,0.9,0.9\n0,0.2,4,nan,0.9,0.9\n",
+             "row 3: fraction and accuracy must be finite"),
+            (CURVE_HEADER + "0,inf,4,0.9,0.9,0.9\n", "row 2: fraction and accuracy must be finite"),
+            (CURVE_HEADER + "0,0.1,4\n", "row 2: bad seed, fraction or accuracy"),
+        ],
+        ids=["header-only", "no-metric-column", "nan", "inf", "short-row"],
+    )
+    def test_bad_curve_file_exits_2(self, tmp_path, capsys, text, message):
+        (tmp_path / "curve_m.csv").write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "compare", str(tmp_path), str(tmp_path))
+        assert code == 2
+        assert f"{tmp_path / 'curve_m.csv'}: {message}" in err
+
+    def test_metric_selects_curve_column(self, tmp_path, capsys):
+        # equal accuracy everywhere; auc of "a" above "b" on every seed
+        for name, auc in (("a", 0.9), ("b", 0.6)):
+            (tmp_path / name).mkdir()
+            rows = "".join(
+                f"{s},0.1,4,0.8,0.7,{auc + 0.01 * s}\n" for s in range(5)
+            )
+            (tmp_path / name / "curve_m.csv").write_text(
+                self.CURVE_HEADER + rows, encoding="utf-8"
+            )
+        dirs = (str(tmp_path / "a"), str(tmp_path / "b"))
+        code, out, _ = run_cli(capsys, "compare", *dirs)
+        assert code == 0 and "IN ALL: 0/1/0" in out
+        code, out, _ = run_cli(capsys, "compare", *dirs, "--metric", "auc")
+        assert code == 0 and "IN ALL: 1/0/0" in out

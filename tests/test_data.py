@@ -7,6 +7,7 @@ import pytest
 from rankal.data import (
     DataFormatError,
     Dataset,
+    PoolState,
     SplitSpec,
     load_table,
     make_two_blobs,
@@ -192,3 +193,29 @@ class TestOracle:
         idx = self.pool.unlabeled_idx[0]
         with pytest.raises(ValueError):
             oracle_label(self.pool, np.array([idx, idx]))
+
+
+class TestPoolState:
+    data = make_two_blobs(n=6, seed=0)
+
+    def state(self, labeled, unlabeled):
+        return PoolState(self.data, np.array(labeled, dtype=int),
+                         np.array(unlabeled, dtype=int))
+
+    def test_partition_accepted(self):
+        assert self.state([4, 1], [0, 2, 3, 5]).n_labeled == 2
+        assert self.state([], range(6)).n_unlabeled == 6
+
+    def test_overlap_rejected(self):
+        with pytest.raises(ValueError, match="overlap"):
+            self.state([1, 2], [0, 2, 3, 4, 5])
+
+    @pytest.mark.parametrize("labeled, unlabeled", [
+        ([0, 1], [2, 3, 4]),        # index 5 in neither set
+        ([0, 0], [1, 2, 3, 4, 5]),  # duplicate in one set
+        ([0, 6], [1, 2, 3, 4, 5]),  # out of range
+        ([-1, 0], [1, 2, 3, 4]),    # negative
+    ])
+    def test_non_partition_rejected(self, labeled, unlabeled):
+        with pytest.raises(ValueError, match="partition the pool"):
+            self.state(labeled, unlabeled)

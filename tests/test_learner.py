@@ -214,6 +214,22 @@ class TestOptimality:
         assert residual <= 1e-6 * at_zero
         assert abs(c @ (p - t)) <= 1e-6
 
+    @settings(max_examples=60, deadline=None)
+    @given(**pools)
+    def test_representer_residual(self, n, d, seed, kernel):
+        x, y, c = _pool(n, d, seed)
+        cfg = LearnerConfig(kernel=kernel)
+        m = fit(cfg, x, y, c)
+        k = kernel_matrix(cfg, x, x, gamma=m.gamma)
+        t = (y + 1) / 2.0
+        p = 1.0 / (1.0 + np.exp(-(k @ m.dual_coeffs + m.intercept)))
+        # at the optimum alpha = -c (p - t) / reg exactly (representer
+        # theorem), also along the near-null space of K that the gradient
+        # in function space cannot see
+        residual = np.abs(c * (p - t) + cfg.reg * m.dual_coeffs).max()
+        assert residual <= 1e-6 * np.abs(c * (0.5 - t)).max()
+        assert m.converged and m.n_iter <= 15
+
     @settings(max_examples=40, deadline=None)
     @given(**pools)
     def test_committee_matches_duplicate_row_reference(self, n, d, seed, kernel):
@@ -223,8 +239,9 @@ class TestOptimality:
         want = reference.fit_committee(cfg, x, y, g=3, seed=seed)
         for member, ref in zip(got.members, want.members):
             # posteriors on the rows the member was fitted on, duplicates
-            # included; off them, K at d <= 2 is too ill-conditioned for any
-            # two fits to agree to 1e-6 (both are up to 1e-4 off the optimum)
+            # included; off them, the frozen reference, whose Newton system
+            # has a condition number of about cond(K)^2, ends up to 1e-4 off
+            # the optimum at d <= 2
             np.testing.assert_allclose(
                 member.predict_proba(ref.support), ref.predict_proba(ref.support),
                 rtol=0, atol=1e-6,
