@@ -201,6 +201,8 @@ def _load_config(path):
     """The parsed config and one ALConfig per method; UsageError lists every problem."""
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise UsageError(f"{path}: the config must be a JSON object")
     problems = []
     for key in cfg:
         if key not in _TOP_KEYS:
@@ -234,10 +236,14 @@ def _load_config(path):
     ):
         problems.append("'checkpoints' must be strictly increasing within (0, 1]")
     methods = cfg.get("methods", [])
-    if not methods:
+    if not isinstance(methods, list) or not methods:
         problems.append("'methods' must list at least one method")
+        methods = []
     al_configs, first_index = [], {}
     for i, m in enumerate(methods):
+        if not isinstance(m, dict):
+            problems.append(f"methods[{i}]: must be an object")
+            continue
         unknown = [key for key in m if key not in _METHOD_KEYS]
         problems.extend(f"methods[{i}]: unknown key {key!r}" for key in unknown)
         if unknown:
@@ -248,6 +254,8 @@ def _load_config(path):
             problems.append(f"methods[{i}]: {exc}")
             continue
         # traces, curve and summary entry are keyed by the label
+        if "/" in al.label or os.sep in al.label:
+            problems.append(f"methods[{i}]: name {al.label!r} must not contain a path separator")
         first = first_index.setdefault(al.label, i)
         if first != i:
             problems.append(
@@ -324,7 +332,6 @@ def cmd_run(args):
     base_split_seed = split.get("seed", 0)
     test_fraction = split.get("test_fraction", 0.5)
     out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
 
     summary = {
         "checkpoints": cfg["checkpoints"],
@@ -342,6 +349,20 @@ def cmd_run(args):
         )
         for seed in cfg["seeds"]
     }
+    n_pool = len(splits[cfg["seeds"][0]][1].data)  # every seed splits the same sizes
+    problems = [
+        f"methods[{i}]: n_initial {al.n_initial} exceeds the pool's {n_pool} samples"
+        for i, al in enumerate(al_configs) if al.n_initial > n_pool
+    ]
+    problems += [
+        f"seed {seed}: the {part} split holds one class"
+        for seed, (test, pool) in splits.items()
+        for part, labels in (("pool", pool.data.labels), ("test", test.labels))
+        if len(np.unique(labels)) < 2
+    ]
+    if problems:
+        raise UsageError("config errors:\n  " + "\n  ".join(problems))
+    os.makedirs(out, exist_ok=True)
     ted = {}
     for spec, method_cfg in zip(cfg["methods"], al_configs):
         traces = []
@@ -366,7 +387,7 @@ def cmd_run(args):
         summary["methods"][method_cfg.label] = entry
         curves[method_cfg.label] = LearningCurve.from_traces(traces)
     names = list(curves)
-    if len(names) > 1:
+    if len(names) > 1 and len(cfg["seeds"]) > 1:  # the paired test needs two seeds
         table = win_tie_loss(curves[names[0]], [curves[n] for n in names[1:]])
         summary["win_tie_loss"] = {
             "target": table.target,

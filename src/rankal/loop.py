@@ -12,11 +12,21 @@ are computed once per run and sliced per iteration; a caller that runs
 several methods on one pool (``rankal run``) computes them once with
 ``pool_ted_scores`` and passes them in.  The solve itself works in the
 feature-space span of the pool (see ``criteria.solve_ted``).
+
+Each run keeps one ``WarmStart``: the latest fit on its labeled set.  The
+loop only appends labeled rows, so the next margin or checkpoint fit starts
+Newton from that fit's coefficients padded with 0 for the new rows, and a
+fit on an unchanged labeled set (a checkpoint fit, then the next margin
+fit) is reused as it is.  Committee members are solved on the same labeled
+set (undrawn rows weigh 0) and start from the current margin fit.  The
+step functions take the state as ``warm``; without it every fit is cold.
+The optimum of each fit is unchanged, so picks move only at near-ties.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +43,14 @@ from .criteria import (
 )
 from .data import Dataset, PoolState, oracle_label
 from .evaluation import accuracy, auc, f1
-from .learner import LearnerConfig, fit, fit_committee
+from .learner import LearnerConfig, check_int, fit, fit_committee
 from .weighting import blend_weights, bvsb_weight, duplicate_weight
 
 STRATEGIES = ("fused", "serial", "parallel", "random")
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -66,16 +80,48 @@ class ALConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.aggregator not in agg.METHODS:
             raise ValueError(f"aggregator must be one of {agg.METHODS}")
-        if self.n_select < 1:
-            raise ValueError("n_select must be >= 1")
-        if self.n_initial < 2:
-            raise ValueError("n_initial must be >= 2")
-        if not 0.0 < self.budget <= 1.0:
+        check_int("n_select", self.n_select, 1)
+        check_int("n_initial", self.n_initial, 2)
+        check_int("tun2", self.tun2, 0)
+        check_int("g", self.g, 2)
+        if not (_is_real(self.budget) and 0.0 < self.budget <= 1.0):
             raise ValueError("budget must lie in (0, 1]")
+        if not (_is_real(self.tun1) and 0.0 < self.tun1 < 1.0):
+            raise ValueError("tun1 must lie in (0, 1)")
+        if not (_is_real(self.p) and self.p >= 1.0):
+            raise ValueError("p must be a finite number >= 1")
+        if not (_is_real(self.ted_lambda) and self.ted_lambda > 0.0):
+            raise ValueError("ted_lambda must be a positive finite number")
         if self.initial_batch not in ("ted", "random"):
             raise ValueError("initial_batch must be 'ted' or 'random'")
+        if self.diversity_reduce not in ("max", "min"):
+            raise ValueError("diversity_reduce must be 'max' or 'min'")
+        if not isinstance(self.name, str):
+            raise ValueError("name must be a string")
+        if not self.criteria:
+            raise ValueError("criteria must name at least one criterion")
         for c in self.criteria:
             is_committee(c)
+        if self.serial_layers is not None:
+            layers = self.serial_layers
+            for size in layers:
+                check_int("each serial layer size", size, 1)
+            if len(layers) != len(self.criteria):
+                raise ValueError("serial_layers must give one size per criterion")
+            if any(b > a for a, b in zip(layers, layers[1:])):
+                raise ValueError(f"serial layer sizes must be non-increasing: {list(layers)}")
+            if layers[-1] != self.n_select:
+                raise ValueError("last serial layer size must equal n_select")
+        if self.strategy == "parallel" or self.fixed_weights is not None:
+            w = self.fixed_weights
+            if w is None:
+                raise ValueError("parallel strategy requires fixed_weights")
+            if (len(w) != len(self.criteria) or not all(_is_real(v) and v >= 0 for v in w)
+                    or sum(w) <= 0):
+                raise ValueError(
+                    "fixed_weights must be finite, non-negative, not all zero, "
+                    "one per criterion"
+                )
 
     @property
     def label(self):
@@ -134,14 +180,51 @@ def _criterion_scores(name, pool, cfg, ted_scores, model=None, committee=None):
     raise ValueError(f"unknown criterion {name!r}")
 
 
-def _fit_needed(pool, cfg, t):
+class WarmStart:
+    """One run's latest fit on its labeled set, to start the next fits from.
+
+    The loop only appends to ``labeled_idx``, so the latest fit's dual
+    coefficients, padded with 0 for the rows labeled since, start the next
+    fit's Newton solve; a fit asked for on an unchanged labeled set (the
+    checkpoint fit, then the next margin fit) is returned as it is.  Holds
+    no randomness, so a seeded run stays deterministic.
+    """
+
+    def __init__(self):
+        self.labeled_idx = np.empty(0, dtype=int)
+        self.model = None
+
+    def fit(self, pool: PoolState, cfg: ALConfig):
+        idx, prev = pool.labeled_idx, self.labeled_idx
+        if self.model is not None and np.array_equal(idx, prev):
+            return self.model
+        init = None
+        if self.model is not None and np.array_equal(idx[:len(prev)], prev):
+            alpha = np.zeros(len(idx))
+            alpha[:len(prev)] = self.model.dual_coeffs
+            init = (alpha, self.model.intercept)
+        self.model = fit(cfg.learner, pool.labeled_features, pool.labeled_labels, init=init)
+        self.labeled_idx = idx
+        return self.model
+
+
+def _labeled_fit(pool, cfg, warm):
+    """The model fitted on the labeled set; cold when ``warm`` is None."""
+    if warm is None:
+        return fit(cfg.learner, pool.labeled_features, pool.labeled_labels)
+    return warm.fit(pool, cfg)
+
+
+def _fit_needed(pool, cfg, t, warm=None):
     model = committee = None
     if "margin" in cfg.criteria:
-        model = fit(cfg.learner, pool.labeled_features, pool.labeled_labels)
+        model = _labeled_fit(pool, cfg, warm)
     if "qbc" in cfg.criteria:
+        # members share the labeled set, so the margin fit is a start for each
+        init = None if warm is None or model is None else (model.dual_coeffs, model.intercept)
         committee = fit_committee(
             cfg.learner, pool.labeled_features, pool.labeled_labels,
-            g=cfg.g, seed=(cfg.seed, t),
+            g=cfg.g, seed=(cfg.seed, t), init=init,
         )
     return model, committee
 
@@ -152,10 +235,13 @@ def top_positions(scores, k):
     return order[:k]
 
 
-def fused_step(pool: PoolState, cfg: ALConfig, ted_scores):
-    """One aggregation-driven selection: returns (batch, weights, ranking)."""
+def fused_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
+    """One aggregation-driven selection: returns (batch, weights, ranking).
+
+    ``warm`` is the run's ``WarmStart``; None fits every model cold.
+    """
     n_batch = min(cfg.n_select, pool.n_unlabeled)
-    model, committee = _fit_needed(pool, cfg, pool.iteration)
+    model, committee = _fit_needed(pool, cfg, pool.iteration, warm)
 
     rank_rows, raw_weights, flags = [], [], []
     for name in cfg.criteria:
@@ -194,19 +280,13 @@ def _serial_layer_sizes(cfg, n_unlabeled):
             for k in range(total)
         ]
         sizes[-1] = cfg.n_select
-    if sizes[0] > n_unlabeled:
-        sizes[0] = n_unlabeled
-    for a, b in zip(sizes, sizes[1:]):
-        if b > a:
-            raise ValueError(f"serial layer sizes must be non-increasing: {sizes}")
-    if sizes[-1] != cfg.n_select:
-        raise ValueError("last serial layer size must equal n_select")
-    return sizes
+    # ALConfig checks the given sizes; no layer keeps more than the pool holds
+    return [min(size, n_unlabeled) for size in sizes]
 
 
-def serial_step(pool: PoolState, cfg: ALConfig, ted_scores):
+def serial_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
     """Multi-layer filtering: each criterion keeps its top slice of survivors."""
-    model, committee = _fit_needed(pool, cfg, pool.iteration)
+    model, committee = _fit_needed(pool, cfg, pool.iteration, warm)
     sizes = _serial_layer_sizes(cfg, pool.n_unlabeled)
     survivors = np.arange(pool.n_unlabeled)
     for name, size in zip(cfg.criteria, sizes):
@@ -216,14 +296,10 @@ def serial_step(pool: PoolState, cfg: ALConfig, ted_scores):
     return pool.unlabeled_idx[survivors]
 
 
-def parallel_step(pool: PoolState, cfg: ALConfig, ted_scores):
+def parallel_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
     """Fixed-weight sum of normalized score lists; lowest total wins."""
-    if cfg.fixed_weights is None:
-        raise ValueError("parallel strategy requires fixed_weights")
     w = np.asarray(cfg.fixed_weights, dtype=float)
-    if len(w) != len(cfg.criteria) or np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("fixed_weights must be non-negative, not all zero, one per criterion")
-    model, committee = _fit_needed(pool, cfg, pool.iteration)
+    model, committee = _fit_needed(pool, cfg, pool.iteration, warm)
     total = np.zeros(pool.n_unlabeled)
     for name, wk in zip(cfg.criteria, w):
         scores = _criterion_scores(name, pool, cfg, ted_scores, model, committee)
@@ -232,8 +308,8 @@ def parallel_step(pool: PoolState, cfg: ALConfig, ted_scores):
     return pool.unlabeled_idx[top_positions(total, n_batch)]
 
 
-def random_step(pool: PoolState, cfg: ALConfig, ted_scores):
-    """Uniform draw without replacement from the unlabeled pool."""
+def random_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
+    """Uniform draw without replacement from the unlabeled pool (fits nothing)."""
     n_batch = min(cfg.n_select, pool.n_unlabeled)
     return _rng(cfg, 2, pool.iteration).choice(
         pool.unlabeled_idx, size=n_batch, replace=False
@@ -241,7 +317,11 @@ def random_step(pool: PoolState, cfg: ALConfig, ted_scores):
 
 
 def initial_batch(pool: PoolState, cfg: ALConfig, ted_scores) -> PoolState:
-    """Label the starting batch; top up randomly until both classes appear."""
+    """Label the starting batch; top up randomly until both classes appear.
+
+    Top-up draws go on until the second class turns up or the pool runs
+    out, so a pool with both classes always yields a two-class start.
+    """
     if pool.n_unlabeled < cfg.n_initial:
         raise ValueError("pool smaller than the initial batch")
     rng = _rng(cfg, 1)
@@ -251,21 +331,19 @@ def initial_batch(pool: PoolState, cfg: ALConfig, ted_scores) -> PoolState:
     else:
         batch = rng.choice(pool.unlabeled_idx, size=cfg.n_initial, replace=False)
     state = oracle_label(pool, batch)
-    for _ in range(10):
-        if len(np.unique(state.labeled_labels)) == 2 or state.n_unlabeled == 0:
-            break
+    while len(np.unique(state.labeled_labels)) < 2 and state.n_unlabeled > 0:
         extra = rng.choice(state.unlabeled_idx, size=1, replace=False)
         state = oracle_label(state, extra)
     if len(np.unique(state.labeled_labels)) < 2:
         raise RuntimeError(
             "could not assemble a two-class initial labeled set "
-            f"({state.n_labeled} labels drawn, pool exhausted or capped)"
+            f"(all {state.n_labeled} pool labels are one class)"
         )
     return state
 
 
-def _evaluate(pool: PoolState, test: Dataset, cfg: ALConfig):
-    model = fit(cfg.learner, pool.labeled_features, pool.labeled_labels)
+def _evaluate(pool: PoolState, test: Dataset, cfg: ALConfig, warm=None):
+    model = _labeled_fit(pool, cfg, warm)
     p_pos = model.predict_proba(test.features)
     preds = np.where(p_pos >= 0.5, 1, -1)
     return (
@@ -288,6 +366,7 @@ def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
     target = math.ceil(cfg.budget * n_pool)
     checkpoints = sorted(cfg.checkpoints)
     state = initial_batch(pool, cfg, ted_scores)
+    warm = WarmStart()
 
     iterations = []
     cp_records = []
@@ -298,7 +377,7 @@ def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
         while next_cp < len(checkpoints) and state.n_labeled >= math.ceil(
             checkpoints[next_cp] * n_pool
         ):
-            acc, f1v, aucv = _evaluate(state, test, cfg)
+            acc, f1v, aucv = _evaluate(state, test, cfg, warm)
             cp_records.append(
                 CheckpointRecord(
                     fraction=checkpoints[next_cp],
@@ -314,12 +393,12 @@ def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
         if state.n_unlabeled <= cfg.n_select:
             batch = state.unlabeled_idx  # drain the pool; nothing to rank
         elif cfg.strategy == "fused":
-            batch, wv, _ = fused_step(state, cfg, ted_scores)
+            batch, wv, _ = fused_step(state, cfg, ted_scores, warm=warm)
             weights = dict(zip(cfg.criteria, wv.weights.tolist()))
         else:
             # looked up per call so that a wrapped module attribute takes effect
             step = {"serial": serial_step, "parallel": parallel_step, "random": random_step}
-            batch = step[cfg.strategy](state, cfg, ted_scores)
+            batch = step[cfg.strategy](state, cfg, ted_scores, warm=warm)
         state = oracle_label(state, batch)
         iterations.append(
             IterationRecord(

@@ -1,9 +1,12 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rankal.cli import main
+from rankal.cli import UsageError, _load_config, main
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +122,59 @@ def experiment_config(tmp_path, out_dir):
     }
 
 
+# method and top-level values: plausible ones, then ones the loader must refuse
+METHOD_VALUES = {
+    "name": (["", "m1", "m2"], [5, "a/b"]),
+    "strategy": (["fused", "serial", "parallel", "random"], ["bandit"]),
+    "criteria": ([["margin"], ["diversity", "margin"], ["margin", "qbc"],
+                  ["ted", "diversity", "margin"], ["random", "qbc"]],
+                 [[], "margin", ["entropy"]]),
+    "aggregator": (["mc2", "mc1", "borda-pnorm", "borda-geo", "bucklin"], ["condorcet"]),
+    "n_select": ([1, 2, 3], [0, 2.5, "1", True]),
+    "initial_batch": (["ted", "random"], ["best"]),
+    "n_initial": ([2, 3, 5], [1, 2.5, 1000]),
+    "budget": ([0.3, 0.5, 1.0], [0, 1.5, "x"]),
+    "tun1": ([0.05, 0.5], [0, 1, 2, "x"]),
+    "tun2": ([0, 5], [-1, 1.5]),
+    "p": ([1.0, 2], [0.5, "x"]),
+    "g": ([2, 5], [1, "5", 2.0]),
+    "learner": ([{}, {"kernel": "linear"}, {"max_iter": 3}, {"reg": 1.0, "gamma": 0.5}],
+                [{"max_iter": 0}, {"max_iter": "x"}, {"kernel": "poly"}, 5]),
+    "diversity_reduce": (["max", "min"], ["mean"]),
+    "ted_lambda": ([0.1, 1.0], [0, -1, "x"]),
+    "serial_layers": ([None, [1], [10, 1], [6, 3], [8, 4, 2], [5, 5, 1]], [[0], [2.5], "x"]),
+    "fixed_weights": ([None, [1.0], [0.5, 0.5], [0.0, 1.0], [0.2, 0.3, 0.5]],
+                      [[0.0], [-1.0, 2.0], "x"]),
+}
+TOP_VALUES = {
+    "seeds": ([[0], [0, 1]], [[], [-1], "x"]),
+    "checkpoints": ([[0.1, 0.2], [0.3], [0.2, 0.5, 1.0]], [[], [0.3, 0.1], [1.5], "x"]),
+    "split": ([{}, {"test_fraction": 0.5, "seed": 3}, {"test_fraction": 0.3}],
+              [{"test_fraction": 1.0}, {"bogus": 1}]),
+    "normalize_stats": (["full", "pool"], ["x"]),
+}
+
+
+@st.composite
+def run_configs(draw):
+    """A config on a 40-sample synthetic set, at most one of its values spoiled."""
+    def entry(values):
+        keys = draw(st.sets(st.sampled_from(sorted(values))))
+        return {k: draw(st.sampled_from(values[k][0])) for k in sorted(keys)}
+
+    cfg = {"dataset": {"synthetic": {"n": 40, "seed": 0}}, "seeds": [0], "checkpoints": [0.2]}
+    cfg.update(entry(TOP_VALUES))
+    cfg["methods"] = [entry(METHOD_VALUES) for _ in range(draw(st.integers(1, 2)))]
+    spoil = draw(st.sampled_from([None, "top", "method"]))
+    if spoil == "top":
+        key = draw(st.sampled_from(sorted(TOP_VALUES) + ["methods"]))
+        cfg[key] = draw(st.sampled_from(TOP_VALUES[key][1] if key in TOP_VALUES else [[], 5, [5]]))
+    elif spoil == "method":
+        key = draw(st.sampled_from(sorted(METHOD_VALUES)))
+        cfg["methods"][0][key] = draw(st.sampled_from(METHOD_VALUES[key][1]))
+    return cfg
+
+
 class TestRun:
     def test_writes_traces_curves_summary(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -223,6 +279,71 @@ class TestRun:
         assert code == 2
         assert "config errors" in err and message in err
         assert not out_dir.exists()
+
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"learner": {"max_iter": 0}}, "methods[0]: max_iter must be an integer >= 1"),
+            ({"learner": {"max_iter": "x"}}, "methods[0]: max_iter must be an integer >= 1"),
+            ({"g": "5"}, "methods[0]: g must be an integer >= 2"),
+            ({"g": 1}, "methods[0]: g must be an integer >= 2"),
+            ({"n_select": 2.5}, "methods[0]: n_select must be an integer >= 1"),
+            ({"n_initial": 3.0}, "methods[0]: n_initial must be an integer >= 2"),
+            ({"tun1": 2}, "methods[0]: tun1 must lie in (0, 1)"),
+            ({"tun2": -1}, "methods[0]: tun2 must be an integer >= 0"),
+            ({"n_initial": 41}, "methods[0]: n_initial 41 exceeds the pool's 40 samples"),
+        ],
+        ids=["max_iter-0", "max_iter-str", "g-str", "g-1", "n_select-float",
+             "n_initial-float", "tun1-2", "tun2-negative", "n_initial-above-pool"],
+    )
+    def test_bad_learner_or_committee_value_exits_2(self, tmp_path, capsys, edit, message):
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg["methods"][0].update(edit)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert "config errors" in err and message in err
+        assert not out_dir.exists()
+
+    def test_one_class_split_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg["dataset"]["synthetic"]["pos_fraction"] = 0  # every sample negative
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert "seed 0: the pool split holds one class" in err
+        assert not out_dir.exists()
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=run_configs())
+    def test_accepted_configs_run_and_rejected_ones_write_nothing(self, tmp_path, capsys, cfg):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            out_dir = os.path.join(work, "results")
+            cfg = dict(cfg, output_dir=out_dir)
+            cfg_path = os.path.join(work, "cfg.json")
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            try:
+                _load_config(cfg_path)
+                accepted = True
+            except UsageError:
+                accepted = False
+            code, _, err = run_cli(capsys, "run", cfg_path)
+            # checks that need the data (pool size, classes per split) run
+            # after loading it, still before anything is written
+            data_error = "exceeds the pool" in err or "holds one class" in err
+            if accepted and not data_error:
+                assert code == 0, err
+                assert os.path.exists(os.path.join(out_dir, "summary.json"))
+            else:
+                assert code == 2 and "config errors" in err
+                assert not os.path.exists(out_dir)
 
 
 class TestCompare:

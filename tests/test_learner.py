@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from rankal import learner
 from rankal.data import make_two_blobs, split_pool, SplitSpec
 from rankal.learner import (
     Committee,
@@ -120,6 +121,12 @@ def test_fit_errors():
     m = fit(CFG, np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([-1, 1]))
     with pytest.raises(ValueError, match="dimension"):
         m.predict_proba(np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, "x", True])
+def test_max_iter_must_be_a_positive_integer(value):
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+        LearnerConfig(max_iter=value)
 
 
 def test_determinism():
@@ -246,3 +253,77 @@ class TestOptimality:
                 member.predict_proba(ref.support), ref.predict_proba(ref.support),
                 rtol=0, atol=1e-6,
             )
+
+
+class TestWarmStart:
+    """Starting Newton from another fit changes the path, not the optimum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**pools)
+    def test_warm_fit_matches_cold(self, n, d, seed, kernel):
+        x, y, c = _pool(n, d, seed)
+        cfg = LearnerConfig(kernel=kernel)
+        cold = fit(cfg, x, y, c)
+        # the fit on all rows but the last few, padded with 0, as the loop does
+        head = fit(cfg, x[: n - 3], y[: n - 3], c[: n - 3])
+        alpha = np.concatenate([head.dual_coeffs, np.zeros(3)])
+        warm = fit(cfg, x, y, c, init=(alpha, head.intercept))
+        assert warm.converged and warm.n_iter <= 15
+        grid = np.random.default_rng(seed).normal(size=(20, d))
+        for points in (x, grid):
+            np.testing.assert_allclose(
+                warm.predict_proba(points), cold.predict_proba(points), rtol=0, atol=1e-6
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(**pools)
+    def test_warm_committee_matches_duplicate_row_reference(self, n, d, seed, kernel):
+        x, y, _ = _pool(n, d, seed)
+        cfg = LearnerConfig(kernel=kernel)
+        margin = fit(cfg, x, y)
+        got = fit_committee(cfg, x, y, g=3, seed=seed, init=(margin.dual_coeffs, margin.intercept))
+        want = reference.fit_committee(cfg, x, y, g=3, seed=seed)
+        for member, ref in zip(got.members, want.members):
+            assert member.degenerate == ref.degenerate
+            np.testing.assert_allclose(
+                member.predict_proba(ref.support), ref.predict_proba(ref.support),
+                rtol=0, atol=1e-6,
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(**pools)
+    def test_undrawn_rows_vanish(self, n, d, seed, kernel):
+        # a zero-count row's Newton equation is reg step_i = reg alpha_i, so
+        # the full last step zeroes it: dropping it moves no prediction
+        x, y, _ = _pool(n, d, seed)
+        cfg = LearnerConfig(kernel=kernel)
+        margin = fit(cfg, x, y)
+        counts = learner._bootstrap_counts(n, 5, seed)
+        two_class = [np.ptp(y[row > 0]) > 0 for row in counts]
+        counts = counts[two_class]
+        alpha, _, _, converged = learner._newton(
+            cfg, kernel_matrix(cfg, x, x, gamma=margin.gamma), (y + 1) / 2.0, counts,
+            np.tile(margin.dual_coeffs, (len(counts), 1)), np.full(len(counts), margin.intercept),
+        )
+        assert converged.all()
+        for row, a in zip(counts, alpha):
+            assert np.abs(a[row == 0]).max(initial=0.0) <= 1e-12 * np.abs(a).max()
+
+    def test_init_shape_checked(self):
+        x, y = np.array([[0.0], [2.0]]), np.array([-1, 1])
+        with pytest.raises(ValueError, match="init alpha"):
+            fit(CFG, x, y, init=(np.zeros(3), 0.0))
+        with pytest.raises(ValueError, match="init alpha"):
+            fit_committee(CFG, x, y, g=2, init=(np.zeros(1), 0.0))
+
+    def test_one_class_draws_keep_the_degenerate_model(self):
+        # two labels, so some of 8 size-2 draws repeat one row: those members
+        # predict its class at 0.99 as before
+        x, y = np.array([[0.0], [2.0]]), np.array([-1, 1])
+        committee = fit_committee(CFG, x, y, g=8, seed=3, init=(np.zeros(2), 0.0))
+        degenerate = [m for m in committee.members if m.degenerate]
+        assert degenerate and len(degenerate) < 8
+        for m in degenerate:
+            expected = 0.99 if m.degenerate_label == 1 else 0.01
+            assert m.n_iter == 0 and len(m.support) == 1
+            np.testing.assert_array_equal(m.predict_proba(x), expected)

@@ -1,11 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankal.criteria import normalize_and_rank, score_margin, score_diversity, score_ted
-from rankal.data import SplitSpec, make_two_blobs, normalize_features, oracle_label, split_pool
+from rankal.data import (
+    Dataset,
+    PoolState,
+    SplitSpec,
+    make_two_blobs,
+    normalize_features,
+    oracle_label,
+    split_pool,
+)
 from rankal.learner import LearnerConfig, fit
 from rankal.loop import (
     ALConfig,
+    WarmStart,
+    _criterion_scores,
+    _fit_needed,
+    _labeled_fit,
     fused_step,
     initial_batch,
     parallel_step,
@@ -134,12 +148,9 @@ class TestStrategiesAgainstDirectComputation:
         assert batch[0] == state.unlabeled_idx[int(np.argmin(total))]
 
     def test_parallel_rejects_zero_weights(self):
-        state = prepared_pool(seed=8)
-        cfg = ALConfig(
-            strategy="parallel", criteria=("margin",), fixed_weights=(0.0,)
-        )
-        with pytest.raises(ValueError):
-            parallel_step(state, cfg, pool_ted_scores(state, cfg))
+        # the config is checked where it is made, before any step runs
+        with pytest.raises(ValueError, match="fixed_weights"):
+            ALConfig(strategy="parallel", criteria=("margin",), fixed_weights=(0.0,))
 
 
 class TestInitialBatch:
@@ -176,6 +187,25 @@ class TestInitialBatch:
             cfg = ALConfig(initial_batch="random", n_initial=4, seed=seed, strategy="random")
             state = initial_batch(pool, cfg, pool_ted_scores(pool, cfg))
             assert len(np.unique(state.labeled_labels)) == 2
+
+    def test_top_up_goes_on_until_the_second_class(self):
+        from rankal.data import Dataset, PoolState
+
+        d = make_two_blobs(n=40, seed=12)
+        labels = -np.ones(20, dtype=int)
+        labels[7] = 1  # one positive among 20: some starts need over 10 top-ups
+        pool = PoolState(
+            data=Dataset(d.features[:20], labels, np.arange(20)),
+            labeled_idx=np.array([], dtype=int),
+            unlabeled_idx=np.arange(20),
+        )
+        sizes = []
+        for seed in range(10):
+            cfg = ALConfig(initial_batch="random", n_initial=4, strategy="random", seed=seed)
+            state = initial_batch(pool, cfg, pool_ted_scores(pool, cfg))
+            assert len(np.unique(state.labeled_labels)) == 2
+            sizes.append(state.n_labeled)
+        assert max(sizes) > 4 + 10
 
     def test_single_class_pool_aborts(self):
         from rankal.data import Dataset, PoolState
@@ -255,6 +285,43 @@ class TestRuns:
             state = oracle_label(state, batch)
         np.testing.assert_array_equal(ted_scores, direct)
 
+    def test_serial_layers_larger_than_the_remaining_pool(self):
+        # every layer is cut to what the pool still holds, so a fixed layer
+        # plan runs until the pool is drained
+        d = normalize_features(make_two_blobs(n=40, seed=20))
+        test, pool = split_pool(d, SplitSpec(0.5, 20))
+        cfg = ALConfig(strategy="serial", criteria=("diversity", "margin", "margin"),
+                       serial_layers=(15, 10, 1), budget=1.0, checkpoints=(1.0,), seed=20)
+        trace = run_active_learning(pool, test, cfg)
+        assert trace.checkpoints[-1].n_labeled == 20
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(criteria=()), "at least one criterion"),
+            (dict(g=1), "g must be an integer >= 2"),
+            (dict(n_select=2.0), "n_select must be an integer >= 1"),
+            (dict(tun1=1.0), "tun1 must lie in"),
+            (dict(tun2=True), "tun2 must be an integer >= 0"),
+            (dict(p=0.5), "p must be"),
+            (dict(ted_lambda=0.0), "ted_lambda must be"),
+            (dict(diversity_reduce="mean"), "diversity_reduce"),
+            (dict(name=5), "name must be a string"),
+            (dict(strategy="serial", criteria=("margin",), serial_layers=(3, 1)),
+             "one size per criterion"),
+            (dict(strategy="serial", criteria=("margin", "diversity"), serial_layers=(1, 3)),
+             "non-increasing"),
+            (dict(strategy="serial", criteria=("margin", "diversity"), serial_layers=(5, 2)),
+             "must equal n_select"),
+            (dict(strategy="parallel", criteria=("margin",)), "requires fixed_weights"),
+            (dict(strategy="parallel", criteria=("margin",), fixed_weights=(0.5, 0.5)),
+             "one per criterion"),
+        ],
+    )
+    def test_config_value_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ALConfig(**kwargs)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ALConfig(strategy="bandit")
@@ -264,3 +331,88 @@ class TestRuns:
             ALConfig(budget=0.0)
         with pytest.raises(ValueError):
             ALConfig(criteria=("margin", "entropy"))
+
+
+class TestWarmStart:
+    """A run's warm-started fits agree with cold ones; only near-ties may move a pick."""
+
+    @staticmethod
+    def pool(n, d, n_labeled, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.choice([-1, 1], size=n)
+        y[:2] = (1, -1)
+        data = Dataset(rng.normal(size=(n, d)), y, np.arange(n))
+        labeled = np.concatenate([[0, 1], 2 + rng.permutation(n - 2)[: n_labeled - 2]])
+        return PoolState(data, labeled, np.setdiff1d(np.arange(n), labeled))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(20, 80), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+        labeled_frac=st.floats(0.0, 1.0), n_select=st.integers(1, 3),
+    )
+    @example(n=20, d=2, seed=1, labeled_frac=0.0, n_select=1)  # 2 labels: one-class draws
+    @example(n=30, d=3, seed=2, labeled_frac=0.9, n_select=3)  # ends with the drain step
+    def test_fused_run_warm_matches_cold(self, n, d, seed, labeled_frac, n_select):
+        state = self.pool(n, d, 2 + round(labeled_frac * (n - 3)), seed)
+        cfg = ALConfig(criteria=("diversity", "margin", "qbc"), n_select=n_select, seed=seed % 997)
+        warm = WarmStart()
+        for step in range(6):
+            if state.n_unlabeled <= n_select:
+                batch = state.unlabeled_idx  # the drain step fits nothing
+            else:
+                x = state.unlabeled_features
+                fitted = [_fit_needed(state, cfg, state.iteration, w) for w in (warm, None)]
+                (m_warm, c_warm), (m_cold, c_cold) = fitted
+                np.testing.assert_allclose(
+                    m_warm.predict_proba(x), m_cold.predict_proba(x), rtol=0, atol=1e-6
+                )
+                np.testing.assert_allclose(
+                    c_warm.member_proba(x), c_cold.member_proba(x), rtol=0, atol=1e-6
+                )
+                b_warm = fused_step(state, cfg, None, warm=warm)[0]
+                batch = fused_step(state, cfg, None)[0]
+                if sorted(b_warm) != sorted(batch):
+                    # certify a near-tie between the two picks in every criterion
+                    i, j = (np.flatnonzero(np.isin(state.unlabeled_idx, b)) for b in
+                            (np.setdiff1d(b_warm, batch), np.setdiff1d(batch, b_warm)))
+                    for name in cfg.criteria:
+                        s = _criterion_scores(name, state, cfg, None, m_cold, c_cold)
+                        norm = normalize_and_rank(s)[0].values
+                        assert np.abs(norm[i] - norm[j]).max() <= 1e-6, name
+            state = oracle_label(state, batch)
+            if step % 2 or state.n_unlabeled == 0:
+                # a checkpoint fit, which the next margin fit reuses
+                x = state.data.features
+                np.testing.assert_allclose(
+                    _labeled_fit(state, cfg, warm).predict_proba(x),
+                    _labeled_fit(state, cfg, None).predict_proba(x), rtol=0, atol=1e-6,
+                )
+            if state.n_unlabeled == 0:
+                break
+
+    def test_checkpoint_fit_is_reused_by_the_next_margin_fit(self):
+        state = prepared_pool(seed=18)
+        cfg = ALConfig(criteria=("margin",))
+        warm = WarmStart()
+        model = _labeled_fit(state, cfg, warm)
+        assert _fit_needed(state, cfg, state.iteration, warm)[0] is model
+        grown = oracle_label(state, state.unlabeled_idx[:2])
+        assert _labeled_fit(grown, cfg, warm) is not model
+
+    def test_run_warm_starts_and_stays_deterministic(self, monkeypatch):
+        import rankal.loop as loop
+
+        d = normalize_features(make_two_blobs(n=100, seed=19))
+        test, pool = split_pool(d, SplitSpec(0.5, 19))
+        cfg = ALConfig(budget=0.4, checkpoints=(0.2, 0.4), seed=19, n_select=2)
+        inits = []
+        real_fit = loop.fit
+
+        def recording_fit(*args, **kwargs):
+            inits.append(kwargs.get("init") is not None)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(loop, "fit", recording_fit)
+        first = run_active_learning(pool, test, cfg)
+        assert inits[0] is False and all(inits[1:])
+        assert run_active_learning(pool, test, cfg) == first
