@@ -218,6 +218,8 @@ def _load_config(path):
         _is_int(s) and s >= 0 for s in seeds
     ):
         problems.append("'seeds' must be a non-empty list of non-negative integers")
+    elif len(set(seeds)) != len(seeds):  # a repeat would count twice in the paired tests
+        problems.append("'seeds' must not repeat a seed")
     split = cfg.get("split", {})
     if not isinstance(split, dict) or set(split) - {"test_fraction", "seed"}:
         problems.append("'split' may only hold 'test_fraction' and 'seed'")

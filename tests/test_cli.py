@@ -147,7 +147,7 @@ METHOD_VALUES = {
                       [[0.0], [-1.0, 2.0], "x"]),
 }
 TOP_VALUES = {
-    "seeds": ([[0], [0, 1]], [[], [-1], "x"]),
+    "seeds": ([[0], [0, 1]], [[], [-1], [1, 1], "x"]),
     "checkpoints": ([[0.1, 0.2], [0.3], [0.2, 0.5, 1.0]], [[], [0.3, 0.1], [1.5], "x"]),
     "split": ([{}, {"test_fraction": 0.5, "seed": 3}, {"test_fraction": 0.3}],
               [{"test_fraction": 1.0}, {"bogus": 1}]),
@@ -246,6 +246,7 @@ class TestRun:
             ("split", {"test_fraction": "x"}, "'split.test_fraction' must be a number"),
             ("split", {"seed": 1.5}, "'split.seed' must be a non-negative integer"),
             ("split", {"test_fraciton": 0.3}, "'split' may only hold"),
+            ("seeds", [0, 1, 0], "'seeds' must not repeat a seed"),
         ],
     )
     def test_mistyped_value_exits_2(self, tmp_path, capsys, key, value, message):
