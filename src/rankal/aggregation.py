@@ -51,7 +51,6 @@ class TransitionMatrix:
     """Row-stochastic, strictly positive transition matrix over candidates."""
 
     entries: np.ndarray
-    variant: str
     tun1: float
 
     def __post_init__(self):
@@ -259,7 +258,7 @@ def build_transition(rank_lists, weights, variant="mc2", tun1=0.05) -> Transitio
     np.fill_diagonal(t, 0.0)
     np.fill_diagonal(t, 1.0 - t.sum(axis=1))
     t = t * (1.0 - tun1) + tun1 / n
-    return TransitionMatrix(entries=t, variant=variant, tun1=tun1)
+    return TransitionMatrix(entries=t, tun1=tun1)
 
 
 def stationary_distribution(transition, max_iter=10000, tol=1e-12) -> np.ndarray:

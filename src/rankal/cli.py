@@ -26,6 +26,7 @@ import numpy as np
 
 from . import aggregation as agg
 from .data import (
+    TABLE_FORMATS,
     SplitSpec,
     load_table,
     make_two_blobs,
@@ -185,10 +186,20 @@ _SYNTHETIC = {
 def _dataset_problems(spec):
     if not isinstance(spec, dict) or ("synthetic" in spec) == ("path" in spec):
         return ["'dataset' must hold exactly one of 'synthetic' and 'path'"]
-    params = spec.get("synthetic", {})
+    allowed = ("synthetic",) if "synthetic" in spec else ("path", "format")
+    problems = [f"'dataset' has unknown key {key!r}" for key in spec if key not in allowed]
+    if "path" in spec:
+        if not (isinstance(spec["path"], str) and spec["path"]):
+            problems.append("'dataset.path' must be a non-empty string")
+        fmt = spec.get("format", "dense-csv")
+        if not (isinstance(fmt, str) and fmt in TABLE_FORMATS):
+            problems.append(
+                f"'dataset.format' must be one of {', '.join(map(repr, TABLE_FORMATS))}"
+            )
+        return problems
+    params = spec["synthetic"]
     if not isinstance(params, dict):
-        return ["'dataset.synthetic' must be an object"]
-    problems = []
+        return problems + ["'dataset.synthetic' must be an object"]
     for key, value in params.items():
         if key not in _SYNTHETIC:
             problems.append(f"'dataset.synthetic' has unknown key {key!r}")

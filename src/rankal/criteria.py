@@ -1,5 +1,9 @@
 """Per-criterion scoring of unlabeled samples, normalization and ranking.
 
+The scorers here are plain functions of their inputs; the table that names
+the criteria, says which fit each one reads and picks its weighting rule is
+``rankal.loop.CRITERIA``.
+
 Every scorer obeys one sign convention: the most valuable sample (most
 uncertain, most diverse, most disagreed-upon, most representative) receives
 the MINIMUM score.  Scorers whose natural quantity grows with value are
@@ -20,22 +24,6 @@ import numpy as np
 from .learner import Committee, LearnerConfig, Model, kernel_matrix, posterior
 
 ROUND_DECIMALS = 12
-
-# criterion name -> family; "committee" membership drives the weighting rule
-CRITERION_GROUPS = {
-    "margin": "certainty",
-    "qbc": "committee",
-    "diversity": "representativeness",
-    "ted": "representativeness",
-    "random": "representativeness",
-}
-
-
-def is_committee(name: str) -> bool:
-    try:
-        return CRITERION_GROUPS[name] == "committee"
-    except KeyError:
-        raise ValueError(f"unknown criterion {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -106,13 +94,7 @@ class TedSolution:
     converged: bool
 
 
-def solve_ted(
-    pool_features,
-    lam=0.1,
-    max_iter=100,
-    tol=1e-8,
-    transpose_reg=True,
-) -> TedSolution:
+def solve_ted(pool_features, lam=0.1, max_iter=100, tol=1e-8) -> TedSolution:
     """Sparse self-reconstruction of the pool by iteratively reweighted ridge.
 
     Minimizes  sum_j ||d_j - D z_j||_2  +  lam * sum_i ||row_i(Z)||_2  where
@@ -127,9 +109,7 @@ def solve_ted(
     Z = diag(v)^-1/2 W Y with Y[:, j] = S * (U'd_j) / (S^2 + c_j).  The
     residual D - DZ = D - U S Y and the row norms of Z follow from these
     factors, so no n x n matrix is formed before the last sweep has run.
-    ``transpose_reg=False`` penalizes columns of Z instead of rows: the same
-    sweep with v = 1 (one SVD of D) and c_j = lam * v_j / u_j.  The true
-    objective is non-increasing across sweeps.
+    The true objective is non-increasing across sweeps.
     """
     x = np.atleast_2d(np.asarray(pool_features, dtype=float))
     n = len(x)
@@ -142,31 +122,22 @@ def solve_ted(
     d = x.T  # samples as columns
     eps = 1e-10
 
-    row_scale = np.ones(n)  # diag(v)^-1/2; stays 1 under the column penalty
-    if not transpose_reg:
-        u_mat, s, wt = np.linalg.svd(d, full_matrices=False)
     col_norms = np.sqrt(np.sum(d * d, axis=0))  # residual of Z = 0
     pen_norms = np.zeros(n)
     history = [float(col_norms.sum())]
     converged = False
     for _ in range(max_iter):
         u = 1.0 / np.maximum(col_norms, eps)  # residual weights, one per column
-        v = 1.0 / np.maximum(pen_norms, eps)  # penalty weights, one per penalized row
-        if transpose_reg:
-            row_scale = 1.0 / np.sqrt(v)
-            u_mat, s, wt = np.linalg.svd(d * row_scale, full_matrices=False)
-            c = lam / u
-        else:
-            c = lam * v / u
+        v = 1.0 / np.maximum(pen_norms, eps)  # penalty weights, one per row of Z
+        row_scale = 1.0 / np.sqrt(v)  # diag(v)^-1/2
+        u_mat, s, wt = np.linalg.svd(d * row_scale, full_matrices=False)
+        c = lam / u
         y = s[:, None] * (u_mat.T @ d) / (s[:, None] ** 2 + c[None, :])
         resid = d - u_mat @ (s[:, None] * y)
         col_norms = np.sqrt(np.sum(resid * resid, axis=0))
-        if transpose_reg:
-            # row_i(Z) = v_i^-1/2 W_i Y, and Y = R'Q' with orthonormal Q
-            r = np.linalg.qr(y.T, mode="r")
-            pen_norms = row_scale * np.sqrt(np.sum((wt.T @ r.T) ** 2, axis=1))
-        else:
-            pen_norms = np.sqrt(np.sum(y * y, axis=0))  # W has orthonormal columns
+        # row_i(Z) = v_i^-1/2 W_i Y, and Y = R'Q' with orthonormal Q
+        r = np.linalg.qr(y.T, mode="r")
+        pen_norms = row_scale * np.sqrt(np.sum((wt.T @ r.T) ** 2, axis=1))
         obj = float(col_norms.sum() + lam * pen_norms.sum())
         history.append(obj)
         if abs(history[-2] - obj) < tol * max(1.0, abs(history[-2])):
@@ -184,26 +155,16 @@ def solve_ted(
     )
 
 
-def score_ted(
-    pool_features, lam=0.1, max_iter=100, tol=1e-8,
-    transpose_reg=True, row_aggregate=True,
-) -> np.ndarray:
+def score_ted(pool_features, lam=0.1) -> np.ndarray:
     """Negated reconstruction responsibility per sample.
 
-    Row (default) or column absolute sums of the self-reconstruction matrix,
-    negated: samples that reconstruct many others score low (most valuable).
-    Computed once per pool: the query loop slices it per iteration, and
-    ``rankal run`` shares it between the methods run on one split.
+    Row absolute sums of the self-reconstruction matrix, negated: samples
+    that reconstruct many others score low (most valuable).  Computed once
+    per pool: the query loop slices it per iteration, and ``rankal run``
+    shares it between the methods run on one split.
     """
-    sol = solve_ted(pool_features, lam=lam, max_iter=max_iter, tol=tol,
-                    transpose_reg=transpose_reg)
-    energy = np.abs(sol.Z).sum(axis=1 if row_aggregate else 0)
-    return -energy
-
-
-def score_random(n, rng) -> np.ndarray:
-    """Uniform random scores; a plumbing baseline criterion."""
-    return rng.random(n)
+    sol = solve_ted(pool_features, lam=lam)
+    return -np.abs(sol.Z).sum(axis=1)
 
 
 def normalize_and_rank(scores):

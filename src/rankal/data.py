@@ -194,12 +194,13 @@ def load_sparse(path) -> Dataset:
     return Dataset(features, labels, np.arange(len(entries)))
 
 
+TABLE_FORMATS = {"dense-csv": load_dense_csv, "sparse-index-value": load_sparse}
+
+
 def load_table(path, format="dense-csv") -> Dataset:
-    if format == "dense-csv":
-        return load_dense_csv(path)
-    if format == "sparse-index-value":
-        return load_sparse(path)
-    raise ValueError(f"unknown format {format!r}")
+    if format not in TABLE_FORMATS:
+        raise ValueError(f"unknown format {format!r}")
+    return TABLE_FORMATS[format](path)
 
 
 def normalize_features(d: Dataset, stats_from: Dataset | None = None) -> Dataset:

@@ -285,7 +285,6 @@ class Committee:
     """Bagged committee of g >= 2 models trained on bootstrap resamples."""
 
     members: tuple
-    g: int
 
     def member_proba(self, x):
         """(g, n_samples) matrix of positive-class posteriors."""
@@ -347,4 +346,4 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0, *,
             n_iter=int(n_iter[i]),
             converged=bool(converged[i]),
         ))
-    return Committee(members=tuple(members), g=g)
+    return Committee(members=tuple(members))

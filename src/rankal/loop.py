@@ -7,6 +7,12 @@ checkpoint.  The fused strategy scores the pool under every configured
 criterion, turns the score lists into tie-aware rank lists, computes
 self-adaptive weights, and feeds everything to the configured aggregator.
 
+``CRITERIA`` is the one table of query criteria; a criterion is added by
+adding an entry.  It lives here, not in ``criteria``: its scorers look up
+``score_margin`` and the others in this module's namespace when called, so
+a wrapper installed on ``rankal.loop.score_margin`` (as the benchmark's
+tracer does) sees every call.
+
 Self-reconstruction (ted) scores depend only on the initial pool, so they
 are computed once per run and sliced per iteration; a caller that runs
 several methods on one pool (``rankal run``) computes them once with
@@ -27,26 +33,53 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import aggregation as agg
-from .criteria import (
-    is_committee,
-    normalize_and_rank,
-    score_diversity,
-    score_margin,
-    score_qbc,
-    score_random,
-    score_ted,
-)
+from .criteria import normalize_and_rank, score_diversity, score_margin, score_qbc, score_ted
 from .data import Dataset, PoolState, oracle_label
 from .evaluation import accuracy, auc, f1
 from .learner import LearnerConfig, check_int, fit, fit_committee
 from .weighting import blend_weights, bvsb_weight, duplicate_weight
 
 STRATEGIES = ("fused", "serial", "parallel", "random")
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One query criterion of the ``CRITERIA`` table.
+
+    ``committee`` picks the weighting rule: ``duplicate_weight`` when true,
+    ``bvsb_weight`` otherwise (it is also the criterion's group in
+    ``blend_weights`` and in Markov-chain truncation).  ``needs`` names the
+    input the scorer reads beyond the pool: ``"model"`` (the margin fit),
+    ``"committee"``, ``"ted"`` (the pool's self-reconstruction scores) or
+    None.  ``score`` maps one iteration's inputs (``pool``, ``cfg``,
+    ``model``, ``committee``, ``ted``) to one score per unlabeled sample,
+    the most valuable sample scoring lowest.
+    """
+
+    committee: bool
+    needs: str | None
+    score: Callable
+
+
+CRITERIA = {
+    "margin": Criterion(False, "model", lambda i: score_margin(
+        i.model, i.pool.unlabeled_features)),
+    "diversity": Criterion(False, None, lambda i: score_diversity(
+        i.pool.labeled_features, i.pool.unlabeled_features, i.cfg.learner,
+        reduce=i.cfg.diversity_reduce)),
+    "qbc": Criterion(True, "committee", lambda i: score_qbc(
+        i.committee, i.pool.unlabeled_features)),
+    "ted": Criterion(False, "ted", lambda i: i.ted[i.pool.unlabeled_idx]),
+    "random": Criterion(False, None, lambda i: _rng(i.cfg, 910, i.pool.iteration).random(
+        i.pool.n_unlabeled)),
+}
 
 
 def _is_real(value):
@@ -101,7 +134,8 @@ class ALConfig:
         if not self.criteria:
             raise ValueError("criteria must name at least one criterion")
         for c in self.criteria:
-            is_committee(c)
+            if c not in CRITERIA:
+                raise ValueError(f"unknown criterion {c!r}")
         if self.serial_layers is not None:
             layers = self.serial_layers
             for size in layers:
@@ -158,26 +192,10 @@ def _rng(cfg, *stream):
 
 def pool_ted_scores(pool: PoolState, cfg: ALConfig):
     """Self-reconstruction scores over the full pool, or None if the run uses none."""
-    if "ted" in cfg.criteria or (cfg.strategy != "random" and cfg.initial_batch == "ted"):
+    needs_ted = any(CRITERIA[name].needs == "ted" for name in cfg.criteria)
+    if needs_ted or (cfg.strategy != "random" and cfg.initial_batch == "ted"):
         return score_ted(pool.data.features, lam=cfg.ted_lambda)
     return None
-
-
-def _criterion_scores(name, pool, cfg, ted_scores, model=None, committee=None):
-    if name == "margin":
-        return score_margin(model, pool.unlabeled_features)
-    if name == "diversity":
-        return score_diversity(
-            pool.labeled_features, pool.unlabeled_features,
-            cfg.learner, reduce=cfg.diversity_reduce,
-        )
-    if name == "qbc":
-        return score_qbc(committee, pool.unlabeled_features)
-    if name == "ted":
-        return ted_scores[pool.unlabeled_idx]
-    if name == "random":
-        return score_random(pool.n_unlabeled, _rng(cfg, 910, pool.iteration))
-    raise ValueError(f"unknown criterion {name!r}")
 
 
 class WarmStart:
@@ -215,18 +233,30 @@ def _labeled_fit(pool, cfg, warm):
     return warm.fit(pool, cfg)
 
 
-def _fit_needed(pool, cfg, t, warm=None):
-    model = committee = None
-    if "margin" in cfg.criteria:
-        model = _labeled_fit(pool, cfg, warm)
-    if "qbc" in cfg.criteria:
+def _inputs(pool, cfg, ted_scores, warm=None):
+    """The scorers' inputs: the fits that the configured criteria need.
+
+    The margin model is fitted iff a criterion needs it and the committee
+    iff one needs it, both before any scorer runs, so the members start
+    from the margin fit whenever there is one, whatever the criteria order.
+    """
+    needs = {CRITERIA[name].needs for name in cfg.criteria}
+    model = _labeled_fit(pool, cfg, warm) if "model" in needs else None
+    committee = None
+    if "committee" in needs:
         # members share the labeled set, so the margin fit is a start for each
         init = None if warm is None or model is None else (model.dual_coeffs, model.intercept)
         committee = fit_committee(
             cfg.learner, pool.labeled_features, pool.labeled_labels,
-            g=cfg.g, seed=(cfg.seed, t), init=init,
+            g=cfg.g, seed=(cfg.seed, pool.iteration), init=init,
         )
-    return model, committee
+    return SimpleNamespace(pool=pool, cfg=cfg, model=model, committee=committee, ted=ted_scores)
+
+
+def criterion_scores(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
+    """Every configured criterion's scores on the unlabeled pool, in config order."""
+    inputs = _inputs(pool, cfg, ted_scores, warm)
+    return [CRITERIA[name].score(inputs) for name in cfg.criteria]
 
 
 def top_positions(scores, k):
@@ -236,30 +266,22 @@ def top_positions(scores, k):
 
 
 def fused_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
-    """One aggregation-driven selection: returns (batch, weights, ranking).
+    """One aggregation-driven selection: returns (batch, weights).
 
     ``warm`` is the run's ``WarmStart``; None fits every model cold.
     """
     n_batch = min(cfg.n_select, pool.n_unlabeled)
-    model, committee = _fit_needed(pool, cfg, pool.iteration, warm)
-
-    rank_rows, raw_weights, flags = [], [], []
-    for name in cfg.criteria:
-        scores = _criterion_scores(name, pool, cfg, ted_scores, model, committee)
+    flags = [CRITERIA[name].committee for name in cfg.criteria]
+    rank_rows, raw_weights = [], []
+    for scores, committee_based in zip(criterion_scores(pool, cfg, ted_scores, warm), flags):
         normalized, ranks = normalize_and_rank(scores)
-        committee_based = is_committee(name)
-        sorted_vals = normalized.sorted_values
         if pool.n_unlabeled > n_batch:
-            raw = (
-                duplicate_weight(sorted_vals, n_batch)
-                if committee_based
-                else bvsb_weight(sorted_vals, n_batch)
-            )
+            weight = duplicate_weight if committee_based else bvsb_weight
+            raw = weight(normalized.sorted_values, n_batch)
         else:
             raw = 0.0  # final batch drains the pool; weights are moot
         rank_rows.append(ranks)
         raw_weights.append(raw)
-        flags.append(committee_based)
 
     wv = blend_weights(raw_weights, flags)
     ranking = agg.aggregate(
@@ -267,7 +289,7 @@ def fused_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
         ids=pool.unlabeled_idx, n_select=n_batch, tun1=cfg.tun1, tun2=cfg.tun2,
         p=cfg.p, committee_flags=np.array(flags),
     )
-    return ranking.top(n_batch), wv, ranking
+    return ranking.top(n_batch), wv
 
 
 def _serial_layer_sizes(cfg, n_unlabeled):
@@ -286,23 +308,18 @@ def _serial_layer_sizes(cfg, n_unlabeled):
 
 def serial_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
     """Multi-layer filtering: each criterion keeps its top slice of survivors."""
-    model, committee = _fit_needed(pool, cfg, pool.iteration, warm)
     sizes = _serial_layer_sizes(cfg, pool.n_unlabeled)
     survivors = np.arange(pool.n_unlabeled)
-    for name, size in zip(cfg.criteria, sizes):
-        scores = _criterion_scores(name, pool, cfg, ted_scores, model, committee)
-        scores = scores[survivors]
-        survivors = survivors[top_positions(scores, min(size, len(survivors)))]
+    for scores, size in zip(criterion_scores(pool, cfg, ted_scores, warm), sizes):
+        survivors = survivors[top_positions(scores[survivors], min(size, len(survivors)))]
     return pool.unlabeled_idx[survivors]
 
 
 def parallel_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
     """Fixed-weight sum of normalized score lists; lowest total wins."""
     w = np.asarray(cfg.fixed_weights, dtype=float)
-    model, committee = _fit_needed(pool, cfg, pool.iteration, warm)
     total = np.zeros(pool.n_unlabeled)
-    for name, wk in zip(cfg.criteria, w):
-        scores = _criterion_scores(name, pool, cfg, ted_scores, model, committee)
+    for scores, wk in zip(criterion_scores(pool, cfg, ted_scores, warm), w):
         total += wk * normalize_and_rank(scores)[0].values
     n_batch = min(cfg.n_select, pool.n_unlabeled)
     return pool.unlabeled_idx[top_positions(total, n_batch)]
@@ -393,7 +410,7 @@ def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
         if state.n_unlabeled <= cfg.n_select:
             batch = state.unlabeled_idx  # drain the pool; nothing to rank
         elif cfg.strategy == "fused":
-            batch, wv, _ = fused_step(state, cfg, ted_scores, warm=warm)
+            batch, wv = fused_step(state, cfg, ted_scores, warm=warm)
             weights = dict(zip(cfg.criteria, wv.weights.tolist()))
         else:
             # looked up per call so that a wrapped module attribute takes effect

@@ -19,19 +19,10 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Final weights (sum 1) plus the raw group quantities that produced them."""
+    """Final weights (sum 1) plus the raw per-criterion quantities behind them."""
 
     weights: np.ndarray
-    committee_flags: np.ndarray
     raw: np.ndarray
-
-    @property
-    def c1(self):
-        return int(np.sum(~self.committee_flags))
-
-    @property
-    def c2(self):
-        return int(np.sum(self.committee_flags))
 
 
 def bvsb_weight(sorted_scores, n_select) -> float:
@@ -90,4 +81,4 @@ def blend_weights(raw_weights, committee_flags) -> WeightVector:
             weights[members] = mass * group / group.sum()
         else:
             weights[members] = mass / count
-    return WeightVector(weights=weights, committee_flags=flags, raw=raw)
+    return WeightVector(weights=weights, raw=raw)

@@ -84,7 +84,7 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0) -> Commi
     for j in range(g):
         idx = np.random.default_rng(base + (j,)).integers(0, len(x), size=len(x))
         members.append(fit(config, x[idx], y[idx]))
-    return Committee(members=tuple(members), g=g)
+    return Committee(members=tuple(members))
 
 
 def score_diversity(labeled, pool, config: LearnerConfig, reduce="max"):

@@ -106,8 +106,8 @@ def test_acceptance_3_weighting_laws():
         wv = blend_weights(raws, flags)
         b_ok &= abs(wv.weights.sum() - 1.0) < 1e-12
         if flags.any() and (~flags).any():
-            b_ok &= abs(wv.weights[~flags].sum() - wv.c1 / total) < 1e-12
-            b_ok &= abs(wv.weights[flags].sum() - wv.c2 / total) < 1e-12
+            b_ok &= abs(wv.weights[~flags].sum() - (~flags).sum() / total) < 1e-12
+            b_ok &= abs(wv.weights[flags].sum() - flags.sum() / total) < 1e-12
 
     # (c) ideal step list -> raw weight exactly 1
     step = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])

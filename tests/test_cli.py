@@ -283,6 +283,29 @@ class TestRun:
 
 
     @pytest.mark.parametrize(
+        "dataset, message",
+        [
+            ({"path": ["a"]}, "'dataset.path' must be a non-empty string"),
+            ({"path": 5}, "'dataset.path' must be a non-empty string"),
+            ({"path": SAMPLE_RANKS, "fromat": "dense-csv"}, "'dataset' has unknown key 'fromat'"),
+            ({"synthetic": {"n": 40}, "format": "dense-csv"}, "'dataset' has unknown key 'format'"),
+            ({"path": SAMPLE_RANKS, "format": "bogus"},
+             "'dataset.format' must be one of 'dense-csv', 'sparse-index-value'"),
+        ],
+        ids=["path-list", "path-int", "unknown-path-key", "unknown-synthetic-key", "bad-format"],
+    )
+    def test_bad_dataset_exits_2(self, tmp_path, capsys, dataset, message):
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg["dataset"] = dataset
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert "config errors" in err and message in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             ({"learner": {"max_iter": 0}}, "methods[0]: max_iter must be an integer >= 1"),

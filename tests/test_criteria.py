@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import reference
 
 from rankal.criteria import (
-    is_committee,
     normalize_and_rank,
     score_diversity,
     score_margin,
@@ -17,16 +16,17 @@ from rankal.criteria import (
     solve_ted,
 )
 from rankal.learner import Committee, LearnerConfig, fit, kernel_matrix
+from rankal.loop import CRITERIA, ALConfig
 
 CFG = LearnerConfig(kernel="rbf", gamma=1.0)
 
 
 def test_criterion_families():
-    assert not is_committee("margin")
-    assert is_committee("qbc")
-    assert not is_committee("diversity") and not is_committee("ted")
-    with pytest.raises(ValueError):
-        is_committee("entropy")
+    assert not CRITERIA["margin"].committee
+    assert CRITERIA["qbc"].committee
+    assert not CRITERIA["diversity"].committee and not CRITERIA["ted"].committee
+    with pytest.raises(ValueError, match="unknown criterion 'entropy'"):
+        ALConfig(criteria=("entropy",))
 
 
 class TestMargin:
@@ -125,7 +125,7 @@ class _Stub:
 
 
 def _stub_committee(values):
-    return Committee(members=tuple(_Stub(v) for v in values), g=len(values))
+    return Committee(members=tuple(_Stub(v) for v in values))
 
 
 class TestQbc:
@@ -145,14 +145,14 @@ class TestQbc:
         assert abs(scores[0] + np.sqrt(0.06)) < 1e-12
 
 
-def dense_objective(d, z, lam, transpose_reg=True):
+def dense_objective(d, z, lam):
     """TED objective evaluated directly from the full coefficient matrix."""
     resid = np.linalg.norm(d - d @ z, axis=0)
-    pen = np.linalg.norm(z if transpose_reg else z.T, axis=1)
+    pen = np.linalg.norm(z, axis=1)
     return float(resid.sum() + lam * pen.sum())
 
 
-def dense_sweeps(x, lam, sweeps, transpose_reg):
+def dense_sweeps(x, lam, sweeps):
     """The reweighted ridge sweeps of solve_ted, one np.linalg.solve per column."""
     d = x.T
     n = d.shape[1]
@@ -161,13 +161,10 @@ def dense_sweeps(x, lam, sweeps, transpose_reg):
     z = np.zeros((n, n))
     for _ in range(sweeps):
         u = 1.0 / np.maximum(np.linalg.norm(d - d @ z, axis=0), eps)
-        v = 1.0 / np.maximum(np.linalg.norm(z if transpose_reg else z.T, axis=1), eps)
+        v = 1.0 / np.maximum(np.linalg.norm(z, axis=1), eps)
         z_new = np.empty((n, n))
-        for j in range(n):
-            if transpose_reg:  # rows of Z penalized: (G + (lam/u_j) diag(v)) z_j = G e_j
-                a = gram + (lam / u[j]) * np.diag(v)
-            else:  # columns penalized: (G + (lam v_j/u_j) I) z_j = G e_j
-                a = gram + (lam * v[j] / u[j]) * np.eye(n)
+        for j in range(n):  # rows of Z penalized: (G + (lam/u_j) diag(v)) z_j = G e_j
+            a = gram + (lam / u[j]) * np.diag(v)
             z_new[:, j] = np.linalg.solve(a, gram[:, j])
         z = z_new
     return z
@@ -183,21 +180,19 @@ def ted_pools(draw):
 
 
 class TestTed:
-    @given(ted_pools(), st.sampled_from([0.01, 0.1, 1.0]), st.integers(1, 3),
-           st.booleans())
+    @given(ted_pools(), st.sampled_from([0.01, 0.1, 1.0]), st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
-    def test_sweeps_match_dense_solve(self, x, lam, sweeps, transpose_reg):
-        sol = solve_ted(x, lam=lam, max_iter=sweeps, tol=0.0, transpose_reg=transpose_reg)
-        ref = dense_sweeps(x, lam, sweeps, transpose_reg)
+    def test_sweeps_match_dense_solve(self, x, lam, sweeps):
+        sol = solve_ted(x, lam=lam, max_iter=sweeps, tol=0.0)
+        ref = dense_sweeps(x, lam, sweeps)
         np.testing.assert_allclose(sol.Z, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
         assert len(sol.objective_history) == sweeps + 1
-        assert sol.residual == pytest.approx(
-            dense_objective(x.T, ref, lam, transpose_reg), rel=1e-10)
+        assert sol.residual == pytest.approx(dense_objective(x.T, ref, lam), rel=1e-10)
 
-    @given(ted_pools(), st.sampled_from([0.01, 0.1, 1.0]), st.booleans())
+    @given(ted_pools(), st.sampled_from([0.01, 0.1, 1.0]))
     @settings(max_examples=40, deadline=None)
-    def test_objective_never_increases(self, x, lam, transpose_reg):
-        sol = solve_ted(x, lam=lam, transpose_reg=transpose_reg)
+    def test_objective_never_increases(self, x, lam):
+        sol = solve_ted(x, lam=lam)
         hist = np.array(sol.objective_history)
         # the 1e-10 floor on zero norms may cost lam * 1e-10 per sample
         slack = lam * len(x) * 1e-10 + 1e-12 * hist[:-1]
@@ -225,15 +220,14 @@ class TestTed:
         hist = np.array(sol.objective_history)
         assert np.all(np.diff(hist) <= 1e-8)
         # final objective re-evaluated directly from the returned Z
-        direct = dense_objective(x.T, sol.Z, 0.1, transpose_reg=True)
+        direct = dense_objective(x.T, sol.Z, 0.1)
         assert abs(direct - sol.residual) < 1e-8
 
-    def test_row_vs_column_aggregate_flag(self):
+    def test_scores_are_negated_row_sums(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(5, 3))
-        rows = score_ted(x, lam=0.2, row_aggregate=True)
-        cols = score_ted(x, lam=0.2, row_aggregate=False)
-        assert rows.shape == cols.shape == (5,)
+        rows = score_ted(x, lam=0.2)
+        np.testing.assert_array_equal(rows, -np.abs(solve_ted(x, lam=0.2).Z).sum(axis=1))
 
     def test_small_pool_rejected(self):
         with pytest.raises(ValueError):

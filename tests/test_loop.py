@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankal.criteria import normalize_and_rank, score_margin, score_diversity, score_ted
+from rankal.cli import main
+from rankal.criteria import normalize_and_rank, score_margin, score_diversity, score_ted, solve_ted
 from rankal.data import (
     Dataset,
     PoolState,
@@ -13,13 +16,15 @@ from rankal.data import (
     oracle_label,
     split_pool,
 )
-from rankal.learner import LearnerConfig, fit
+from rankal.learner import LearnerConfig, fit, posterior
 from rankal.loop import (
+    CRITERIA,
     ALConfig,
+    Criterion,
     WarmStart,
-    _criterion_scores,
-    _fit_needed,
+    _inputs,
     _labeled_fit,
+    criterion_scores,
     fused_step,
     initial_batch,
     parallel_step,
@@ -50,14 +55,14 @@ class TestFusedStep:
         expected = state.unlabeled_idx[top_positions(raw, 3)]
         for aggregator in AGGS:
             cfg = ALConfig(criteria=("margin",), aggregator=aggregator, n_select=3)
-            batch, wv, _ = fused_step(state, cfg, pool_ted_scores(state, cfg))
+            batch, wv = fused_step(state, cfg, pool_ted_scores(state, cfg))
             assert batch.tolist() == expected.tolist(), aggregator
             assert wv.weights.tolist() == [1.0]
 
     def test_group_mass_law_live(self):
         state = prepared_pool(seed=1)
         cfg = ALConfig(criteria=("diversity", "margin", "qbc"), aggregator="mc2")
-        _, wv, _ = fused_step(state, cfg, pool_ted_scores(state, cfg))
+        _, wv = fused_step(state, cfg, pool_ted_scores(state, cfg))
         non_committee = wv.weights[:2].sum()
         assert non_committee == pytest.approx(2 / 3, abs=1e-12)
         assert wv.weights[2] == pytest.approx(1 / 3, abs=1e-12)
@@ -66,8 +71,8 @@ class TestFusedStep:
         state = prepared_pool(seed=2)
         single = ALConfig(criteria=("margin",), aggregator="borda-pnorm", n_select=2)
         double = ALConfig(criteria=("margin", "margin"), aggregator="borda-pnorm", n_select=2)
-        b1, _, _ = fused_step(state, single, pool_ted_scores(state, single))
-        b2, wv, _ = fused_step(state, double, pool_ted_scores(state, double))
+        b1, _ = fused_step(state, single, pool_ted_scores(state, single))
+        b2, wv = fused_step(state, double, pool_ted_scores(state, double))
         assert wv.weights[0] == pytest.approx(wv.weights[1])
         assert b1.tolist() == b2.tolist()
 
@@ -281,7 +286,7 @@ class TestRuns:
         np.testing.assert_array_equal(ted_scores, direct)
         state = initial_batch(pool, cfg, ted_scores)
         for _ in range(3):
-            batch, _, _ = fused_step(state, cfg, ted_scores)
+            batch, _ = fused_step(state, cfg, ted_scores)
             state = oracle_label(state, batch)
         np.testing.assert_array_equal(ted_scores, direct)
 
@@ -361,13 +366,14 @@ class TestWarmStart:
                 batch = state.unlabeled_idx  # the drain step fits nothing
             else:
                 x = state.unlabeled_features
-                fitted = [_fit_needed(state, cfg, state.iteration, w) for w in (warm, None)]
-                (m_warm, c_warm), (m_cold, c_cold) = fitted
+                warm_in, cold_in = [_inputs(state, cfg, None, w) for w in (warm, None)]
                 np.testing.assert_allclose(
-                    m_warm.predict_proba(x), m_cold.predict_proba(x), rtol=0, atol=1e-6
+                    warm_in.model.predict_proba(x), cold_in.model.predict_proba(x),
+                    rtol=0, atol=1e-6,
                 )
                 np.testing.assert_allclose(
-                    c_warm.member_proba(x), c_cold.member_proba(x), rtol=0, atol=1e-6
+                    warm_in.committee.member_proba(x), cold_in.committee.member_proba(x),
+                    rtol=0, atol=1e-6,
                 )
                 b_warm = fused_step(state, cfg, None, warm=warm)[0]
                 batch = fused_step(state, cfg, None)[0]
@@ -375,8 +381,7 @@ class TestWarmStart:
                     # certify a near-tie between the two picks in every criterion
                     i, j = (np.flatnonzero(np.isin(state.unlabeled_idx, b)) for b in
                             (np.setdiff1d(b_warm, batch), np.setdiff1d(batch, b_warm)))
-                    for name in cfg.criteria:
-                        s = _criterion_scores(name, state, cfg, None, m_cold, c_cold)
+                    for name, s in zip(cfg.criteria, criterion_scores(state, cfg, None)):
                         norm = normalize_and_rank(s)[0].values
                         assert np.abs(norm[i] - norm[j]).max() <= 1e-6, name
             state = oracle_label(state, batch)
@@ -395,7 +400,7 @@ class TestWarmStart:
         cfg = ALConfig(criteria=("margin",))
         warm = WarmStart()
         model = _labeled_fit(state, cfg, warm)
-        assert _fit_needed(state, cfg, state.iteration, warm)[0] is model
+        assert _inputs(state, cfg, None, warm).model is model
         grown = oracle_label(state, state.unlabeled_idx[:2])
         assert _labeled_fit(grown, cfg, warm) is not model
 
@@ -416,3 +421,92 @@ class TestWarmStart:
         first = run_active_learning(pool, test, cfg)
         assert inits[0] is False and all(inits[1:])
         assert run_active_learning(pool, test, cfg) == first
+
+
+def _entropy_score(inputs):
+    """Negated binary entropy of the top posterior: the most uncertain sample scores lowest."""
+    q = np.minimum(posterior(inputs.model, inputs.pool.unlabeled_features)[2], 1 - 1e-15)
+    return q * np.log(q) + (1 - q) * np.log1p(-q)
+
+
+def _max_kernel_angle(cfg, x, labeled):
+    """Widest kernel angle from each row of x to the labeled rows, from the kernel's formula."""
+    if cfg.learner.kernel == "linear":
+        k = x @ labeled.T
+        norms = np.outer(np.linalg.norm(x, axis=1), np.linalg.norm(labeled, axis=1))
+        cos = k / norms
+    else:
+        gamma = cfg.learner.gamma or 1.0 / x.shape[1]
+        sq = ((x[:, None, :] - labeled[None, :, :]) ** 2).sum(axis=2)
+        cos = np.exp(-gamma * sq)  # k(x, x) = 1
+    return np.arccos(np.clip(cos, -1.0, 1.0)).max(axis=1)
+
+
+# each criterion's natural quantity per unlabeled sample, larger = more valuable
+NATURAL = {
+    "margin": lambda i: -np.abs(i.model.predict_proba(i.pool.unlabeled_features) - 0.5),
+    "diversity": lambda i: _max_kernel_angle(
+        i.cfg, i.pool.unlabeled_features, i.pool.labeled_features),
+    "qbc": lambda i: np.array([
+        np.std([m.predict_proba(x[None, :])[0] for m in i.committee.members])
+        for x in i.pool.unlabeled_features
+    ]),
+    "ted": lambda i: np.abs(solve_ted(i.pool.data.features, lam=i.cfg.ted_lambda).Z)
+    .sum(axis=1)[i.pool.unlabeled_idx],
+}
+
+
+class TestCriteriaTable:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(6, 30), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+        labeled_frac=st.floats(0.0, 1.0), kernel=st.sampled_from(["rbf", "linear"]),
+    )
+    def test_most_valuable_sample_scores_lowest(self, n, d, seed, labeled_frac, kernel):
+        assert set(NATURAL) == set(CRITERIA) - {"random"}
+        state = TestWarmStart.pool(n, d, 2 + round(labeled_frac * (n - 3)), seed)
+        cfg = ALConfig(criteria=tuple(NATURAL), learner=LearnerConfig(kernel=kernel),
+                       seed=seed % 997)
+        inputs = _inputs(state, cfg, pool_ted_scores(state, cfg))
+        for name, natural in NATURAL.items():
+            scores = CRITERIA[name].score(inputs)
+            best = np.argmax(natural(inputs))
+            assert scores[best] <= scores.min() + 1e-6, name
+
+    def test_added_criterion_runs_through_every_strategy(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(CRITERIA, "entropy", Criterion(False, "model", _entropy_score))
+        d = normalize_features(make_two_blobs(n=80, seed=21))
+        test, pool = split_pool(d, SplitSpec(0.5, 21))
+
+        def picks(first, **kwargs):
+            cfg = ALConfig(criteria=(first,) + kwargs.pop("rest", ()), budget=0.3,
+                           checkpoints=(0.3,), seed=21, **kwargs)
+            trace = run_active_learning(pool, test, cfg)
+            assert all(set(r.weights) in (set(), set(cfg.criteria)) for r in trace.iterations)
+            return [r.selected for r in trace.iterations]
+
+        # entropy falls as the top posterior rises, so it ranks as margin does
+        for aggregator in AGGS:
+            assert (picks("entropy", aggregator=aggregator, n_select=2)
+                    == picks("margin", aggregator=aggregator, n_select=2)), aggregator
+        for kwargs in (
+            dict(strategy="serial", rest=("diversity",), serial_layers=(6, 1)),
+            dict(strategy="parallel", rest=("diversity",), fixed_weights=(1.0, 0.0)),
+        ):
+            assert picks("entropy", **kwargs) == picks("margin", **kwargs), kwargs["strategy"]
+
+        out_dir = tmp_path / "results"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": {"synthetic": {"n": 40, "seed": 0}}, "seeds": [0, 1],
+            "checkpoints": [0.2], "output_dir": str(out_dir),
+            "methods": [{"criteria": ["entropy", "diversity", "qbc"], "budget": 0.2},
+                        {"strategy": "random", "budget": 0.2}],
+        }))
+        assert main(["run", str(cfg_path)]) == 0
+        header = (out_dir / "trace_fused-mc2_seed0.csv").read_text().splitlines()[0]
+        assert header == "iteration,selected,w_entropy,w_diversity,w_qbc"
+
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="unknown criterion 'entropy'"):
+            ALConfig(criteria=("margin", "entropy"))

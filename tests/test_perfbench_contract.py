@@ -12,6 +12,8 @@ import sys
 
 import rankal
 import rankal.cli  # noqa: F401  (the tracer wraps names in rankal.cli)
+from rankal.data import SplitSpec, make_two_blobs, normalize_features, split_pool
+from rankal.loop import ALConfig, run_active_learning
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,6 +42,28 @@ def test_tracer_wraps_and_restores_every_name():
         tracer.uninstall()
     for (owner, attr, _, _), original in zip(targets, originals):
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_every_wrapped_scorer_records_spans():
+    # the loop's criteria table must reach the scorers through rankal.loop's
+    # names; holding rankal.criteria's functions would bypass the wrappers and
+    # read 0 s for them
+    tracing = _tracing()
+    scorers = {name for owner, _, name, _ in tracing._targets(rankal)
+               if owner is rankal.loop and name.startswith("criteria.")}
+    assert {"criteria.score_ted", "criteria.score_margin", "criteria.score_qbc",
+            "criteria.score_diversity", "criteria.normalize_and_rank"} <= scorers
+    test, pool = split_pool(normalize_features(make_two_blobs(n=80, seed=3)), SplitSpec(0.5, 3))
+    cfg = ALConfig(criteria=("ted", "diversity", "margin", "qbc"), budget=0.3,
+                   checkpoints=(0.3,), seed=3)
+    tracer = tracing.Tracer(rankal)
+    tracer.install()
+    try:
+        run_active_learning(pool, test, cfg)
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    assert not scorers - recorded, f"no spans for {sorted(scorers - recorded)}"
 
 
 def test_benchmark_smoke_check_passes():

@@ -95,8 +95,8 @@ class TestBlend:
         assert np.all(wv.weights >= 0) and np.all(wv.weights <= 1 + 1e-12)
         flags = np.array(flags)
         if flags.any() and (~flags).any():
-            assert wv.weights[~flags].sum() == pytest.approx(wv.c1 / total, abs=1e-12)
-            assert wv.weights[flags].sum() == pytest.approx(wv.c2 / total, abs=1e-12)
+            assert wv.weights[~flags].sum() == pytest.approx((~flags).sum() / total, abs=1e-12)
+            assert wv.weights[flags].sum() == pytest.approx(flags.sum() / total, abs=1e-12)
 
 
 def test_final_weight_monotone_in_own_gap():
