@@ -9,11 +9,12 @@ Three families are provided:
 
 * positional score fusion with min / median / geometric-mean / p-norm
   combiners over the weighted rank values,
-* round-deepening weighted majority voting: a sample is confirmed once the
-  weight of lists ranking it at or above the current depth exceeds 1/2,
-* a Markov chain whose stationary distribution scores the candidates, with
-  an optional truncation step that restricts the chain to samples appearing
-  near the top of at least one non-committee list.
+* round-deepening weighted majority voting: a sample is confirmed at the
+  first depth ceil(rank) of one of its ranks where the weight of lists
+  ranking it at that depth or better exceeds 1/2,
+* a Markov chain whose stationary distribution (one linear solve) scores
+  the candidates, with an optional truncation step that restricts the chain
+  to samples appearing near the top of at least one non-committee list.
 
 ``aggregate(method, ...)`` is the one entry point that maps the names in
 ``METHODS`` to these backends.
@@ -42,8 +43,8 @@ class BordaConfig:
     def __post_init__(self):
         if self.fusion not in self._FUSIONS:
             raise ValueError(f"fusion must be one of {self._FUSIONS}")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError("p must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,8 @@ def ordinalize(rank_lists):
     """
     r = _as_rank_matrix(rank_lists)
     out = np.empty_like(r)
-    pos = np.arange(r.shape[1])
-    for k in range(r.shape[0]):
-        order = np.lexsort((pos, r[k]))
-        out[k, order] = pos + 1.0
+    np.put_along_axis(out, np.argsort(r, axis=1, kind="stable"),
+                      np.arange(1.0, r.shape[1] + 1), axis=1)
     return out
 
 
@@ -186,29 +185,20 @@ def bucklin_aggregate(rank_lists, weights, ids=None) -> AggregatedRanking:
     ch or better; samples are emitted once their tally exceeds 0.5 (weights
     are normalized to sum 1 first).  Simultaneous majorities emit in
     descending tally, then ascending sample position.  The emitted sample's
-    score is its confirmation depth.
+    score is its confirmation depth.  A tally only grows at a depth
+    ceil(rank) of one of the sample's own ranks, so only those are tried.
     """
     r = _as_rank_matrix(rank_lists)
     n_lists, n = r.shape
     w = _norm_weights(weights, n_lists)
-    max_depth = int(r.max())
-    alive = np.ones(n, dtype=bool)
-    order = []
-    depths = []
-    for ch in range(1, max_depth + 1):
-        tally = w @ (r <= ch)
-        winners = np.where(alive & (tally > 0.5))[0]
-        if len(winners) == 0:
-            continue
-        winners = winners[np.lexsort((winners, -tally[winners]))]
-        order.extend(winners.tolist())
-        depths.extend([ch] * len(winners))
-        alive[winners] = False
-        if not alive.any():
-            break
-    if alive.any():
-        raise RuntimeError("majority never reached; weights do not sum to 1?")
-    return _ranking(np.array(order, dtype=int), np.array(depths, dtype=float), ids)
+    depth = np.ceil(r)
+    # tally[k, j]: weight of the lists ranking sample j at depth[k, j] or better
+    tally = (w @ (r[:, None, :] <= depth).reshape(n_lists, -1)).reshape(n_lists, n)
+    first = np.argmin(np.where(tally > 0.5, depth, np.inf), axis=0)[None, :]
+    depth = np.take_along_axis(depth, first, axis=0)[0]
+    tally = np.take_along_axis(tally, first, axis=0)[0]
+    order = np.lexsort((np.arange(n), -tally, depth))
+    return _ranking(order, depth[order], ids)
 
 
 def truncate_candidates(rank_lists, committee_flags, n_select, tun2=5) -> np.ndarray:
@@ -248,34 +238,35 @@ def build_transition(rank_lists, weights, variant="mc2", tun1=0.05) -> Transitio
     n_lists, n = r.shape
     if n < 2:
         raise ValueError("need at least 2 candidates")
-    pref = _preference(r, _norm_weights(weights, n_lists))
+    # in place: an n x n temporary per step dominates peak memory at large n
+    t = _preference(r, _norm_weights(weights, n_lists))
     if variant == "mc1":
-        t = (pref > 0).astype(float) / n
+        np.greater(t, 0.0, out=t)
     elif variant == "mc2":
-        t = (pref > 0.5).astype(float) / n
-    else:
-        t = pref / n
+        np.greater(t, 0.5, out=t)
+    t /= n
     np.fill_diagonal(t, 0.0)
     np.fill_diagonal(t, 1.0 - t.sum(axis=1))
-    t = t * (1.0 - tun1) + tun1 / n
+    t *= 1.0 - tun1
+    t += tun1 / n
     return TransitionMatrix(entries=t, tun1=tun1)
 
 
-def stationary_distribution(transition, max_iter=10000, tol=1e-12) -> np.ndarray:
-    """Stationary probabilities by power iteration from the uniform vector."""
+def stationary_distribution(transition) -> np.ndarray:
+    """Solve (T^T - I) pi = 0 with its last row replaced by sum(pi) = 1;
+    never singular for a strictly positive T.  Raises at an L1 residual
+    |pi T - pi| of 1e-10 or more."""
     t = transition.entries if isinstance(transition, TransitionMatrix) else np.asarray(transition)
     n = len(t)
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = pi @ t
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() < tol:
-            pi = nxt
-            break
-        pi = nxt
+    a = t.T.copy()
+    a[np.diag_indices(n)] -= 1.0
+    a[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
     residual = np.abs(pi @ t - pi).sum()
     if residual >= 1e-10:
-        raise RuntimeError(f"power iteration did not converge (residual {residual:.2e})")
+        raise RuntimeError(f"stationary solve is inaccurate (residual {residual:.2e})")
     return pi
 
 
@@ -284,25 +275,26 @@ def markov_aggregate(rank_lists, weights, variant="mc2", n_select=1,
                      ids=None) -> AggregatedRanking:
     """Stationary-distribution ranking, optionally restricted to candidates.
 
-    Candidates are ordered by descending stationary probability (ties by
-    ascending sample position); truncated-away samples follow in ascending
-    position order with score 0.
+    Candidates are ordered by descending stationary probability, where
+    neighbours within 1e-12 form one tier ordered by ascending sample
+    position; truncated-away samples follow in ascending position order
+    with score 0.
     """
     r = _as_rank_matrix(rank_lists)
     n_lists, n = r.shape
     if committee_flags is None:
         committee_flags = np.zeros(n_lists, dtype=bool)
-    if truncate:
-        cand = truncate_candidates(r, committee_flags, n_select, tun2)
-    else:
-        cand = np.arange(n)
-    transition = build_transition(r[:, cand], weights, variant=variant, tun1=tun1)
-    pi = stationary_distribution(transition)
-    cand_order = cand[np.lexsort((cand, -pi))]
+    cand = truncate_candidates(r, committee_flags, n_select, tun2) if truncate else np.arange(n)
+    # T is freed once pi is known, before the result arrays are allocated: a
+    # large T left below them would pin that much of the heap
+    pi = stationary_distribution(build_transition(r[:, cand], weights, variant=variant, tun1=tun1))
+    desc = np.argsort(-pi, kind="stable")  # tiers absorb round-off between tied pi
+    tier = np.concatenate(([0], np.cumsum(np.diff(pi[desc]) < -1e-12)))
+    best = desc[np.lexsort((desc, tier))]
     rest = np.setdiff1d(np.arange(n), cand)
-    order = np.concatenate([cand_order, rest]).astype(int)
+    order = np.concatenate([cand[best], rest]).astype(int)
     scores = np.zeros(n)
-    scores[: len(cand)] = np.sort(pi)[::-1]
+    scores[: len(cand)] = pi[best]
     return _ranking(order, scores, ids)
 
 

@@ -467,6 +467,17 @@ def cmd_compare(args):
     return 0
 
 
+def _checked(convert, accept, requirement):
+    """argparse ``type=`` rejecting values that fail ``accept`` (exit 2, naming the flag)."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rankal",
@@ -478,10 +489,12 @@ def build_parser():
     p.add_argument("lists", help="CSV: column 1 sample id, columns 2..L+1 ranks")
     p.add_argument("--weights", help="file with one weight per list")
     p.add_argument("--method", default="borda-pnorm", choices=agg.METHODS)
-    p.add_argument("--n", type=int, default=1, help="batch size for truncation")
-    p.add_argument("--tun1", type=float, default=0.05)
-    p.add_argument("--tun2", type=int, default=5)
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--n", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=1,
+                   help="batch size for truncation")
+    p.add_argument("--tun1", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"), default=0.05)
+    p.add_argument("--tun2", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=5)
+    p.add_argument("--p", type=_checked(float, lambda v: 1 <= v < math.inf, "finite and >= 1"),
+                   default=1.0)
     p.add_argument("--no-truncate", action="store_true")
     p.set_defaults(func=cmd_aggregate)
 

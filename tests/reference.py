@@ -7,6 +7,11 @@
   duplicate rows kept, from the same (seed, member) streams as the library.
 * ``score_diversity``: the kernel angle with k(x, x) read off the diagonals
   of full pool x pool and labeled x labeled kernel matrices.
+* ``power_iteration``: the stationary distribution of a transition matrix by
+  power iteration from the uniform vector to an L1 change of 1e-12.
+* ``bucklin_aggregate``: weighted majority voting that deepens one integer
+  depth at a time from 1 to max(rank); it raises where no integer depth up
+  to int(max(rank)) confirms every sample (a fractional largest rank).
 
 They stay frozen as written so that a change to the library is checked
 against an independent implementation, not against itself.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from rankal.aggregation import AggregatedRanking
 from rankal.learner import Committee, LearnerConfig, Model, kernel_matrix
 
 MAX_ITER = 50
@@ -96,3 +102,48 @@ def score_diversity(labeled, pool, config: LearnerConfig, reduce="max"):
         cos = np.where(denom > 0, cross / np.where(denom > 0, denom, 1.0), 0.0)
     angles = np.arccos(np.clip(cos, -1.0, 1.0))
     return -(angles.max(axis=1) if reduce == "max" else angles.min(axis=1))
+
+
+def power_iteration(t, max_iter=10000, tol=1e-12):
+    t = np.asarray(t, dtype=float)
+    n = len(t)
+    pi = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        nxt = pi @ t
+        nxt /= nxt.sum()
+        if np.abs(nxt - pi).sum() < tol:
+            pi = nxt
+            break
+        pi = nxt
+    residual = np.abs(pi @ t - pi).sum()
+    if residual >= 1e-10:
+        raise RuntimeError(f"power iteration did not converge (residual {residual:.2e})")
+    return pi
+
+
+def bucklin_aggregate(rank_lists, weights) -> AggregatedRanking:
+    r = np.asarray(rank_lists, dtype=float)
+    n_lists, n = r.shape
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    max_depth = int(r.max())
+    alive = np.ones(n, dtype=bool)
+    order = []
+    depths = []
+    for ch in range(1, max_depth + 1):
+        tally = w @ (r <= ch)
+        winners = np.where(alive & (tally > 0.5))[0]
+        if len(winners) == 0:
+            continue
+        winners = winners[np.lexsort((winners, -tally[winners]))]
+        order.extend(winners.tolist())
+        depths.extend([ch] * len(winners))
+        alive[winners] = False
+        if not alive.any():
+            break
+    if alive.any():
+        raise RuntimeError("majority never reached; weights do not sum to 1?")
+    order = np.array(order, dtype=int)
+    ranks = np.empty(n, dtype=int)
+    ranks[order] = np.arange(1, n + 1)
+    return AggregatedRanking(ids=order, scores=np.array(depths, dtype=float), ranks=ranks)

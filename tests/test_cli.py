@@ -86,6 +86,27 @@ class TestAggregate:
         assert str(path) in err and "row 3" in err and "finite" in err
         assert "order" not in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--p", "nan"), ("--p", "inf"), ("--p", "0.5"), ("--n", "-5"), ("--n", "0"),
+         ("--tun2", "-9"), ("--tun1", "nan"), ("--tun1", "0"), ("--tun1", "1")],
+    )
+    def test_bad_flag_exits_2_naming_it(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["aggregate", SAMPLE_RANKS, "--method", "mc2", flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in captured.err and repr(value) in captured.err
+        assert "order" not in captured.out
+
+    def test_bucklin_confirms_fractional_rank_at_its_ceiling(self, tmp_path, capsys):
+        path = tmp_path / "half.csv"
+        path.write_text("id,l1\n1,1\n2,2.5\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "aggregate", str(path), "--method", "bucklin")
+        assert code == 0
+        assert "order (best first): 1 2" in out
+        assert "\n2,3,2\n" in out  # id 2 confirmed at depth 3 = ceil(2.5)
+
     def test_unknown_method_rejected(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("id,l1\n1,1\n2,2\n", encoding="utf-8")

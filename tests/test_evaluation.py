@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from rankal.evaluation import (
@@ -68,6 +70,17 @@ class TestAuc:
         a = auc(scores, labels)
         b = auc(np.exp(scores), labels)
         assert a == pytest.approx(b)
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=2, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_auc_matches_pairwise_count_under_heavy_ties(pairs):
+    scores = np.array([s / 4.0 for s, _ in pairs])
+    labels = np.array([1 if positive else -1 for _, positive in pairs])
+    assume(0 < (labels == 1).sum() < len(labels))
+    pos, neg = scores[labels == 1], scores[labels == -1]
+    wins = sum((a > b) + 0.5 * (a == b) for a in pos for b in neg)
+    assert auc(scores, labels) == pytest.approx(wins / (len(pos) * len(neg)), abs=1e-12)
 
 
 def t_density(x, df):
