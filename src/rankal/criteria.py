@@ -2,7 +2,10 @@
 
 The scorers here are plain functions of their inputs; the table that names
 the criteria, says which fit each one reads and picks its weighting rule is
-``rankal.loop.CRITERIA``.
+``rankal.loop.CRITERIA``.  The kernel scorers (margin, diversity, qbc) take
+``kernel=``, the kernel between the pool rows and the labeled set, when the
+caller already has it (the query loop keeps it per run); without it they
+compute it themselves.
 
 Every scorer obeys one sign convention: the most valuable sample (most
 uncertain, most diverse, most disagreed-upon, most representative) receives
@@ -38,9 +41,12 @@ class NormalizedScores:
         return self.values[self.sort_order]
 
 
-def score_margin(model: Model, pool_features) -> np.ndarray:
-    """Top-posterior confidence; minimal at the decision boundary (no flip)."""
-    _, _, p_max = posterior(model, pool_features)
+def score_margin(model: Model, pool_features, *, kernel=None) -> np.ndarray:
+    """Top-posterior confidence; minimal at the decision boundary (no flip).
+
+    ``kernel`` is the kernel between ``pool_features`` and the model's support.
+    """
+    _, _, p_max = posterior(model, pool_features, kernel=kernel)
     return p_max
 
 
@@ -52,14 +58,16 @@ def _kernel_diag(config: LearnerConfig, a):
 
 
 def score_diversity(
-    labeled_features, pool_features, config: LearnerConfig, reduce="max"
+    labeled_features, pool_features, config: LearnerConfig, reduce="max", *, kernel=None
 ) -> np.ndarray:
     """Negated kernel angle to the labeled set.
 
     angle(x, a) = arccos(k(x,a) / sqrt(k(x,x) k(a,a))), cosine clipped to
     [-1, 1].  ``reduce`` picks the max (default) or min angle over labeled
     samples; the result is negated so wide angles score low.  A sample with
-    k(x,x) = 0 contributes angle pi/2.
+    k(x,x) = 0 contributes angle pi/2.  ``kernel`` is
+    ``kernel_matrix(config, pool_features, labeled_features)``, computed
+    here if not given.
     """
     if reduce not in ("max", "min"):
         raise ValueError("reduce must be 'max' or 'min'")
@@ -67,19 +75,32 @@ def score_diversity(
     pool = np.atleast_2d(np.asarray(pool_features, dtype=float))
     if len(labeled) == 0:
         raise ValueError("diversity needs at least one labeled sample")
-    cross = kernel_matrix(config, pool, labeled)
+    if kernel is None:
+        cross = kernel_matrix(config, pool, labeled)
+    else:
+        cross = np.asarray(kernel, dtype=float)
+        if cross.shape != (len(pool), len(labeled)):
+            raise ValueError(
+                f"kernel must have shape ({len(pool)}, {len(labeled)}), got {cross.shape}"
+            )
     k_pool, k_lab = _kernel_diag(config, pool), _kernel_diag(config, labeled)
-    denom = np.sqrt(np.outer(k_pool, k_lab))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = np.where(denom > 0, cross / np.where(denom > 0, denom, 1.0), 0.0)
-    angles = np.arccos(np.clip(cos, -1.0, 1.0))
+    # one pool x labeled buffer turns into the cosines, then the angles
+    angles = np.sqrt(np.outer(k_pool, k_lab))
+    positive = angles > 0
+    np.divide(cross, angles, out=angles, where=positive)
+    angles[~positive] = 0.0
+    np.arccos(np.clip(angles, -1.0, 1.0, out=angles), out=angles)
     agg = angles.max(axis=1) if reduce == "max" else angles.min(axis=1)
     return -agg
 
 
-def score_qbc(committee: Committee, pool_features) -> np.ndarray:
-    """Negated population standard deviation of member posteriors."""
-    probs = committee.member_proba(pool_features)
+def score_qbc(committee: Committee, pool_features, *, kernel=None) -> np.ndarray:
+    """Negated population standard deviation of member posteriors.
+
+    ``kernel`` is the kernel between ``pool_features`` and the committee's
+    support.
+    """
+    probs = committee.member_proba(pool_features, kernel=kernel)
     return -probs.std(axis=0, ddof=0)
 
 
@@ -172,7 +193,8 @@ def normalize_and_rank(scores):
 
     Returns (NormalizedScores, ranks).  A constant list maps to all 0.5.
     Normalized values are rounded to 12 decimals; ranks use exact equality on
-    the rounded values, so rank(i) = 1 + #{j : s_j < s_i}.
+    the rounded values, so rank(i) = 1 + #{j : s_j < s_i}: one plus the
+    sorted position where the run of values equal to s_i starts.
     """
     s = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(s)):
@@ -184,7 +206,11 @@ def normalize_and_rank(scores):
         values = np.full_like(s, 0.5)
     values = np.round(values, ROUND_DECIMALS)
     order = np.argsort(values, kind="stable")
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    below = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    ranks = below[inverse] + 1
-    return NormalizedScores(values=values, sort_order=order), ranks.astype(int)
+    ordered = values[order]
+    n = len(s)
+    starts_run = np.empty(n, dtype=bool)
+    starts_run[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts_run[1:])
+    ranks = np.empty(n, dtype=int)
+    ranks[order] = np.maximum.accumulate(np.where(starts_run, np.arange(1, n + 1), 0))
+    return NormalizedScores(values=values, sort_order=order), ranks

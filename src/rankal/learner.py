@@ -35,6 +35,13 @@ on the other rows.
 practice an earlier fit on a prefix of the same rows padded with 0; the
 optimum does not depend on the start, only the number of steps does.
 
+Every kernel product has one entry point: ``fit`` and ``fit_committee``
+take the labeled Gram matrix as ``gram=``, and ``Model.predict_proba`` and
+``Committee.member_proba`` take the kernel between their rows and the
+support as ``kernel=``; each computes it with ``kernel_matrix`` only when
+none is given.  The query loop passes slices of one pool x labeled block
+that it extends by a column per labeled sample (see ``rankal.loop``).
+
 Committees are built by bootstrap bagging with per-member RNG streams
 derived from (seed, member).  Every member is solved on the whole labeled
 set with its draw counts as weights (0 for undrawn rows), so all members
@@ -42,14 +49,19 @@ share one K and one starting point, and they are solved together: one
 stacked (g, n+1, n+1) Newton, each member with its own line search, leaving
 the active set when its own stop rule fires.  Warm-started from a margin
 fit on the bundled blobs at 10-90 labels (2 vCPUs, one BLAS thread), five
-members solve 1.5-2.5x faster this way than one by one.  Each
-member is returned on its distinct draws (the undrawn rows' coefficients,
-zero at the optimum, dropped); one whose draws hold a single class is the
-degenerate model of that class.
+members solve 1.5-2.5x faster this way than one by one.  The
+``Committee`` keeps the members stacked: one (g, n_labeled) coefficient
+matrix over the shared labeled support with exact zeros at each member's
+undrawn rows (their optimum), the intercepts, and the class of each member
+whose draws hold a single class (it predicts that class at 0.99), so all
+member posteriors are one kernel and one matrix product.
+``Committee.members`` derives each member as a ``Model`` on its distinct
+draws.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -65,6 +77,11 @@ def check_int(name, value, low):
         raise ValueError(f"{name} must be an integer >= {low}")
 
 
+def is_real(value):
+    """True for a finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class LearnerConfig:
     kernel: str = "rbf"
@@ -76,10 +93,10 @@ class LearnerConfig:
     def __post_init__(self):
         if self.kernel not in ("rbf", "linear"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.reg <= 0 or self.tol <= 0:
-            raise ValueError("reg and tol must be positive")
+        for name in ("gamma", "reg", "tol"):
+            value = getattr(self, name)
+            if (name != "gamma" or value is not None) and not (is_real(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number")
         check_int("max_iter", self.max_iter, 1)
 
 
@@ -104,6 +121,33 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
+def _features(x, support):
+    """``x`` as a 2-D float array with as many columns as ``support``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != support.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: model expects {support.shape[1]} "
+            f"features, got {x.shape[1]}"
+        )
+    return x
+
+
+def _cross_kernel(config, x, support, gamma, kernel):
+    """The kernel between the rows of ``x`` and ``support``: ``kernel`` if given.
+
+    With ``support`` = ``x`` it is the Gram matrix.
+    """
+    x = _features(x, support)
+    if kernel is None:
+        return kernel_matrix(config, x, support, gamma=gamma)
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.shape != (len(x), len(support)):
+        raise ValueError(
+            f"precomputed kernel must have shape ({len(x)}, {len(support)}), got {kernel.shape}"
+        )
+    return kernel
+
+
 @dataclass(frozen=True)
 class Model:
     """Trained classifier: dual coefficients over the support samples."""
@@ -118,18 +162,16 @@ class Model:
     n_iter: int = 0  # Newton steps taken
     converged: bool = True  # a stop rule fired before max_iter
 
-    def predict_proba(self, x):
-        """Posterior P(y = +1 | x) for each row of ``x``, clamped to (0, 1)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.support.shape[1]:
-            raise ValueError(
-                f"dimension mismatch: model expects {self.support.shape[1]} "
-                f"features, got {x.shape[1]}"
-            )
+    def predict_proba(self, x, *, kernel=None):
+        """Posterior P(y = +1 | x) for each row of ``x``, clamped to (0, 1).
+
+        ``kernel`` is ``kernel_matrix(config, x, support)`` if the caller
+        already has it; by default it is computed here.
+        """
         if self.degenerate:
             p = 0.99 if self.degenerate_label == 1 else 0.01
-            return np.full(len(x), p)
-        k = kernel_matrix(self.config, x, self.support, gamma=self.gamma)
+            return np.full(len(_features(x, self.support)), p)
+        k = _cross_kernel(self.config, x, self.support, self.gamma, kernel)
         p = _sigmoid(k @ self.dual_coeffs + self.intercept)
         return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
@@ -137,9 +179,9 @@ class Model:
         return np.where(self.predict_proba(x) >= 0.5, 1, -1)
 
 
-def posterior(model: Model, x):
+def posterior(model: Model, x, *, kernel=None):
     """Return (p_pos, y_max, p_max); the 0.5 tie resolves toward +1."""
-    p_pos = model.predict_proba(x)
+    p_pos = model.predict_proba(x, kernel=kernel)
     y_max = np.where(p_pos >= 0.5, 1, -1)
     p_max = np.maximum(p_pos, 1.0 - p_pos)
     return p_pos, y_max, p_max
@@ -244,14 +286,16 @@ def _start(init, g, n):
     return np.tile(alpha, (g, 1)), np.full(g, float(init[1]))
 
 
-def fit(config: LearnerConfig, features, labels, counts=None, *, init=None) -> Model:
+def fit(config: LearnerConfig, features, labels, counts=None, *, init=None,
+        gram=None) -> Model:
     """Train kernel logistic regression on labels in {-1,+1}.
 
     ``counts`` (default all ones) weights each sample's loss term.  ``init``
     = (alpha, intercept) starts Newton there instead of at zero; the optimum
-    does not depend on it.  A single-class labeled set yields a degenerate
-    model that predicts the observed class with probability 0.99 (flagged
-    via ``Model.degenerate``).
+    does not depend on it.  ``gram`` is ``kernel_matrix(config, features,
+    features)`` if the caller already has it.  A single-class labeled set
+    yields a degenerate model that predicts the observed class with
+    probability 0.99 (flagged via ``Model.degenerate``).
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=int)
@@ -265,7 +309,7 @@ def fit(config: LearnerConfig, features, labels, counts=None, *, init=None) -> M
     n = len(x)
     c = np.ones(n) if counts is None else np.asarray(counts, dtype=float)
     alpha, intercept = _start(init, 1, n)
-    k = kernel_matrix(config, x, x, gamma=gamma)
+    k = _cross_kernel(config, x, x, gamma, gram)
     alpha, intercept, n_iter, converged = _newton(
         config, k, (y + 1) / 2.0, c[None, :], alpha, intercept
     )
@@ -282,13 +326,56 @@ def fit(config: LearnerConfig, features, labels, counts=None, *, init=None) -> M
 
 @dataclass(frozen=True)
 class Committee:
-    """Bagged committee of g >= 2 models trained on bootstrap resamples."""
+    """Bagged committee of g >= 2 kernel models stacked over one labeled support.
 
-    members: tuple
+    Member j's posterior is sigmoid(K(x, support) coeffs[j] + intercepts[j]),
+    clamped like ``Model.predict_proba``, unless ``degenerate_label[j]`` is
+    nonzero: then its draws held that one class and it predicts it at 0.99.
+    ``coeffs[j]`` is 0 at the rows member j did not draw (``drawn[j]`` is
+    False) and everywhere for a degenerate member.
+    """
 
-    def member_proba(self, x):
-        """(g, n_samples) matrix of positive-class posteriors."""
-        return np.vstack([m.predict_proba(x) for m in self.members])
+    config: LearnerConfig
+    support: np.ndarray  # (n, d): the labeled set every member is solved on
+    gamma: float
+    drawn: np.ndarray  # (g, n) bool
+    coeffs: np.ndarray  # (g, n)
+    intercepts: np.ndarray  # (g,)
+    degenerate_label: np.ndarray  # (g,) a one-class member's class, else 0
+    n_iter: np.ndarray  # (g,) Newton steps taken
+    converged: np.ndarray  # (g,) a stop rule fired before max_iter
+
+    @property
+    def degenerate(self):
+        return self.degenerate_label != 0
+
+    def member_proba(self, x, *, kernel=None):
+        """(g, n_samples) matrix of positive-class posteriors.
+
+        ``kernel`` is ``kernel_matrix(config, x, support)`` if the caller
+        already has it; by default it is computed here.
+        """
+        k = _cross_kernel(self.config, x, self.support, self.gamma, kernel)
+        p = np.clip(_sigmoid(self.coeffs @ k.T + self.intercepts[:, None]),
+                    PROB_CLAMP, 1.0 - PROB_CLAMP)
+        fixed = np.where(self.degenerate_label == 1, 0.99, 0.01)
+        return np.where(self.degenerate[:, None], fixed[:, None], p)
+
+    @property
+    def members(self):
+        """Each member as a ``Model`` on its distinct draws."""
+        return tuple(
+            _degenerate(self.config, self.support[d], label, self.gamma) if label else Model(
+                config=self.config,
+                support=self.support[d],
+                dual_coeffs=self.coeffs[j, d],
+                intercept=float(self.intercepts[j]),
+                gamma=self.gamma,
+                n_iter=int(self.n_iter[j]),
+                converged=bool(self.converged[j]),
+            )
+            for j, (d, label) in enumerate(zip(self.drawn, self.degenerate_label))
+        )
 
 
 def _bootstrap_counts(n, g, seed):
@@ -301,17 +388,17 @@ def _bootstrap_counts(n, g, seed):
 
 
 def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0, *,
-                  init=None) -> Committee:
+                  init=None, gram=None) -> Committee:
     """Train g models on size-n bootstrap resamples of the labeled set.
 
     ``seed`` may be an int or a sequence; member j resamples with the stream
     seeded by (*seed, j), so committees are reproducible per member.  Every
     member is solved on the whole labeled set with its draw counts as
-    weights (0 for undrawn rows), all in one stacked Newton that shares K and
-    starts from ``init`` = (alpha, intercept) over the labeled set, if given.
-    Each member is returned on its distinct draws, the undrawn rows'
-    coefficients (zero at the optimum) dropped.  A member whose draws hold
-    one class is the degenerate model of that class.
+    weights (0 for undrawn rows), all in one stacked Newton that shares K
+    (``gram``, if the caller already has it) and starts from ``init`` =
+    (alpha, intercept) over the labeled set, if given.  The undrawn rows'
+    coefficients, zero at the optimum, are set to exactly 0.  A member whose
+    draws hold one class is the degenerate model of that class.
     """
     if g < 2:
         raise ValueError("committee size g must be >= 2")
@@ -323,27 +410,17 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0, *,
     gamma = config.gamma if config.gamma is not None else 1.0 / x.shape[1]
     counts = _bootstrap_counts(n, g, seed)
     drawn = counts > 0
-    two_class = np.array([np.ptp(y[d]) > 0 for d in drawn])
-    live = np.flatnonzero(two_class)
+    label = np.array([0 if np.ptp(y[d]) > 0 else y[d][0] for d in drawn])
+    live = np.flatnonzero(label == 0)
     alpha, intercept = _start(init, len(live), n)
+    coeffs, intercepts = np.zeros((g, n)), np.zeros(g)
+    n_iter, converged = np.zeros(g, dtype=int), np.ones(g, dtype=bool)
     if len(live):
-        k = kernel_matrix(config, x, x, gamma=gamma)
-        alpha, intercept, n_iter, converged = _newton(
+        k = _cross_kernel(config, x, x, gamma, gram)
+        coeffs[live], intercepts[live], n_iter[live], converged[live] = _newton(
             config, k, (y + 1) / 2.0, counts[live], alpha, intercept
         )
-    members = []
-    for j, d in enumerate(drawn):
-        if not two_class[j]:
-            members.append(_degenerate(config, x[d], y[d][0], gamma))
-            continue
-        i = np.searchsorted(live, j)
-        members.append(Model(
-            config=config,
-            support=x[d],
-            dual_coeffs=alpha[i, d],
-            intercept=float(intercept[i]),
-            gamma=gamma,
-            n_iter=int(n_iter[i]),
-            converged=bool(converged[i]),
-        ))
-    return Committee(members=tuple(members))
+        coeffs[~drawn] = 0.0
+    return Committee(config=config, support=x, gamma=gamma, drawn=drawn, coeffs=coeffs,
+                     intercepts=intercepts, degenerate_label=label, n_iter=n_iter,
+                     converged=converged)

@@ -19,20 +19,25 @@ several methods on one pool (``rankal run``) computes them once with
 ``pool_ted_scores`` and passes them in.  The solve itself works in the
 feature-space span of the pool (see ``criteria.solve_ted``).
 
-Each run keeps one ``WarmStart``: the latest fit on its labeled set.  The
-loop only appends labeled rows, so the next margin or checkpoint fit starts
-Newton from that fit's coefficients padded with 0 for the new rows, and a
-fit on an unchanged labeled set (a checkpoint fit, then the next margin
-fit) is reused as it is.  Committee members are solved on the same labeled
-set (undrawn rows weigh 0) and start from the current margin fit.  The
-step functions take the state as ``warm``; without it every fit is cold.
-The optimum of each fit is unchanged, so picks move only at near-ties.
+Each run keeps one ``WarmStart``: the kernel between every pool row and the
+labeled rows, and the latest fit on the labeled set.  The loop only appends
+labeled rows, so after each ``oracle_label`` the block gains the new rows'
+columns from one ``kernel_matrix`` call; the fits take their Gram matrix as
+the block's labeled rows, and the margin, diversity and qbc scorers take its
+unlabeled rows.  The next margin or checkpoint fit starts Newton from the
+latest fit's coefficients padded with 0 for the new rows, and a fit on an
+unchanged labeled set (a checkpoint fit, then the next margin fit) is reused
+as it is.  Committee members are solved on the same labeled set (undrawn
+rows weigh 0) and start from the current margin fit.  The step functions
+take the state as ``warm``; a step called without it uses a throwaway one,
+so every fit in that step is cold.  The optimum of each fit is unchanged
+and the cached kernel entries differ from recomputed ones only by
+round-off, so picks move only at near-ties.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -43,7 +48,8 @@ from . import aggregation as agg
 from .criteria import normalize_and_rank, score_diversity, score_margin, score_qbc, score_ted
 from .data import Dataset, PoolState, oracle_label
 from .evaluation import accuracy, auc, f1
-from .learner import LearnerConfig, check_int, fit, fit_committee
+from . import learner
+from .learner import LearnerConfig, check_int, fit, fit_committee, is_real
 from .weighting import blend_weights, bvsb_weight, duplicate_weight
 
 STRATEGIES = ("fused", "serial", "parallel", "random")
@@ -57,10 +63,12 @@ class Criterion:
     ``bvsb_weight`` otherwise (it is also the criterion's group in
     ``blend_weights`` and in Markov-chain truncation).  ``needs`` names the
     input the scorer reads beyond the pool: ``"model"`` (the margin fit),
-    ``"committee"``, ``"ted"`` (the pool's self-reconstruction scores) or
-    None.  ``score`` maps one iteration's inputs (``pool``, ``cfg``,
-    ``model``, ``committee``, ``ted``) to one score per unlabeled sample,
-    the most valuable sample scoring lowest.
+    ``"committee"``, ``"kernel"`` (the kernel between the unlabeled and the
+    labeled rows, which every fit reads too), ``"ted"`` (the pool's
+    self-reconstruction scores) or None.  ``score`` maps one iteration's
+    inputs (``pool``, ``cfg``, ``model``, ``committee``, ``kernel``,
+    ``ted``) to one score per unlabeled sample, the most valuable sample
+    scoring lowest.
     """
 
     committee: bool
@@ -70,20 +78,16 @@ class Criterion:
 
 CRITERIA = {
     "margin": Criterion(False, "model", lambda i: score_margin(
-        i.model, i.pool.unlabeled_features)),
-    "diversity": Criterion(False, None, lambda i: score_diversity(
+        i.model, i.pool.unlabeled_features, kernel=i.kernel)),
+    "diversity": Criterion(False, "kernel", lambda i: score_diversity(
         i.pool.labeled_features, i.pool.unlabeled_features, i.cfg.learner,
-        reduce=i.cfg.diversity_reduce)),
+        reduce=i.cfg.diversity_reduce, kernel=i.kernel)),
     "qbc": Criterion(True, "committee", lambda i: score_qbc(
-        i.committee, i.pool.unlabeled_features)),
+        i.committee, i.pool.unlabeled_features, kernel=i.kernel)),
     "ted": Criterion(False, "ted", lambda i: i.ted[i.pool.unlabeled_idx]),
     "random": Criterion(False, None, lambda i: _rng(i.cfg, 910, i.pool.iteration).random(
         i.pool.n_unlabeled)),
 }
-
-
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -117,13 +121,13 @@ class ALConfig:
         check_int("n_initial", self.n_initial, 2)
         check_int("tun2", self.tun2, 0)
         check_int("g", self.g, 2)
-        if not (_is_real(self.budget) and 0.0 < self.budget <= 1.0):
+        if not (is_real(self.budget) and 0.0 < self.budget <= 1.0):
             raise ValueError("budget must lie in (0, 1]")
-        if not (_is_real(self.tun1) and 0.0 < self.tun1 < 1.0):
+        if not (is_real(self.tun1) and 0.0 < self.tun1 < 1.0):
             raise ValueError("tun1 must lie in (0, 1)")
-        if not (_is_real(self.p) and self.p >= 1.0):
+        if not (is_real(self.p) and self.p >= 1.0):
             raise ValueError("p must be a finite number >= 1")
-        if not (_is_real(self.ted_lambda) and self.ted_lambda > 0.0):
+        if not (is_real(self.ted_lambda) and self.ted_lambda > 0.0):
             raise ValueError("ted_lambda must be a positive finite number")
         if self.initial_batch not in ("ted", "random"):
             raise ValueError("initial_batch must be 'ted' or 'random'")
@@ -150,7 +154,7 @@ class ALConfig:
             w = self.fixed_weights
             if w is None:
                 raise ValueError("parallel strategy requires fixed_weights")
-            if (len(w) != len(self.criteria) or not all(_is_real(v) and v >= 0 for v in w)
+            if (len(w) != len(self.criteria) or not all(is_real(v) and v >= 0 for v in w)
                     or sum(w) <= 0):
                 raise ValueError(
                     "fixed_weights must be finite, non-negative, not all zero, "
@@ -199,58 +203,91 @@ def pool_ted_scores(pool: PoolState, cfg: ALConfig):
 
 
 class WarmStart:
-    """One run's latest fit on its labeled set, to start the next fits from.
+    """One run's kernel block and latest fit, kept up to date with its labeled set.
 
-    The loop only appends to ``labeled_idx``, so the latest fit's dual
-    coefficients, padded with 0 for the rows labeled since, start the next
-    fit's Newton solve; a fit asked for on an unchanged labeled set (the
-    checkpoint fit, then the next margin fit) is returned as it is.  Holds
-    no randomness, so a seeded run stays deterministic.
+    ``block`` is the n_pool x n_labeled kernel between every pool row and
+    the labeled rows, in ``labeled_idx`` order.  The loop only appends to
+    ``labeled_idx``, so bringing the block up to date costs one
+    ``kernel_matrix`` call for the rows labeled since, and the latest fit's
+    dual coefficients, padded with 0 for those rows, start the next fit's
+    Newton solve; a fit asked for on an unchanged labeled set (the
+    checkpoint fit, then the next margin fit) is returned as it is.  A
+    labeled set that does not extend the last one, another pool or another
+    learner config rebuilds the block and fits cold.  Holds no randomness,
+    so a seeded run stays deterministic.
     """
 
     def __init__(self):
+        self.data = None
+        self.config = None
         self.labeled_idx = np.empty(0, dtype=int)
+        self.block = None
         self.model = None
 
-    def fit(self, pool: PoolState, cfg: ALConfig):
+    def kernel(self, pool: PoolState, config: LearnerConfig):
+        """The kernel block between the pool and ``pool``'s labeled rows."""
         idx, prev = pool.labeled_idx, self.labeled_idx
-        if self.model is not None and np.array_equal(idx, prev):
-            return self.model
-        init = None
-        if self.model is not None and np.array_equal(idx[:len(prev)], prev):
-            alpha = np.zeros(len(idx))
-            alpha[:len(prev)] = self.model.dual_coeffs
-            init = (alpha, self.model.intercept)
-        self.model = fit(cfg.learner, pool.labeled_features, pool.labeled_labels, init=init)
+        x = pool.data.features
+        # learner.kernel_matrix, looked up per call, is the name a tracer wraps
+        if not (pool.data is self.data and config == self.config
+                and np.array_equal(idx[:len(prev)], prev)):
+            self.data, self.config, self.model = pool.data, config, None
+            self.block = learner.kernel_matrix(config, x, x[idx])
+        elif len(idx) > len(prev):
+            new = learner.kernel_matrix(config, x, x[idx[len(prev):]])
+            self.block = np.concatenate([self.block, new], axis=1)
         self.labeled_idx = idx
+        return self.block
+
+    def fit(self, pool: PoolState, cfg: ALConfig):
+        """The model fitted on ``pool``'s labeled set."""
+        block = self.kernel(pool, cfg.learner)
+        n, model = pool.n_labeled, self.model
+        if model is not None and len(model.dual_coeffs) == n:
+            return model
+        init = None
+        if model is not None:
+            alpha = np.zeros(n)
+            alpha[:len(model.dual_coeffs)] = model.dual_coeffs
+            init = (alpha, model.intercept)
+        self.model = fit(cfg.learner, pool.labeled_features, pool.labeled_labels,
+                         init=init, gram=block[pool.labeled_idx])
         return self.model
 
 
 def _labeled_fit(pool, cfg, warm):
     """The model fitted on the labeled set; cold when ``warm`` is None."""
-    if warm is None:
-        return fit(cfg.learner, pool.labeled_features, pool.labeled_labels)
-    return warm.fit(pool, cfg)
+    return (WarmStart() if warm is None else warm).fit(pool, cfg)
 
 
 def _inputs(pool, cfg, ted_scores, warm=None):
-    """The scorers' inputs: the fits that the configured criteria need.
+    """The scorers' inputs: the fits and the kernel that the configured criteria need.
 
-    The margin model is fitted iff a criterion needs it and the committee
-    iff one needs it, both before any scorer runs, so the members start
-    from the margin fit whenever there is one, whatever the criteria order.
+    ``warm`` is the run's ``WarmStart``; without one a throwaway one is
+    used.  The margin model is fitted iff a criterion needs it and the
+    committee iff one needs it, both before any scorer runs, so the members
+    start from the margin fit whenever there is one, whatever the criteria
+    order.  ``kernel`` is the block's unlabeled rows, or None when no
+    criterion reads the kernel or a fit.
     """
+    warm = WarmStart() if warm is None else warm
     needs = {CRITERIA[name].needs for name in cfg.criteria}
-    model = _labeled_fit(pool, cfg, warm) if "model" in needs else None
-    committee = None
+    model = committee = kernel = None
+    if needs & {"model", "committee", "kernel"}:
+        block = warm.kernel(pool, cfg.learner)
+        kernel = block[pool.unlabeled_idx]
+    if "model" in needs:
+        model = warm.fit(pool, cfg)
     if "committee" in needs:
         # members share the labeled set, so the margin fit is a start for each
-        init = None if warm is None or model is None else (model.dual_coeffs, model.intercept)
+        init = None if model is None else (model.dual_coeffs, model.intercept)
         committee = fit_committee(
             cfg.learner, pool.labeled_features, pool.labeled_labels,
             g=cfg.g, seed=(cfg.seed, pool.iteration), init=init,
+            gram=block[pool.labeled_idx],
         )
-    return SimpleNamespace(pool=pool, cfg=cfg, model=model, committee=committee, ted=ted_scores)
+    return SimpleNamespace(pool=pool, cfg=cfg, model=model, committee=committee,
+                           kernel=kernel, ted=ted_scores)
 
 
 def criterion_scores(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
@@ -265,16 +302,17 @@ def top_positions(scores, k):
     return order[:k]
 
 
-def fused_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
-    """One aggregation-driven selection: returns (batch, weights).
+def _fuse(pool: PoolState, cfg: ALConfig, scores):
+    """Rank, weight and aggregate one iteration's criterion scores.
 
-    ``warm`` is the run's ``WarmStart``; None fits every model cold.
+    Returns (ranking, weights, rank lists): the ``AggregatedRanking`` of the
+    unlabeled pool, the ``WeightVector`` and the (L, n_unlabeled) ranks.
     """
     n_batch = min(cfg.n_select, pool.n_unlabeled)
     flags = [CRITERIA[name].committee for name in cfg.criteria]
     rank_rows, raw_weights = [], []
-    for scores, committee_based in zip(criterion_scores(pool, cfg, ted_scores, warm), flags):
-        normalized, ranks = normalize_and_rank(scores)
+    for s, committee_based in zip(scores, flags):
+        normalized, ranks = normalize_and_rank(s)
         if pool.n_unlabeled > n_batch:
             weight = duplicate_weight if committee_based else bvsb_weight
             raw = weight(normalized.sorted_values, n_batch)
@@ -284,12 +322,22 @@ def fused_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
         raw_weights.append(raw)
 
     wv = blend_weights(raw_weights, flags)
+    rank_lists = np.array(rank_rows, dtype=float)
     ranking = agg.aggregate(
-        cfg.aggregator, np.array(rank_rows, dtype=float), wv.weights,
+        cfg.aggregator, rank_lists, wv.weights,
         ids=pool.unlabeled_idx, n_select=n_batch, tun1=cfg.tun1, tun2=cfg.tun2,
         p=cfg.p, committee_flags=np.array(flags),
     )
-    return ranking.top(n_batch), wv
+    return ranking, wv, rank_lists
+
+
+def fused_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
+    """One aggregation-driven selection: returns (batch, weights).
+
+    ``warm`` is the run's ``WarmStart``; None fits every model cold.
+    """
+    ranking, wv, _ = _fuse(pool, cfg, criterion_scores(pool, cfg, ted_scores, warm))
+    return ranking.top(min(cfg.n_select, pool.n_unlabeled)), wv
 
 
 def _serial_layer_sizes(cfg, n_unlabeled):

@@ -4,7 +4,8 @@
   ``max|step|`` on the dual coefficients falls below ``config.tol``, capped
   at 50 steps, with every sample weighted equally.
 * ``fit_committee``: each bagged member fits its bootstrap resample with the
-  duplicate rows kept, from the same (seed, member) streams as the library.
+  duplicate rows kept, from the same (seed, member) streams as the library;
+  returns the tuple of member models.
 * ``score_diversity``: the kernel angle with k(x, x) read off the diagonals
   of full pool x pool and labeled x labeled kernel matrices.
 * ``power_iteration``: the stationary distribution of a transition matrix by
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from rankal.aggregation import AggregatedRanking
-from rankal.learner import Committee, LearnerConfig, Model, kernel_matrix
+from rankal.learner import LearnerConfig, Model, kernel_matrix
 
 MAX_ITER = 50
 
@@ -82,7 +83,7 @@ def fit(config: LearnerConfig, features, labels) -> Model:
                  intercept=float(intercept), gamma=gamma)
 
 
-def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0) -> Committee:
+def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0) -> tuple:
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=int)
     base = (seed,) if np.isscalar(seed) else tuple(seed)
@@ -90,7 +91,7 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0) -> Commi
     for j in range(g):
         idx = np.random.default_rng(base + (j,)).integers(0, len(x), size=len(x))
         members.append(fit(config, x[idx], y[idx]))
-    return Committee(members=tuple(members))
+    return tuple(members)
 
 
 def score_diversity(labeled, pool, config: LearnerConfig, reduce="max"):

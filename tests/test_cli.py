@@ -338,9 +338,15 @@ class TestRun:
             ({"tun1": 2}, "methods[0]: tun1 must lie in (0, 1)"),
             ({"tun2": -1}, "methods[0]: tun2 must be an integer >= 0"),
             ({"n_initial": 41}, "methods[0]: n_initial 41 exceeds the pool's 40 samples"),
+            ({"learner": {"gamma": float("inf")}},
+             "methods[0]: gamma must be a positive finite number"),
+            ({"learner": {"gamma": True}}, "methods[0]: gamma must be a positive finite number"),
+            ({"learner": {"tol": float("nan")}},
+             "methods[0]: tol must be a positive finite number"),
         ],
         ids=["max_iter-0", "max_iter-str", "g-str", "g-1", "n_select-float",
-             "n_initial-float", "tun1-2", "tun2-negative", "n_initial-above-pool"],
+             "n_initial-float", "tun1-2", "tun2-negative", "n_initial-above-pool",
+             "gamma-inf", "gamma-bool", "tol-nan"],
     )
     def test_bad_learner_or_committee_value_exits_2(self, tmp_path, capsys, edit, message):
         out_dir = tmp_path / "r"
@@ -351,6 +357,19 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(cfg_path))
         assert code == 2
         assert "config errors" in err and message in err
+        assert not out_dir.exists()
+
+    def test_nan_reg_in_second_method_exits_2_before_writing(self, tmp_path, capsys):
+        # Python's json reads NaN; the first method alone would run and write its files
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg["methods"][1]["learner"] = {"reg": float("nan")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert '"reg": NaN' in cfg_path.read_text()
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert "methods[1]: reg must be a positive finite number" in err
         assert not out_dir.exists()
 
     def test_one_class_split_exits_2(self, tmp_path, capsys):

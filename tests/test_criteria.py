@@ -15,7 +15,7 @@ from rankal.criteria import (
     score_ted,
     solve_ted,
 )
-from rankal.learner import Committee, LearnerConfig, fit, kernel_matrix
+from rankal.learner import LearnerConfig, fit, kernel_matrix
 from rankal.loop import CRITERIA, ALConfig
 
 CFG = LearnerConfig(kernel="rbf", gamma=1.0)
@@ -116,16 +116,18 @@ class TestDiversity:
         assert peak < 5000 * 5000 * 8 / 8  # the pool x pool kernel alone is 200 MB
 
 
-class _Stub:
-    def __init__(self, value):
-        self.value = value
+class _StubCommittee:
+    """Member j predicts values[j] at every row."""
 
-    def predict_proba(self, x):
-        return np.full(len(np.atleast_2d(x)), self.value)
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def member_proba(self, x, *, kernel=None):
+        return np.repeat(self.values[:, None], len(np.atleast_2d(x)), axis=1)
 
 
 def _stub_committee(values):
-    return Committee(members=tuple(_Stub(v) for v in values))
+    return _StubCommittee(values)
 
 
 class TestQbc:
@@ -259,6 +261,18 @@ class TestNormalizeAndRank:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             normalize_and_rank([1.0, np.nan])
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_follow_the_definition_under_heavy_ties(self, levels, scale):
+        ns, ranks = normalize_and_rank([scale * v for v in levels])
+        s = ns.values
+        assert ranks.dtype.kind == "i"
+        assert ranks.tolist() == (1 + (s[None, :] < s[:, None]).sum(axis=1)).tolist()
+        assert ns.sort_order.tolist() == sorted(range(len(s)), key=lambda i: (s[i], i))
 
     @given(
         st.lists(

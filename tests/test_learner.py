@@ -129,6 +129,16 @@ def test_max_iter_must_be_a_positive_integer(value):
         LearnerConfig(max_iter=value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("reg", float("nan")), ("reg", float("inf")), ("reg", 0.0), ("reg", True),
+    ("tol", float("nan")), ("tol", -1e-8),
+    ("gamma", float("inf")), ("gamma", float("nan")), ("gamma", True), ("gamma", 0),
+])
+def test_reg_tol_and_gamma_must_be_positive_finite_numbers(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be a positive finite number"):
+        LearnerConfig(**{key: value})
+
+
 def test_determinism():
     d = make_two_blobs(n=80, seed=8)
     m1 = fit(LearnerConfig(), d.features, d.labels)
@@ -177,6 +187,26 @@ def test_fit_records_how_it_ended():
     assert capped.n_iter == 2 and not capped.converged
     degenerate = fit(CFG, d.features[:3], np.ones(3, dtype=int))
     assert degenerate.degenerate and degenerate.n_iter == 0 and degenerate.converged
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(20, 80), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       n_pos=st.integers(1, 3), kernel=st.sampled_from(["rbf", "linear"]))
+def test_member_views_match_the_stacked_posteriors(n, d, seed, n_pos, kernel):
+    # one to three positives, so about a third of the draws miss one: the
+    # degenerate members are in the stack too
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = np.where(np.arange(n) < n_pos, 1, -1)
+    cfg = LearnerConfig(kernel=kernel)
+    committee = fit_committee(cfg, x, y, g=5, seed=seed)
+    grid = np.concatenate([x, rng.normal(size=(20, d))])
+    stacked = committee.member_proba(grid)
+    assert stacked.shape == (5, len(grid))
+    for j, member in enumerate(committee.members):
+        assert member.degenerate == committee.degenerate[j]
+        np.testing.assert_allclose(member.predict_proba(grid), stacked[j], rtol=0, atol=1e-12)
+    assert np.all(committee.coeffs[~committee.drawn] == 0.0)
 
 
 def test_members_fit_their_unique_draws():
@@ -244,7 +274,7 @@ class TestOptimality:
         cfg = LearnerConfig(kernel=kernel)
         got = fit_committee(cfg, x, y, g=3, seed=seed)
         want = reference.fit_committee(cfg, x, y, g=3, seed=seed)
-        for member, ref in zip(got.members, want.members):
+        for member, ref in zip(got.members, want):
             # posteriors on the rows the member was fitted on, duplicates
             # included; off them, the frozen reference, whose Newton system
             # has a condition number of about cond(K)^2, ends up to 1e-4 off
@@ -283,7 +313,7 @@ class TestWarmStart:
         margin = fit(cfg, x, y)
         got = fit_committee(cfg, x, y, g=3, seed=seed, init=(margin.dual_coeffs, margin.intercept))
         want = reference.fit_committee(cfg, x, y, g=3, seed=seed)
-        for member, ref in zip(got.members, want.members):
+        for member, ref in zip(got.members, want):
             assert member.degenerate == ref.degenerate
             np.testing.assert_allclose(
                 member.predict_proba(ref.support), ref.predict_proba(ref.support),

@@ -5,8 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rankal.learner
+import rankal.loop
+from certify import certify
 from rankal.cli import main
-from rankal.criteria import normalize_and_rank, score_margin, score_diversity, score_ted, solve_ted
+from rankal.criteria import (
+    normalize_and_rank,
+    score_diversity,
+    score_margin,
+    score_qbc,
+    score_ted,
+    solve_ted,
+)
 from rankal.data import (
     Dataset,
     PoolState,
@@ -16,12 +26,13 @@ from rankal.data import (
     oracle_label,
     split_pool,
 )
-from rankal.learner import LearnerConfig, fit, posterior
+from rankal.learner import LearnerConfig, fit, kernel_matrix, posterior
 from rankal.loop import (
     CRITERIA,
     ALConfig,
     Criterion,
     WarmStart,
+    _fuse,
     _inputs,
     _labeled_fit,
     criterion_scores,
@@ -377,13 +388,8 @@ class TestWarmStart:
                 )
                 b_warm = fused_step(state, cfg, None, warm=warm)[0]
                 batch = fused_step(state, cfg, None)[0]
-                if sorted(b_warm) != sorted(batch):
-                    # certify a near-tie between the two picks in every criterion
-                    i, j = (np.flatnonzero(np.isin(state.unlabeled_idx, b)) for b in
-                            (np.setdiff1d(b_warm, batch), np.setdiff1d(batch, b_warm)))
-                    for name, s in zip(cfg.criteria, criterion_scores(state, cfg, None)):
-                        norm = normalize_and_rank(s)[0].values
-                        assert np.abs(norm[i] - norm[j]).max() <= 1e-6, name
+                certify(state, cfg, b_warm, batch,
+                        [criterion_scores(state, cfg, None, w) for w in (warm, None)])
             state = oracle_label(state, batch)
             if step % 2 or state.n_unlabeled == 0:
                 # a checkpoint fit, which the next margin fit reuses
@@ -423,9 +429,103 @@ class TestWarmStart:
         assert run_active_learning(pool, test, cfg) == first
 
 
+kernel_runs = st.fixed_dictionaries(dict(
+    n=st.integers(20, 80), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+    labeled_frac=st.floats(0.0, 1.0), n_select=st.integers(1, 3),
+    kernel=st.sampled_from(["rbf", "linear"]),
+))
+
+
+def fused_run(n, d, seed, labeled_frac, n_select, kernel, steps=6):
+    """(state, cfg, warm) before each of up to ``steps`` fused steps of one run."""
+    state = TestWarmStart.pool(n, d, 2 + round(labeled_frac * (n - 3)), seed)
+    cfg = ALConfig(criteria=("diversity", "margin", "qbc"), n_select=n_select,
+                   seed=seed % 997, learner=LearnerConfig(kernel=kernel))
+    warm = WarmStart()
+    for _ in range(steps):
+        if state.n_unlabeled <= n_select:
+            return
+        yield state, cfg, warm
+        state = oracle_label(state, fused_step(state, cfg, None, warm=warm)[0])
+
+
+class TestKernelBlock:
+    """The run's pool x labeled kernel block stands in for every kernel the step needs."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(run=kernel_runs)
+    def test_block_matches_a_fresh_kernel(self, run):
+        for state, cfg, warm in fused_run(**run):
+            x = state.data.features
+            fresh = kernel_matrix(cfg.learner, x, x[state.labeled_idx])
+            np.testing.assert_allclose(warm.kernel(state, cfg.learner), fresh, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(run=kernel_runs)
+    def test_cached_scores_match_the_public_scorers(self, run):
+        for state, cfg, warm in fused_run(**run):
+            inputs = _inputs(state, cfg, None, warm)
+            cached = [CRITERIA[name].score(inputs) for name in cfg.criteria]
+            labeled, unlabeled = state.labeled_features, state.unlabeled_features
+            fresh = [
+                score_diversity(labeled, unlabeled, cfg.learner, reduce=cfg.diversity_reduce),
+                score_margin(inputs.model, unlabeled),
+                score_qbc(inputs.committee, unlabeled),
+            ]
+            for name, a, b in zip(cfg.criteria, cached, fresh):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+            n_batch = min(cfg.n_select, state.n_unlabeled)
+            picks = [_fuse(state, cfg, scores)[0].top(n_batch) for scores in (cached, fresh)]
+            certify(state, cfg, *picks, [cached, fresh])
+
+    @settings(max_examples=25, deadline=None)
+    @given(run=kernel_runs)
+    def test_labeled_set_that_does_not_extend_the_block_rebuilds_it(self, run):
+        inits = []
+        real_fit = rankal.loop.fit
+
+        def recording_fit(*args, **kwargs):
+            inits.append(kwargs.get("init"))
+            return real_fit(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rankal.loop, "fit", recording_fit)
+            for state, cfg, warm in fused_run(**run):
+                idx = state.labeled_idx
+                for other in (idx[::-1], idx[:-1]):  # reordered, then shrunk
+                    moved = PoolState(state.data, other,
+                                      np.setdiff1d(np.arange(len(state.data)), other))
+                    fresh = kernel_matrix(cfg.learner, state.data.features,
+                                          state.data.features[other])
+                    np.testing.assert_allclose(warm.kernel(moved, cfg.learner), fresh,
+                                               rtol=0, atol=1e-12)
+                    del inits[:]
+                    warm.fit(moved, cfg)
+                    assert inits == [None]  # a cold fit
+
+    @settings(max_examples=25, deadline=None)
+    @given(run=kernel_runs)
+    def test_one_kernel_call_per_labeled_batch(self, run):
+        calls = []
+        real = rankal.learner.kernel_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[2]))
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rankal.learner, "kernel_matrix", counting)
+            m.setattr(rankal.criteria, "kernel_matrix", counting)
+            batches = [len(state.labeled_idx) for state, _, _ in fused_run(**run)]
+        # the first step builds the block on the initial labels, each later one
+        # adds the columns of the batch labeled since
+        assert [shape[0] for shape in calls] == np.diff([0] + batches).tolist()
+
+
 def _entropy_score(inputs):
     """Negated binary entropy of the top posterior: the most uncertain sample scores lowest."""
-    q = np.minimum(posterior(inputs.model, inputs.pool.unlabeled_features)[2], 1 - 1e-15)
+    p_max = posterior(inputs.model, inputs.pool.unlabeled_features, kernel=inputs.kernel)[2]
+    q = np.minimum(p_max, 1 - 1e-15)
     return q * np.log(q) + (1 - q) * np.log1p(-q)
 
 

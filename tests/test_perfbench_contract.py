@@ -47,7 +47,8 @@ def test_tracer_wraps_and_restores_every_name():
 def test_every_wrapped_scorer_records_spans():
     # the loop's criteria table must reach the scorers through rankal.loop's
     # names; holding rankal.criteria's functions would bypass the wrappers and
-    # read 0 s for them
+    # read 0 s for them.  Likewise the run's kernel block must fill through a
+    # name the tracer wraps, or learner.kernel_matrix reads 0 s
     tracing = _tracing()
     scorers = {name for owner, _, name, _ in tracing._targets(rankal)
                if owner is rankal.loop and name.startswith("criteria.")}
@@ -63,7 +64,13 @@ def test_every_wrapped_scorer_records_spans():
     finally:
         tracer.uninstall()
     recorded = {span[0] for span in tracer.spans}
-    assert not scorers - recorded, f"no spans for {sorted(scorers - recorded)}"
+    required = scorers | {"learner.kernel_matrix", "learner.fit", "learner.fit_committee"}
+    assert not required - recorded, f"no spans for {sorted(required - recorded)}"
+    # checkpoint predictions call kernel_matrix too: the block's own calls
+    # are the ones inside a query step
+    ancestors = tracing.summarize(tracer.spans, 0, len(tracer.spans))["ancestors"]
+    assert any(span[0] == "learner.kernel_matrix" and "loop.fused_step" in chain
+               for span, chain in zip(tracer.spans, ancestors))
 
 
 def test_benchmark_smoke_check_passes():
