@@ -291,8 +291,9 @@ def markov_aggregate(rank_lists, weights, variant="mc2", n_select=1,
     desc = np.argsort(-pi, kind="stable")  # tiers absorb round-off between tied pi
     tier = np.concatenate(([0], np.cumsum(np.diff(pi[desc]) < -1e-12)))
     best = desc[np.lexsort((desc, tier))]
-    rest = np.setdiff1d(np.arange(n), cand)
-    order = np.concatenate([cand[best], rest]).astype(int)
+    rest = np.ones(n, dtype=bool)
+    rest[cand] = False
+    order = np.concatenate([cand[best], np.flatnonzero(rest)]).astype(int)
     scores = np.zeros(n)
     scores[: len(cand)] = pi[best]
     return _ranking(order, scores, ids)

@@ -50,13 +50,6 @@ def score_margin(model: Model, pool_features, *, kernel=None) -> np.ndarray:
     return p_max
 
 
-def _kernel_diag(config: LearnerConfig, a):
-    """k(x, x) for every row x of ``a``: 1 for RBF, the squared norm for linear."""
-    if config.kernel == "linear":
-        return np.sum(a * a, axis=1)
-    return np.ones(len(a))
-
-
 def score_diversity(
     labeled_features, pool_features, config: LearnerConfig, reduce="max", *, kernel=None
 ) -> np.ndarray:
@@ -83,13 +76,17 @@ def score_diversity(
             raise ValueError(
                 f"kernel must have shape ({len(pool)}, {len(labeled)}), got {cross.shape}"
             )
-    k_pool, k_lab = _kernel_diag(config, pool), _kernel_diag(config, labeled)
     # one pool x labeled buffer turns into the cosines, then the angles
-    angles = np.sqrt(np.outer(k_pool, k_lab))
-    positive = angles > 0
-    np.divide(cross, angles, out=angles, where=positive)
-    angles[~positive] = 0.0
-    np.arccos(np.clip(angles, -1.0, 1.0, out=angles), out=angles)
+    if config.kernel == "rbf":
+        # k(x, x) = 1 for every x, so the cosines are the kernel entries
+        angles = np.clip(cross, -1.0, 1.0)
+    else:
+        angles = np.sqrt(np.outer(np.sum(pool * pool, axis=1), np.sum(labeled * labeled, axis=1)))
+        positive = angles > 0
+        np.divide(cross, angles, out=angles, where=positive)
+        angles[~positive] = 0.0
+        np.clip(angles, -1.0, 1.0, out=angles)
+    np.arccos(angles, out=angles)
     agg = angles.max(axis=1) if reduce == "max" else angles.min(axis=1)
     return -agg
 

@@ -45,16 +45,19 @@ that it extends by a column per labeled sample (see ``rankal.loop``).
 Committees are built by bootstrap bagging with per-member RNG streams
 derived from (seed, member).  Every member is solved on the whole labeled
 set with its draw counts as weights (0 for undrawn rows), so all members
-share one K and one starting point, and they are solved together: one
-stacked (g, n+1, n+1) Newton, each member with its own line search, leaving
-the active set when its own stop rule fires.  Warm-started from a margin
-fit on the bundled blobs at 10-90 labels (2 vCPUs, one BLAS thread), five
-members solve 1.5-2.5x faster this way than one by one.  The
-``Committee`` keeps the members stacked: one (g, n_labeled) coefficient
-matrix over the shared labeled support with exact zeros at each member's
-undrawn rows (their optimum), the intercepts, and the class of each member
-whose draws hold a single class (it predicts that class at 0.99), so all
-member posteriors are one kernel and one matrix product.
+share one K and one starting point, and they are solved together: one Newton
+on a stack of (n+1, n+1) systems, each row with its own line search, leaving
+the active set when its own stop rule fires.  Row 0 is the margin problem,
+count 1 on every row, and comes back as ``Committee.model``, so a query step
+that needs both the margin fit and the committee makes one Newton call;
+every row starts from the same ``init`` (in the query loop, the previous fit
+padded with 0).  Warm-started on the bundled blobs at 10-90 labels (2 vCPUs,
+one BLAS thread), five members solve 1.5-2.5x faster in one stack than one
+by one.  The ``Committee`` keeps the members stacked: one (g, n_labeled)
+coefficient matrix over the shared labeled support with exact zeros at each
+member's undrawn rows (their optimum), the intercepts, and the class of each
+member whose draws hold a single class (it predicts that class at 0.99), so
+all member posteriors are one kernel and one matrix product.
 ``Committee.members`` derives each member as a ``Model`` on its distinct
 draws.
 """
@@ -313,20 +316,21 @@ def fit(config: LearnerConfig, features, labels, counts=None, *, init=None,
     alpha, intercept, n_iter, converged = _newton(
         config, k, (y + 1) / 2.0, c[None, :], alpha, intercept
     )
-    return Model(
-        config=config,
-        support=x,
-        dual_coeffs=alpha[0],
-        intercept=float(intercept[0]),
-        gamma=gamma,
-        n_iter=int(n_iter[0]),
-        converged=bool(converged[0]),
-    )
+    return _model(config, x, gamma, alpha[0], intercept[0], n_iter[0], converged[0])
+
+
+def _model(config, x, gamma, alpha, intercept, n_iter, converged):
+    """The fitted ``Model`` with support ``x`` from one row of a Newton solve."""
+    return Model(config=config, support=x, dual_coeffs=alpha, intercept=float(intercept),
+                 gamma=gamma, n_iter=int(n_iter), converged=bool(converged))
 
 
 @dataclass(frozen=True)
 class Committee:
     """Bagged committee of g >= 2 kernel models stacked over one labeled support.
+
+    ``model`` is the fit on the whole labeled set, solved in the members'
+    Newton stack: the model ``fit`` returns, up to round-off.
 
     Member j's posterior is sigmoid(K(x, support) coeffs[j] + intercepts[j]),
     clamped like ``Model.predict_proba``, unless ``degenerate_label[j]`` is
@@ -338,6 +342,7 @@ class Committee:
     config: LearnerConfig
     support: np.ndarray  # (n, d): the labeled set every member is solved on
     gamma: float
+    model: Model  # the fit on the whole labeled set, count 1 per row
     drawn: np.ndarray  # (g, n) bool
     coeffs: np.ndarray  # (g, n)
     intercepts: np.ndarray  # (g,)
@@ -365,15 +370,9 @@ class Committee:
     def members(self):
         """Each member as a ``Model`` on its distinct draws."""
         return tuple(
-            _degenerate(self.config, self.support[d], label, self.gamma) if label else Model(
-                config=self.config,
-                support=self.support[d],
-                dual_coeffs=self.coeffs[j, d],
-                intercept=float(self.intercepts[j]),
-                gamma=self.gamma,
-                n_iter=int(self.n_iter[j]),
-                converged=bool(self.converged[j]),
-            )
+            _degenerate(self.config, self.support[d], label, self.gamma) if label else _model(
+                self.config, self.support[d], self.gamma, self.coeffs[j, d],
+                self.intercepts[j], self.n_iter[j], self.converged[j])
             for j, (d, label) in enumerate(zip(self.drawn, self.degenerate_label))
         )
 
@@ -394,11 +393,14 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0, *,
     ``seed`` may be an int or a sequence; member j resamples with the stream
     seeded by (*seed, j), so committees are reproducible per member.  Every
     member is solved on the whole labeled set with its draw counts as
-    weights (0 for undrawn rows), all in one stacked Newton that shares K
-    (``gram``, if the caller already has it) and starts from ``init`` =
-    (alpha, intercept) over the labeled set, if given.  The undrawn rows'
-    coefficients, zero at the optimum, are set to exactly 0.  A member whose
-    draws hold one class is the degenerate model of that class.
+    weights (0 for undrawn rows).  The same stacked Newton solves, as its
+    row 0, the problem with count 1 on every row: ``fit``'s problem, whose
+    solution is ``Committee.model``.  All rows share K (``gram``, if the
+    caller already has it) and start from ``init`` = (alpha, intercept) over
+    the labeled set, if given.  The undrawn rows' coefficients, zero at the
+    optimum, are set to exactly 0.  A member whose draws hold one class is
+    the degenerate model of that class, and so is ``model`` for a one-class
+    labeled set; their rows stay out of the stack.
     """
     if g < 2:
         raise ValueError("committee size g must be >= 2")
@@ -411,16 +413,20 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0, *,
     counts = _bootstrap_counts(n, g, seed)
     drawn = counts > 0
     label = np.array([0 if np.ptp(y[d]) > 0 else y[d][0] for d in drawn])
-    live = np.flatnonzero(label == 0)
-    alpha, intercept = _start(init, len(live), n)
+    live = np.flatnonzero(label == 0)  # empty unless the labeled set has two classes
+    rows = np.concatenate([np.ones((int(np.ptp(y) > 0), n)), counts[live]])
+    alpha, intercept = _start(init, len(rows), n)
     coeffs, intercepts = np.zeros((g, n)), np.zeros(g)
     n_iter, converged = np.zeros(g, dtype=int), np.ones(g, dtype=bool)
-    if len(live):
+    if len(rows):
         k = _cross_kernel(config, x, x, gamma, gram)
-        coeffs[live], intercepts[live], n_iter[live], converged[live] = _newton(
-            config, k, (y + 1) / 2.0, counts[live], alpha, intercept
-        )
+        alpha, intercept, steps, done = _newton(config, k, (y + 1) / 2.0, rows, alpha, intercept)
+        model = _model(config, x, gamma, alpha[0], intercept[0], steps[0], done[0])
+        coeffs[live], intercepts[live], n_iter[live], converged[live] = (
+            alpha[1:], intercept[1:], steps[1:], done[1:])
         coeffs[~drawn] = 0.0
-    return Committee(config=config, support=x, gamma=gamma, drawn=drawn, coeffs=coeffs,
-                     intercepts=intercepts, degenerate_label=label, n_iter=n_iter,
-                     converged=converged)
+    else:
+        model = _degenerate(config, x, y[0], gamma)
+    return Committee(config=config, support=x, gamma=gamma, model=model, drawn=drawn,
+                     coeffs=coeffs, intercepts=intercepts, degenerate_label=label,
+                     n_iter=n_iter, converged=converged)

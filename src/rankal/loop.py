@@ -24,15 +24,16 @@ labeled rows, and the latest fit on the labeled set.  The loop only appends
 labeled rows, so after each ``oracle_label`` the block gains the new rows'
 columns from one ``kernel_matrix`` call; the fits take their Gram matrix as
 the block's labeled rows, and the margin, diversity and qbc scorers take its
-unlabeled rows.  The next margin or checkpoint fit starts Newton from the
-latest fit's coefficients padded with 0 for the new rows, and a fit on an
-unchanged labeled set (a checkpoint fit, then the next margin fit) is reused
-as it is.  Committee members are solved on the same labeled set (undrawn
-rows weigh 0) and start from the current margin fit.  The step functions
-take the state as ``warm``; a step called without it uses a throwaway one,
-so every fit in that step is cold.  The optimum of each fit is unchanged
-and the cached kernel entries differ from recomputed ones only by
-round-off, so picks move only at near-ties.
+unlabeled rows.  Every fit starts Newton from the latest fit's coefficients
+padded with 0 for the new rows.  When the criteria need the committee, its
+members (solved on the same labeled set, undrawn rows weighing 0) and the
+margin problem share one stacked Newton, and its margin model becomes the
+latest fit; otherwise the margin fit is ``WarmStart.fit``, which reuses a
+fit on an unchanged labeled set (a checkpoint fit, then the next margin fit)
+as it is.  The step functions take the state as ``warm``; a step called
+without it uses a throwaway one, so every fit in that step is cold.  The
+optimum of each fit is unchanged and the cached kernel entries differ from
+recomputed ones only by round-off, so picks move only at near-ties.
 """
 
 from __future__ import annotations
@@ -239,19 +240,23 @@ class WarmStart:
         self.labeled_idx = idx
         return self.block
 
+    def start(self, n):
+        """The latest fit's (alpha, intercept) padded with 0 to ``n`` rows; None if none."""
+        model = self.model
+        if model is None:
+            return None
+        alpha = np.zeros(n)
+        alpha[:len(model.dual_coeffs)] = model.dual_coeffs
+        return alpha, model.intercept
+
     def fit(self, pool: PoolState, cfg: ALConfig):
         """The model fitted on ``pool``'s labeled set."""
         block = self.kernel(pool, cfg.learner)
         n, model = pool.n_labeled, self.model
         if model is not None and len(model.dual_coeffs) == n:
             return model
-        init = None
-        if model is not None:
-            alpha = np.zeros(n)
-            alpha[:len(model.dual_coeffs)] = model.dual_coeffs
-            init = (alpha, model.intercept)
         self.model = fit(cfg.learner, pool.labeled_features, pool.labeled_labels,
-                         init=init, gram=block[pool.labeled_idx])
+                         init=self.start(n), gram=block[pool.labeled_idx])
         return self.model
 
 
@@ -264,11 +269,11 @@ def _inputs(pool, cfg, ted_scores, warm=None):
     """The scorers' inputs: the fits and the kernel that the configured criteria need.
 
     ``warm`` is the run's ``WarmStart``; without one a throwaway one is
-    used.  The margin model is fitted iff a criterion needs it and the
-    committee iff one needs it, both before any scorer runs, so the members
-    start from the margin fit whenever there is one, whatever the criteria
-    order.  ``kernel`` is the block's unlabeled rows, or None when no
-    criterion reads the kernel or a fit.
+    used.  When a criterion needs the committee, one stacked Newton solves
+    its members and the margin problem (``Committee.model``), which becomes
+    the run's latest fit; otherwise the margin model, if a criterion needs
+    it, is ``WarmStart.fit``.  ``kernel`` is the block's unlabeled rows, or
+    None when no criterion reads the kernel or a fit.
     """
     warm = WarmStart() if warm is None else warm
     needs = {CRITERIA[name].needs for name in cfg.criteria}
@@ -276,16 +281,15 @@ def _inputs(pool, cfg, ted_scores, warm=None):
     if needs & {"model", "committee", "kernel"}:
         block = warm.kernel(pool, cfg.learner)
         kernel = block[pool.unlabeled_idx]
-    if "model" in needs:
-        model = warm.fit(pool, cfg)
     if "committee" in needs:
-        # members share the labeled set, so the margin fit is a start for each
-        init = None if model is None else (model.dual_coeffs, model.intercept)
         committee = fit_committee(
             cfg.learner, pool.labeled_features, pool.labeled_labels,
-            g=cfg.g, seed=(cfg.seed, pool.iteration), init=init,
+            g=cfg.g, seed=(cfg.seed, pool.iteration), init=warm.start(pool.n_labeled),
             gram=block[pool.labeled_idx],
         )
+        model = warm.model = committee.model
+    elif "model" in needs:
+        model = warm.fit(pool, cfg)
     return SimpleNamespace(pool=pool, cfg=cfg, model=model, committee=committee,
                            kernel=kernel, ted=ted_scores)
 

@@ -313,6 +313,21 @@ class TestMarkovAggregate:
                 out = markov_aggregate(lists, w, variant=variant, truncate=truncate)
                 assert out.ranks[0] < out.ranks[j], (variant, truncate)
 
+    @given(st.integers(2, 60), st.integers(1, 4), st.integers(1, 5), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_away_samples_follow_in_ascending_position(
+            self, n, n_lists, n_select, tun2, seed):
+        rng = np.random.default_rng(seed)
+        lists = random_permutations(rng, n_lists, n)
+        flags = rng.random(n_lists) < 0.5
+        flags[0] = False  # one list nominates, so truncation runs
+        out = markov_aggregate(lists, rng.uniform(0.05, 1.0, n_lists), n_select=n_select,
+                               tun2=tun2, committee_flags=flags)
+        cand = truncate_candidates(lists, flags, n_select, tun2)
+        np.testing.assert_array_equal(out.ids[len(cand):], np.setdiff1d(np.arange(n), cand))
+        np.testing.assert_array_equal(np.sort(out.ids[:len(cand)]), np.sort(cand))
+
     def test_scores_follow_ids(self):
         rng = np.random.default_rng(13)
         lists = random_permutations(rng, 3, 12)

@@ -104,6 +104,23 @@ class TestDiversity:
             rtol=0, atol=1e-12,
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_pool=st.integers(1, 40), n_labeled=st.integers(1, 10), d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1), reduce=st.sampled_from(["max", "min"]),
+    )
+    def test_rbf_cosines_are_the_kernel_entries_bit_for_bit(
+            self, n_pool, n_labeled, d, seed, reduce):
+        # k(x, x) = 1 under RBF: dividing by sqrt(k(x,x) k(a,a)) = 1.0 is exact
+        rng = np.random.default_rng(seed)
+        labeled, pool = rng.normal(size=(n_labeled, d)), rng.normal(size=(n_pool, d))
+        cfg = LearnerConfig()
+        cross = kernel_matrix(cfg, pool, labeled)
+        denominator = np.sqrt(np.outer(np.ones(n_pool), np.ones(n_labeled)))
+        angles = np.arccos(np.clip(cross / denominator, -1.0, 1.0))
+        want = -(angles.max(axis=1) if reduce == "max" else angles.min(axis=1))
+        assert np.array_equal(score_diversity(labeled, pool, cfg, reduce=reduce), want)
+
     def test_memory_stays_below_a_pool_by_pool_kernel(self):
         rng = np.random.default_rng(2)
         pool, labeled = rng.normal(size=(5000, 5)), rng.normal(size=(60, 5))

@@ -339,6 +339,26 @@ class TestWarmStart:
         for row, a in zip(counts, alpha):
             assert np.abs(a[row == 0]).max(initial=0.0) <= 1e-12 * np.abs(a).max()
 
+    @settings(max_examples=60, deadline=None)
+    @given(**pools, one_class=st.booleans())
+    def test_committee_model_is_the_whole_set_fit(self, n, d, seed, kernel, one_class):
+        x, y, _ = _pool(n, d, seed)
+        if one_class:
+            y[:] = y[-1]
+        cfg = LearnerConfig(kernel=kernel)
+        # the fit on all rows but the last few, padded with 0, as the loop does
+        head = fit(cfg, x[: n - 3], y[: n - 3])
+        warm = (np.concatenate([head.dual_coeffs, np.zeros(3)]), head.intercept)
+        grid = np.random.default_rng(seed).normal(size=(20, d))
+        for init in (None, warm):
+            want = fit(cfg, x, y, init=init)
+            got = fit_committee(cfg, x, y, g=3, seed=seed, init=init).model
+            assert got.degenerate == want.degenerate == one_class
+            for points in (x, grid):
+                np.testing.assert_allclose(
+                    got.predict_proba(points), want.predict_proba(points), rtol=0, atol=1e-10
+                )
+
     def test_init_shape_checked(self):
         x, y = np.array([[0.0], [2.0]]), np.array([-1, 1])
         with pytest.raises(ValueError, match="init alpha"):

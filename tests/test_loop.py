@@ -392,7 +392,7 @@ class TestWarmStart:
                         [criterion_scores(state, cfg, None, w) for w in (warm, None)])
             state = oracle_label(state, batch)
             if step % 2 or state.n_unlabeled == 0:
-                # a checkpoint fit, which the next margin fit reuses
+                # a checkpoint fit, from which the next step's stack starts
                 x = state.data.features
                 np.testing.assert_allclose(
                     _labeled_fit(state, cfg, warm).predict_proba(x),
@@ -417,16 +417,41 @@ class TestWarmStart:
         test, pool = split_pool(d, SplitSpec(0.5, 19))
         cfg = ALConfig(budget=0.4, checkpoints=(0.2, 0.4), seed=19, n_select=2)
         inits = []
-        real_fit = loop.fit
 
-        def recording_fit(*args, **kwargs):
-            inits.append(kwargs.get("init") is not None)
-            return real_fit(*args, **kwargs)
+        def recording(real):
+            def wrapped(*args, **kwargs):
+                inits.append(kwargs.get("init") is not None)
+                return real(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(loop, "fit", recording_fit)
+        # checkpoint fits go through fit, margin fits through the committee's stack
+        for name in ("fit", "fit_committee"):
+            monkeypatch.setattr(loop, name, recording(getattr(loop, name)))
         first = run_active_learning(pool, test, cfg)
         assert inits[0] is False and all(inits[1:])
         assert run_active_learning(pool, test, cfg) == first
+
+
+@pytest.mark.filterwarnings("ignore:all rank lists are committee-based")  # qbc alone
+@pytest.mark.parametrize("criteria", [("diversity", "margin", "qbc"), ("qbc",), ("margin",)])
+def test_one_newton_call_per_query_step(monkeypatch, criteria):
+    calls = []
+    real = rankal.learner._newton
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rankal.learner, "_newton", counting)
+    state = prepared_pool(seed=23)
+    cfg = ALConfig(criteria=criteria, seed=23)
+    warm = WarmStart()
+    for _ in range(3):
+        del calls[:]
+        batch = fused_step(state, cfg, None, warm=warm)[0]
+        # with the committee, the margin problem is one more row of its stack
+        assert len(calls) == 1
+        state = oracle_label(state, batch)
 
 
 kernel_runs = st.fixed_dictionaries(dict(
