@@ -241,16 +241,21 @@ def split_pool(d: Dataset, spec: SplitSpec):
 def oracle_label(pool: PoolState, batch) -> PoolState:
     """Reveal ground-truth labels for ``batch`` (indices into the pool data)."""
     batch = np.asarray(batch, dtype=int)
-    if len(np.unique(batch)) != len(batch):
-        raise ValueError("batch contains duplicate indices")
-    if not np.all(np.isin(batch, pool.unlabeled_idx)):
+    n = len(pool.data)
+    if np.any((batch < 0) | (batch >= n)):  # never members, but duplicates are named first
+        if len(np.unique(batch)) != len(batch):
+            raise ValueError("batch contains duplicate indices")
         raise ValueError("batch contains indices that are not unlabeled pool members")
-    labeled = np.concatenate([pool.labeled_idx, batch])
-    mask = np.isin(pool.unlabeled_idx, batch, invert=True)
+    hits = np.bincount(batch, minlength=n)
+    if hits.max(initial=0) > 1:
+        raise ValueError("batch contains duplicate indices")
+    kept = hits[pool.unlabeled_idx] == 0
+    if len(kept) - np.count_nonzero(kept) != len(batch):  # some index hit no unlabeled member
+        raise ValueError("batch contains indices that are not unlabeled pool members")
     return PoolState(
         data=pool.data,
-        labeled_idx=labeled,
-        unlabeled_idx=pool.unlabeled_idx[mask],
+        labeled_idx=np.concatenate([pool.labeled_idx, batch]),
+        unlabeled_idx=pool.unlabeled_idx[kept],
         iteration=pool.iteration + 1,
     )
 

@@ -25,6 +25,17 @@ can still gain, so the line search alone would cut good steps.
 that reaches ``max_iter``, or whose line search shrinks the step below
 ``tol``, returns what it has with ``converged=False`` and never raises.
 
+Newton keeps only its running rows.  Their counts, point, objective and
+z = K alpha + b are compact arrays, one row per running problem, compressed
+only on an iteration where some row stopped; a row is written back to the
+caller's arrays once, when it stops (converged, line search failed, or
+``max_iter`` reached).  Each iteration tries the full step of every running
+row in one objective evaluation, and only rows whose objective rose go on
+to halve.  The stacked system and its right-hand side are allocated once
+per call and filled in place.  None of this changes the arithmetic: fits
+are bit-identical to the loop that gathers and scatters the active rows
+every iteration, kept in ``tests/reference.py``.
+
 Samples may carry integer counts: ``fit(..., counts=c)`` minimizes the loss
 weighted by c, which is the fit on the rows repeated c times.  A count of 0
 is allowed: that row's equation in the system above is reg step_i =
@@ -47,7 +58,7 @@ derived from (seed, member).  Every member is solved on the whole labeled
 set with its draw counts as weights (0 for undrawn rows), so all members
 share one K and one starting point, and they are solved together: one Newton
 on a stack of (n+1, n+1) systems, each row with its own line search, leaving
-the active set when its own stop rule fires.  Row 0 is the margin problem,
+the running set when its own stop rule fires.  Row 0 is the margin problem,
 count 1 on every row, and comes back as ``Committee.model``, so a query step
 that needs both the margin fit and the committee makes one Newton call;
 every row starts from the same ``init`` (in the query loop, the previous fit
@@ -120,8 +131,14 @@ def kernel_matrix(config: LearnerConfig, a, b, gamma=None):
     return np.exp(-g * np.maximum(sq, 0.0))
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+def _sigmoid(z, out=None):
+    """1 / (1 + exp(-z)) with z clipped to [-35, 35], computed in ``out`` if given."""
+    out = np.maximum(z, -35.0, out=out)
+    np.minimum(out, 35.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _features(x, support):
@@ -192,11 +209,17 @@ def posterior(model: Model, x, *, kernel=None):
 
 def _objective(k, target, counts, alpha, intercept, reg):
     """Per stacked row: the count-weighted penalized NLL, and z = K alpha + b."""
-    z = alpha @ k + intercept[:, None]  # K is symmetric: row j is K @ alpha[j]
+    z = alpha @ k  # K is symmetric: row j is K @ alpha[j]
+    z += intercept[:, None]
     # log(1 + exp(-|z|)) formulation keeps the loss finite for large |z|
-    nll = np.sum(counts * (np.logaddexp(0.0, z) - target * z), axis=1)
+    buf = np.logaddexp(0.0, z)
+    buf -= target * z
+    buf *= counts
+    nll = np.add.reduce(buf, axis=1)
     # the penalty alpha' K alpha reuses z instead of a second matvec
-    return nll + 0.5 * reg * np.sum(alpha * (z - intercept[:, None]), axis=1), z
+    np.subtract(z, intercept[:, None], out=buf)
+    buf *= alpha
+    return nll + 0.5 * reg * np.add.reduce(buf, axis=1), z
 
 
 def _newton(config, k, target, counts, alpha, intercept):
@@ -204,65 +227,91 @@ def _newton(config, k, target, counts, alpha, intercept):
 
     ``counts`` and ``alpha`` are (g, n) and ``intercept`` is (g,); ``alpha``
     and ``intercept`` hold the starting point and are updated in place.  Each
-    problem has its own line search and leaves the active set once a stop
+    problem has its own line search and leaves the running set once a stop
     rule fires.  Returns alpha, intercept, Newton steps taken and converged
-    flags, per problem.
+    flags, per problem.  ``rows`` names the running problems, whose state
+    is kept compact (see the module docstring).
     """
     g, n = counts.shape
     reg = config.reg
-    obj, z = _objective(k, target, counts, alpha, intercept, reg)
-    n_iter = np.zeros(g, dtype=int)
+    rows, c, a, b = np.arange(g), counts, alpha, intercept
+    obj, z = _objective(k, target, c, a, b, reg)
+    n_iter = np.full(g, config.max_iter)  # until a stop rule says otherwise
     converged = np.zeros(g, dtype=bool)
-    h = np.empty((g, n + 1, n + 1))  # filled in place, one slice per active problem
-    diag = np.arange(n)
-    active = np.arange(g)
-    for _ in range(config.max_iter):
-        m = len(active)
-        c = counts[active]
-        p = _sigmoid(z[active])
-        cw = c * np.maximum(p * (1.0 - p), 1e-10)
-        resid = c * (p - target)
-        g_a = resid + reg * alpha[active]  # the gradient in alpha is K @ g_a
-        g_b = np.sum(resid, axis=1)
-        kv = np.concatenate([cw, g_a]) @ k  # rows: K cw, then K g_a
+    h = np.empty((g, n + 1, n + 1))  # the Newton systems, one per running row
+    h_diag = h.reshape(g, -1)[:, :n * (n + 2):n + 2]  # the first block's diagonals
+    rhs = np.empty((g, n + 1, 1))
+    u = np.empty((2 * g, n))  # rows: c w, then the gradient's g_a
+    buf = np.empty((g, n))
+    for it in range(1, config.max_iter + 1):
+        m = len(rows)
+        cw, g_a, p = u[:m], u[m:2 * m], buf[:m]
+        _sigmoid(z, out=p)
+        np.subtract(1.0, p, out=cw)
+        cw *= p
+        np.maximum(cw, 1e-10, out=cw)
+        cw *= c
+        p -= target
+        p *= c  # the residual c (p - t)
+        np.multiply(reg, a, out=g_a)
+        g_a += p  # the gradient in alpha is K @ g_a
+        g_b = np.add.reduce(p, axis=1)
+        kv = u[:2 * m] @ k  # rows: K cw, then K g_a
 
         # the Newton system with K taken out of its first block row
         hm = h[:m]
         np.multiply(k, cw[:, :, None], out=hm[:, :n, :n])
-        hm[:, diag, diag] += reg
+        h_diag[:m] += reg
         hm[:, :n, n] = cw
         hm[:, n, :n] = kv[:m]
-        hm[:, n, n] = np.sum(cw, axis=1)
-        rhs = np.concatenate([g_a, g_b[:, None]], axis=1)
-        step = np.linalg.solve(hm, rhs[:, :, None])[:, :, 0]
-        n_iter[active] += 1
-        decrement = np.sum(step[:, :n] * kv[m:], axis=1) + step[:, n] * g_b
-        done = 0.5 * decrement <= OBJ_RTOL * np.maximum(1.0, np.abs(obj[active]))
-        fin = active[done]
-        alpha[fin] -= step[done, :n]
-        intercept[fin] -= step[done, n]
-        converged[fin] = True
-
-        active, step = active[~done], step[~done]
-        if not len(active):
-            break
-        a0, b0, obj0 = alpha[active], intercept[active], obj[active]
-        scale = np.ones(len(active))
-        todo = np.arange(len(active))  # positions whose line search goes on
-        for _ in range(30):
-            rows = active[todo]
-            a_new = a0[todo] - scale[todo, None] * step[todo, :n]
-            b_new = b0[todo] - scale[todo] * step[todo, n]
-            obj_new, z_new = _objective(k, target, counts[rows], a_new, b_new, reg)
-            alpha[rows], intercept[rows], obj[rows], z[rows] = a_new, b_new, obj_new, z_new
-            todo = todo[obj_new > obj0[todo] + 1e-12]
-            if not len(todo):
+        hm[:, n, n] = np.add.reduce(cw, axis=1)
+        rhs[:m, :n, 0] = g_a
+        rhs[:m, n, 0] = g_b
+        step = np.linalg.solve(hm, rhs[:m])[:, :, 0]
+        np.multiply(step[:, :n], kv[m:], out=p)
+        decrement = np.add.reduce(p, axis=1)
+        decrement += step[:, n] * g_b
+        done = 0.5 * decrement <= OBJ_RTOL * np.maximum(1.0, np.abs(obj))
+        if done.any():
+            fin = rows[done]
+            alpha[fin] = a[done] - step[done, :n]
+            intercept[fin] = b[done] - step[done, n]
+            n_iter[fin], converged[fin] = it, True
+            run = ~done
+            rows, c, a, b, obj, z, step = (
+                rows[run], c[run], a[run], b[run], obj[run], z[run], step[run])
+            if not len(rows):
                 break
-            scale[todo] *= 0.5
+
+        # the full step for every running row; rows whose objective rose halve it
+        a_new = a - step[:, :n]
+        b_new = b - step[:, n]
+        obj_new, z_new = _objective(k, target, c, a_new, b_new, reg)
+        todo = (obj_new > obj + 1e-12).nonzero()[0]
+        moved = np.maximum.reduce(np.abs(step), axis=1)
+        if len(todo):
+            scale = np.ones(len(rows))
+            for _ in range(29):
+                scale[todo] *= 0.5
+                a_t = a[todo] - scale[todo, None] * step[todo, :n]
+                b_t = b[todo] - scale[todo] * step[todo, n]
+                obj_t, z_t = _objective(k, target, c[todo], a_t, b_t, reg)
+                a_new[todo], b_new[todo], obj_new[todo], z_new[todo] = a_t, b_t, obj_t, z_t
+                todo = todo[obj_t > obj[todo] + 1e-12]
+                if not len(todo):
+                    break
+            scale[todo] *= 0.5  # a search that never found descent ends below its last trial
+            moved = scale * moved
+        a, b, obj, z = a_new, b_new, obj_new, z_new
         # a line search that found no descent: report not converged
-        active = active[scale * np.max(np.abs(step), axis=1) >= config.tol]
-        if not len(active):
-            break
+        run = moved >= config.tol
+        if not run.all():
+            fin = rows[~run]
+            alpha[fin], intercept[fin], n_iter[fin] = a[~run], b[~run], it
+            rows, c, a, b, obj, z = rows[run], c[run], a[run], b[run], obj[run], z[run]
+            if not len(rows):
+                break
+    alpha[rows], intercept[rows] = a, b  # rows that reached max_iter
     return alpha, intercept, n_iter, converged
 
 
@@ -289,28 +338,42 @@ def _start(init, g, n):
     return np.tile(alpha, (g, 1)), np.full(g, float(init[1]))
 
 
+def _counts(counts, n):
+    """``counts`` as n finite non-negative floats, not all zero, or ValueError."""
+    c = np.asarray(counts, dtype=float)
+    if c.shape != (n,):
+        raise ValueError(f"counts must have shape ({n},), got {c.shape}")
+    if not np.all(np.isfinite(c) & (c >= 0)):
+        raise ValueError("counts must be finite and non-negative")
+    if not np.any(c):
+        raise ValueError("counts must not all be zero")
+    return c
+
+
 def fit(config: LearnerConfig, features, labels, counts=None, *, init=None,
         gram=None) -> Model:
     """Train kernel logistic regression on labels in {-1,+1}.
 
-    ``counts`` (default all ones) weights each sample's loss term.  ``init``
-    = (alpha, intercept) starts Newton there instead of at zero; the optimum
-    does not depend on it.  ``gram`` is ``kernel_matrix(config, features,
-    features)`` if the caller already has it.  A single-class labeled set
-    yields a degenerate model that predicts the observed class with
-    probability 0.99 (flagged via ``Model.degenerate``).
+    ``counts`` (default all ones) weights each sample's loss term: one
+    finite, non-negative count per row, not all zero, else ValueError.
+    ``init`` = (alpha, intercept) starts Newton there instead of at zero; the
+    optimum does not depend on it.  ``gram`` is ``kernel_matrix(config,
+    features, features)`` if the caller already has it.  A labeled set whose
+    rows with a positive count hold a single class yields a degenerate model
+    that predicts that class with probability 0.99 (flagged via
+    ``Model.degenerate``).
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=int)
     if len(x) == 0:
         raise ValueError("cannot fit on an empty labeled set")
+    n = len(x)
     gamma = config.gamma if config.gamma is not None else 1.0 / x.shape[1]
-    classes = np.unique(y)
+    c = np.ones(n) if counts is None else _counts(counts, n)
+    classes = np.unique(y[c > 0])
     if len(classes) == 1:
         return _degenerate(config, x, classes[0], gamma)
 
-    n = len(x)
-    c = np.ones(n) if counts is None else np.asarray(counts, dtype=float)
     alpha, intercept = _start(init, 1, n)
     k = _cross_kernel(config, x, x, gamma, gram)
     alpha, intercept, n_iter, converged = _newton(

@@ -6,6 +6,10 @@
 * ``fit_committee``: each bagged member fits its bootstrap resample with the
   duplicate rows kept, from the same (seed, member) streams as the library;
   returns the tuple of member models.
+* ``newton``: the stacked damped Newton of ``rankal.learner._newton`` as it
+  was before its running rows were kept compact: every iteration gathers the
+  active rows from the (g, n) arrays and scatters each trial point back.
+  The library's version must return bit-identical results.
 * ``score_diversity``: the kernel angle with k(x, x) read off the diagonals
   of full pool x pool and labeled x labeled kernel matrices.
 * ``power_iteration``: the stationary distribution of a transition matrix by
@@ -13,6 +17,8 @@
 * ``bucklin_aggregate``: weighted majority voting that deepens one integer
   depth at a time from 1 to max(rank); it raises where no integer depth up
   to int(max(rank)) confirms every sample (a fractional largest rank).
+* ``oracle_label``: the labeled/unlabeled split by ``np.unique`` and
+  ``np.isin`` over the unlabeled set.
 
 They stay frozen as written so that a change to the library is checked
 against an independent implementation, not against itself.
@@ -23,9 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from rankal.aggregation import AggregatedRanking
+from rankal.data import PoolState
 from rankal.learner import LearnerConfig, Model, kernel_matrix
 
 MAX_ITER = 50
+OBJ_RTOL = 1e-10
 
 
 def _sigmoid(z):
@@ -94,6 +102,67 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0) -> tuple
     return tuple(members)
 
 
+def _objective(k, target, counts, alpha, intercept, reg):
+    z = alpha @ k + intercept[:, None]
+    nll = np.sum(counts * (np.logaddexp(0.0, z) - target * z), axis=1)
+    return nll + 0.5 * reg * np.sum(alpha * (z - intercept[:, None]), axis=1), z
+
+
+def newton(config, k, target, counts, alpha, intercept):
+    g, n = counts.shape
+    reg = config.reg
+    obj, z = _objective(k, target, counts, alpha, intercept, reg)
+    n_iter = np.zeros(g, dtype=int)
+    converged = np.zeros(g, dtype=bool)
+    h = np.empty((g, n + 1, n + 1))
+    diag = np.arange(n)
+    active = np.arange(g)
+    for _ in range(config.max_iter):
+        m = len(active)
+        c = counts[active]
+        p = _sigmoid(z[active])
+        cw = c * np.maximum(p * (1.0 - p), 1e-10)
+        resid = c * (p - target)
+        g_a = resid + reg * alpha[active]
+        g_b = np.sum(resid, axis=1)
+        kv = np.concatenate([cw, g_a]) @ k
+        hm = h[:m]
+        np.multiply(k, cw[:, :, None], out=hm[:, :n, :n])
+        hm[:, diag, diag] += reg
+        hm[:, :n, n] = cw
+        hm[:, n, :n] = kv[:m]
+        hm[:, n, n] = np.sum(cw, axis=1)
+        rhs = np.concatenate([g_a, g_b[:, None]], axis=1)
+        step = np.linalg.solve(hm, rhs[:, :, None])[:, :, 0]
+        n_iter[active] += 1
+        decrement = np.sum(step[:, :n] * kv[m:], axis=1) + step[:, n] * g_b
+        done = 0.5 * decrement <= OBJ_RTOL * np.maximum(1.0, np.abs(obj[active]))
+        fin = active[done]
+        alpha[fin] -= step[done, :n]
+        intercept[fin] -= step[done, n]
+        converged[fin] = True
+        active, step = active[~done], step[~done]
+        if not len(active):
+            break
+        a0, b0, obj0 = alpha[active], intercept[active], obj[active]
+        scale = np.ones(len(active))
+        todo = np.arange(len(active))
+        for _ in range(30):
+            rows = active[todo]
+            a_new = a0[todo] - scale[todo, None] * step[todo, :n]
+            b_new = b0[todo] - scale[todo] * step[todo, n]
+            obj_new, z_new = _objective(k, target, counts[rows], a_new, b_new, reg)
+            alpha[rows], intercept[rows], obj[rows], z[rows] = a_new, b_new, obj_new, z_new
+            todo = todo[obj_new > obj0[todo] + 1e-12]
+            if not len(todo):
+                break
+            scale[todo] *= 0.5
+        active = active[scale * np.max(np.abs(step), axis=1) >= config.tol]
+        if not len(active):
+            break
+    return alpha, intercept, n_iter, converged
+
+
 def score_diversity(labeled, pool, config: LearnerConfig, reduce="max"):
     cross = kernel_matrix(config, pool, labeled)
     k_pool = np.diag(kernel_matrix(config, pool, pool))
@@ -148,3 +217,15 @@ def bucklin_aggregate(rank_lists, weights) -> AggregatedRanking:
     ranks = np.empty(n, dtype=int)
     ranks[order] = np.arange(1, n + 1)
     return AggregatedRanking(ids=order, scores=np.array(depths, dtype=float), ranks=ranks)
+
+
+def oracle_label(pool: PoolState, batch) -> PoolState:
+    batch = np.asarray(batch, dtype=int)
+    if len(np.unique(batch)) != len(batch):
+        raise ValueError("batch contains duplicate indices")
+    if not np.all(np.isin(batch, pool.unlabeled_idx)):
+        raise ValueError("batch contains indices that are not unlabeled pool members")
+    labeled = np.concatenate([pool.labeled_idx, batch])
+    mask = np.isin(pool.unlabeled_idx, batch, invert=True)
+    return PoolState(data=pool.data, labeled_idx=labeled,
+                     unlabeled_idx=pool.unlabeled_idx[mask], iteration=pool.iteration + 1)

@@ -3,7 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from rankal.data import (
     DataFormatError,
     Dataset,
@@ -191,8 +194,43 @@ class TestOracle:
 
     def test_rejects_duplicates(self):
         idx = self.pool.unlabeled_idx[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate"):
             oracle_label(self.pool, np.array([idx, idx]))
+
+    @pytest.mark.parametrize("bad", [-1, -200, 200, 10**9])
+    def test_rejects_index_outside_pool(self, bad):
+        batch = np.array([self.pool.unlabeled_idx[0], bad])
+        with pytest.raises(ValueError, match="not unlabeled pool members"):
+            oracle_label(self.pool, batch)
+
+    @pytest.mark.parametrize("bad", [-1, 200])
+    def test_duplicates_named_before_range(self, bad):
+        with pytest.raises(ValueError, match="duplicate"):
+            oracle_label(self.pool, np.array([bad, bad]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), size=st.integers(0, 8),
+           low=st.integers(-3, 0), high=st.integers(0, 3), valid=st.booleans())
+    def test_matches_reference(self, n, seed, size, low, high, valid):
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(n)
+        cut = rng.integers(0, n + 1)
+        pool = PoolState(make_two_blobs(n=n, seed=0), perm[:cut], perm[cut:])
+        if valid:
+            batch = rng.choice(pool.unlabeled_idx, size=min(size, n - cut), replace=False)
+        else:
+            batch = rng.integers(low, n + high, size=size)
+        try:
+            want = reference.oracle_label(pool, batch)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                oracle_label(pool, batch)
+            return
+        got = oracle_label(pool, batch)
+        for name in ("labeled_idx", "unlabeled_idx"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert got.iteration == want.iteration and got.data is want.data
 
 
 class TestPoolState:

@@ -377,3 +377,110 @@ class TestWarmStart:
             expected = 0.99 if m.degenerate_label == 1 else 0.01
             assert m.n_iter == 0 and len(m.support) == 1
             np.testing.assert_array_equal(m.predict_proba(x), expected)
+
+
+def _newton_both(cfg, g, n, seed, start, spread=1.0):
+    """Run ``learner._newton`` and the frozen reference on one random stack.
+
+    Features are ``spread`` times standard normals.  Counts are 0-4 per row
+    with at least one positive count per problem (a problem with no positive
+    count has a singular system); starts are ``start`` times standard
+    normals, so large ones force backtracking.  Asserts the four outputs are
+    bit-identical and returns the library's.
+    """
+    rng = np.random.default_rng(seed)
+    x = spread * rng.normal(size=(n, 2))
+    y = rng.choice([-1, 1], size=n)
+    k = kernel_matrix(cfg, x, x)
+    counts = rng.integers(0, 5, size=(g, n)).astype(float)
+    keep = rng.integers(0, n, size=g)
+    counts[np.arange(g), keep] = np.maximum(counts[np.arange(g), keep], 1.0)
+    alpha, intercept = start * rng.normal(size=(g, n)), start * rng.normal(size=g)
+    got = learner._newton(cfg, k, (y + 1) / 2.0, counts, alpha.copy(), intercept.copy())
+    want = reference.newton(cfg, k, (y + 1) / 2.0, counts, alpha.copy(), intercept.copy())
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
+    return got
+
+
+class TestNewtonMatchesReference:
+    """Compact running rows change the bookkeeping, not one bit of the fits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=st.integers(1, 7), n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+           kernel=st.sampled_from(["rbf", "linear"]),
+           start=st.sampled_from([0.0, 0.1, 1.0, 10.0, 100.0]))
+    def test_bit_identical(self, g, n, seed, kernel, start):
+        _newton_both(LearnerConfig(kernel=kernel), g, n, seed, start)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_max_iter_exit(self, max_iter, kernel):
+        cfg = LearnerConfig(kernel=kernel, max_iter=max_iter)
+        _, _, n_iter, converged = _newton_both(cfg, 4, 30, max_iter, 1.0)
+        assert not converged.any()
+        np.testing.assert_array_equal(n_iter, max_iter)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_line_search_failure_exit(self, kernel):
+        # every step is shorter than tol, so each row stops after one step
+        cfg = LearnerConfig(kernel=kernel, tol=1e6)
+        _, _, n_iter, converged = _newton_both(cfg, 4, 30, 7, 1.0)
+        assert not converged.any()
+        np.testing.assert_array_equal(n_iter, 1)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_halving_step(self, kernel, monkeypatch):
+        calls = []
+        objective = learner._objective
+
+        def counted(*args):
+            calls.append(None)
+            return objective(*args)
+
+        monkeypatch.setattr(learner, "_objective", counted)
+        _, _, n_iter, converged = _newton_both(LearnerConfig(kernel=kernel), 3, 12, 0, 100.0)
+        # one start and at most one full-step trial per iteration: more
+        # calls than that are halved trials
+        assert len(calls) > 1 + n_iter.max()
+        assert converged.all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_without_decrement_stop(self, kernel, seed, monkeypatch):
+        # with no decrement stop every row runs into objective round-off:
+        # line searches whose trials rise by about 1e-12, and the tol exit
+        monkeypatch.setattr(learner, "OBJ_RTOL", 0.0)
+        monkeypatch.setattr(reference, "OBJ_RTOL", 0.0)
+        _, _, n_iter, converged = _newton_both(LearnerConfig(kernel=kernel), 3, 20, seed, 1.0,
+                                               spread=10.0)
+        assert not converged.any() and n_iter.max() < 50
+
+
+class TestFitCounts:
+    """``fit`` rejects counts that do not weight every row by a finite c >= 0."""
+
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([-1, -1, 1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_rejected(self, bad):
+        with pytest.raises(ValueError, match="counts must be finite and non-negative"):
+            fit(CFG, self.x, self.y, [1.0, bad, 1.0, 1.0])
+
+    def test_all_zero_rejected(self):
+        with pytest.raises(ValueError, match="counts must not all be zero"):
+            fit(CFG, self.x, self.y, np.zeros(4))
+
+    @pytest.mark.parametrize("counts", [np.ones(3), np.ones(5), np.ones((4, 1))])
+    def test_wrong_shape_rejected(self, counts):
+        with pytest.raises(ValueError, match=r"counts must have shape \(4,\)"):
+            fit(CFG, self.x, self.y, counts)
+
+    @pytest.mark.parametrize("label", [-1, 1])
+    def test_one_class_with_positive_count_is_degenerate(self, label):
+        counts = np.where(self.y == label, 2.0, 0.0)
+        m = fit(CFG, self.x, self.y, counts)
+        assert m.degenerate and m.degenerate_label == label and m.n_iter == 0
+        np.testing.assert_array_equal(m.predict_proba(self.x), 0.99 if label == 1 else 0.01)
