@@ -8,6 +8,11 @@ Verbs:
 * ``run``        -- execute a JSON-configured experiment grid
 * ``compare``    -- win/tie/loss table between two result directories
 
+``run`` checks a config by building the library's objects from it
+(``make_two_blobs`` or ``load_table``, ``SplitSpec``, ``ALConfig``,
+``LearnerConfig``) and reports each one's error under its key; it checks
+itself only what no library type knows (see ``_load_config``).
+
 Exit codes: 0 success, 1 benchmark check failure, 2 usage or parse error.
 """
 
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -147,6 +153,7 @@ def cmd_toy_table2(args):
 
 # every ALConfig field except the two the runner sets itself
 _METHOD_KEYS = {f.name for f in fields(ALConfig)} - {"seed", "checkpoints"}
+_SYNTHETIC_KEYS = {"kind", *inspect.signature(make_two_blobs).parameters}
 _TOP_KEYS = {
     "dataset", "split", "seeds", "checkpoints", "output_dir", "methods",
     "normalize_stats",
@@ -163,27 +170,8 @@ def _method_config(spec, checkpoints):
     return ALConfig(learner=learner, checkpoints=tuple(checkpoints), **spec)
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# make_two_blobs parameter -> (accepts the value, what it must be)
-_SYNTHETIC = {
-    "kind": (lambda v: v == "two-blobs", "'two-blobs'"),
-    "n": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "n_features": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "center_distance": (lambda v: _is_number(v) and 0 <= v < math.inf, "a finite number >= 0"),
-    "sigma": (lambda v: _is_number(v) and 0 <= v < math.inf, "a finite number >= 0"),
-    "pos_fraction": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-}
-
-
 def _dataset_problems(spec):
+    """The problems with the shape of ``dataset``; ``_load_dataset`` checks its values."""
     if not isinstance(spec, dict) or ("synthetic" in spec) == ("path" in spec):
         return ["'dataset' must hold exactly one of 'synthetic' and 'path'"]
     allowed = ("synthetic",) if "synthetic" in spec else ("path", "format")
@@ -200,54 +188,90 @@ def _dataset_problems(spec):
     params = spec["synthetic"]
     if not isinstance(params, dict):
         return problems + ["'dataset.synthetic' must be an object"]
-    for key, value in params.items():
-        if key not in _SYNTHETIC:
-            problems.append(f"'dataset.synthetic' has unknown key {key!r}")
-        elif not _SYNTHETIC[key][0](value):
-            problems.append(f"'dataset.synthetic.{key}' must be {_SYNTHETIC[key][1]}")
+    problems += [f"'dataset.synthetic' has unknown key {key!r}"
+                 for key in params if key not in _SYNTHETIC_KEYS]
+    if params.get("kind", "two-blobs") != "two-blobs":
+        problems.append("'dataset.synthetic.kind' must be 'two-blobs'")
     return problems
 
 
+def _load_dataset(spec):
+    if "synthetic" in spec:
+        params = dict(spec["synthetic"])
+        params.pop("kind", None)  # _dataset_problems accepts only "two-blobs"
+        return make_two_blobs(**params)
+    return load_table(spec["path"], spec.get("format", "dense-csv"))
+
+
+def _split_normalized(dataset, spec, mode):
+    """Split, normalizing with full-dataset (default) or pool-only statistics."""
+    if mode == "full":
+        return split_pool(normalize_features(dataset), spec)
+    test, pool = split_pool(dataset, spec)
+    norm_pool = normalize_features(pool.data)
+    norm_test = normalize_features(test, stats_from=pool.data)
+    return norm_test, replace(pool, data=norm_pool)
+
+
+def _seed_run(dataset, split, mode, al_configs, seed):
+    """Every method's ALConfig for ``seed``, and the (test, pool) split they all run on."""
+    configs = [replace(al, seed=seed) for al in al_configs]  # ALConfig checks the seed
+    test, pool = _split_normalized(
+        dataset, SplitSpec(split.test_fraction, split.seed + seed), mode
+    )
+    for part, labels in (("pool", pool.data.labels), ("test", test.labels)):
+        if len(np.unique(labels)) < 2:
+            raise ValueError(f"the {part} split holds one class")
+    return configs, test, pool
+
+
 def _load_config(path):
-    """The parsed config and one ALConfig per method; UsageError lists every problem."""
+    """The parsed config and, per seed, every method's ALConfig and the split they run on.
+
+    Each value is checked by the type that owns it: ``make_two_blobs`` or
+    ``load_table``, ``SplitSpec``, ``ALConfig`` and ``LearnerConfig``.  A
+    ValueError, TypeError or OSError raised while building one object becomes
+    one problem, ``<key>: <message>``.  Checks only the runner can make (key
+    names, the shape of ``dataset``, ``seeds``, ``split`` and ``checkpoints``,
+    labels, and what the data leaves each run) are made here; those that need
+    the splits run once everything else is valid.  UsageError lists every
+    problem, before anything is written.
+    """
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: the config must be a JSON object")
-    problems = []
-    for key in cfg:
-        if key not in _TOP_KEYS:
-            problems.append(f"unknown top-level key {key!r}")
-    if "dataset" not in cfg:
-        problems.append("missing 'dataset'")
-    else:
-        problems.extend(_dataset_problems(cfg["dataset"]))
+    problems = [f"unknown top-level key {key!r}" for key in cfg if key not in _TOP_KEYS]
+
+    def build(key, make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except (TypeError, ValueError, OSError) as exc:  # OSError: an unreadable dataset file
+            problems.append(f"{key}: {exc}")
+            return None
+
+    dataset = cfg.get("dataset")
+    shape = _dataset_problems(dataset) if "dataset" in cfg else ["missing 'dataset'"]
+    problems += shape
+    if not shape:
+        key = "dataset.synthetic" if "synthetic" in dataset else "dataset.path"
+        dataset = build(key, _load_dataset, dataset)
     if "output_dir" not in cfg:
         problems.append("missing 'output_dir'")
     seeds = cfg.get("seeds", list(range(10)))
-    if not isinstance(seeds, list) or not seeds or not all(
-        _is_int(s) and s >= 0 for s in seeds
-    ):
-        problems.append("'seeds' must be a non-empty list of non-negative integers")
-    elif len(set(seeds)) != len(seeds):  # a repeat would count twice in the paired tests
-        problems.append("'seeds' must not repeat a seed")
+    if not isinstance(seeds, list) or not seeds:
+        problems.append("'seeds' must be a non-empty list")
+    elif any(seeds.index(s) != j for j, s in enumerate(seeds)):
+        problems.append("'seeds' must not repeat a seed")  # it would count twice in the t-tests
     split = cfg.get("split", {})
     if not isinstance(split, dict) or set(split) - {"test_fraction", "seed"}:
         problems.append("'split' may only hold 'test_fraction' and 'seed'")
     else:
-        fraction, split_seed = split.get("test_fraction", 0.5), split.get("seed", 0)
-        if not (_is_number(fraction) and 0 < fraction < 1):
-            problems.append("'split.test_fraction' must be a number in (0, 1)")
-        if not (_is_int(split_seed) and split_seed >= 0):
-            problems.append("'split.seed' must be a non-negative integer")
+        split = build("split", SplitSpec, **split)
     checkpoints = cfg.get("checkpoints", [0.05, 0.10, 0.15, 0.20, 0.25, 0.30])
-    if not isinstance(checkpoints, list) or not all(_is_number(c) for c in checkpoints):
+    if not isinstance(checkpoints, list):
         problems.append("'checkpoints' must be a list of numbers")
         checkpoints = []
-    elif any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or any(
-        not 0 < c <= 1 for c in checkpoints
-    ):
-        problems.append("'checkpoints' must be strictly increasing within (0, 1]")
     methods = cfg.get("methods", [])
     if not isinstance(methods, list) or not methods:
         problems.append("'methods' must list at least one method")
@@ -259,12 +283,8 @@ def _load_config(path):
             continue
         unknown = [key for key in m if key not in _METHOD_KEYS]
         problems.extend(f"methods[{i}]: unknown key {key!r}" for key in unknown)
-        if unknown:
-            continue
-        try:
-            al = _method_config(m, checkpoints)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"methods[{i}]: {exc}")
+        al = None if unknown else build(f"methods[{i}]", _method_config, m, checkpoints)
+        if al is None:
             continue
         # traces, curve and summary entry are keyed by the label
         if "/" in al.label or os.sep in al.label:
@@ -275,28 +295,28 @@ def _load_config(path):
                 f"methods[{i}]: label {al.label!r} already used by methods[{first}]; "
                 "give each method a distinct 'name'"
             )
-        if checkpoints and max(checkpoints) > al.budget:
-            problems.append(
-                f"methods[{i}]: checkpoint {max(checkpoints):g} exceeds budget "
-                f"{al.budget:g} and would never be reached"
-            )
         al_configs.append(al)
-    if cfg.get("normalize_stats", "full") not in ("full", "pool"):
+    mode = cfg.get("normalize_stats", "full")
+    if mode not in ("full", "pool"):
         problems.append("'normalize_stats' must be 'full' or 'pool'")
+    runs = {}
+    if not problems:  # the runs need the dataset, the split and every method
+        for j, seed in enumerate(seeds):
+            run = build(f"seeds[{j}]", _seed_run, dataset, split, mode, al_configs, seed)
+            if run is not None:
+                runs[seed] = run
+        if runs:
+            n_pool = len(next(iter(runs.values()))[2].data)  # the same for every seed
+            problems += [
+                f"methods[{i}]: n_initial {al.n_initial} exceeds the pool's {n_pool} samples"
+                for i, al in enumerate(al_configs) if al.n_initial > n_pool
+            ]
     if problems:
         raise UsageError("config errors:\n  " + "\n  ".join(problems))
     cfg["seeds"] = seeds
     cfg["checkpoints"] = checkpoints
-    cfg["normalize_stats"] = cfg.get("normalize_stats", "full")
-    return cfg, al_configs
-
-
-def _load_dataset(spec):
-    if "synthetic" in spec:
-        params = dict(spec["synthetic"])
-        params.pop("kind", None)  # _load_config accepts only "two-blobs"
-        return make_two_blobs(**params)
-    return load_table(spec["path"], spec.get("format", "dense-csv"))
+    cfg["normalize_stats"] = mode
+    return cfg, runs
 
 
 def _atomic_write(path, text):
@@ -328,22 +348,8 @@ def _write_curve(path, traces):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _split_normalized(dataset, spec, mode):
-    """Split, normalizing with full-dataset (default) or pool-only statistics."""
-    if mode == "full":
-        return split_pool(normalize_features(dataset), spec)
-    test, pool = split_pool(dataset, spec)
-    norm_pool = normalize_features(pool.data)
-    norm_test = normalize_features(test, stats_from=pool.data)
-    return norm_test, replace(pool, data=norm_pool)
-
-
 def cmd_run(args):
-    cfg, al_configs = _load_config(args.config)
-    dataset = _load_dataset(cfg["dataset"])
-    split = cfg.get("split", {})
-    base_split_seed = split.get("seed", 0)
-    test_fraction = split.get("test_fraction", 0.5)
+    cfg, runs = _load_config(args.config)
     out = cfg["output_dir"]
 
     summary = {
@@ -353,35 +359,15 @@ def cmd_run(args):
         "methods": {},
     }
     curves = {}
-    # every method runs on the same split per seed: split, normalize and solve
-    # the self-reconstruction (per ted_lambda) once per seed, not per method
-    splits = {
-        seed: _split_normalized(
-            dataset, SplitSpec(test_fraction, base_split_seed + seed),
-            cfg["normalize_stats"],
-        )
-        for seed in cfg["seeds"]
-    }
-    n_pool = len(splits[cfg["seeds"][0]][1].data)  # every seed splits the same sizes
-    problems = [
-        f"methods[{i}]: n_initial {al.n_initial} exceeds the pool's {n_pool} samples"
-        for i, al in enumerate(al_configs) if al.n_initial > n_pool
-    ]
-    problems += [
-        f"seed {seed}: the {part} split holds one class"
-        for seed, (test, pool) in splits.items()
-        for part, labels in (("pool", pool.data.labels), ("test", test.labels))
-        if len(np.unique(labels)) < 2
-    ]
-    if problems:
-        raise UsageError("config errors:\n  " + "\n  ".join(problems))
     os.makedirs(out, exist_ok=True)
+    # every method runs on the same split per seed: the self-reconstruction
+    # (per ted_lambda) is solved once per seed, not per method
     ted = {}
-    for spec, method_cfg in zip(cfg["methods"], al_configs):
+    for i, spec in enumerate(cfg["methods"]):
         traces = []
         for seed in cfg["seeds"]:
-            test, pool = splits[seed]
-            al_cfg = replace(method_cfg, seed=seed)
+            configs, test, pool = runs[seed]
+            al_cfg = configs[i]
             key = (seed, al_cfg.ted_lambda)
             if ted.get(key) is None:  # None: no method so far needed them
                 ted[key] = pool_ted_scores(pool, al_cfg)
@@ -391,14 +377,15 @@ def cmd_run(args):
                 trace, al_cfg.criteria,
             )
             traces.append(trace)
-        _write_curve(os.path.join(out, f"curve_{method_cfg.label}.csv"), traces)
+        label = al_cfg.label
+        _write_curve(os.path.join(out, f"curve_{label}.csv"), traces)
         entry = {"config": spec}
         for metric in METRICS:
             curve = LearningCurve.from_traces(traces, metric)
             entry[f"{metric}_mean"] = curve.mean.tolist()
             entry[f"{metric}_sd"] = curve.sd.tolist()
-        summary["methods"][method_cfg.label] = entry
-        curves[method_cfg.label] = LearningCurve.from_traces(traces)
+        summary["methods"][label] = entry
+        curves[label] = LearningCurve.from_traces(traces)
     names = list(curves)
     if len(names) > 1 and len(cfg["seeds"]) > 1:  # the paired test needs two seeds
         table = win_tie_loss(curves[names[0]], [curves[n] for n in names[1:]])

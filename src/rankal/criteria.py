@@ -188,16 +188,20 @@ def score_ted(pool_features, lam=0.1) -> np.ndarray:
 def normalize_and_rank(scores):
     """Min-max normalize to [0, 1] and rank competition-style.
 
-    Returns (NormalizedScores, ranks).  A constant list maps to all 0.5.
-    Normalized values are rounded to 12 decimals; ranks use exact equality on
-    the rounded values, so rank(i) = 1 + #{j : s_j < s_i}: one plus the
-    sorted position where the run of values equal to s_i starts.
+    Returns (NormalizedScores, ranks).  A constant list maps to all 0.5, and
+    so does a list whose span is at most 1e-12: the scores are O(1), so such
+    a span is round-off (a committee whose members agree up to round-off
+    gives qbc scores of 0 and -5.6e-17), which min-max scaling would
+    otherwise stretch to [0, 1].  Normalized values are rounded to 12
+    decimals; ranks use exact equality on the rounded values, so
+    rank(i) = 1 + #{j : s_j < s_i}: one plus the sorted position where the
+    run of values equal to s_i starts.
     """
     s = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
     lo, hi = s.min(), s.max()
-    if hi > lo:
+    if hi - lo > 10.0 ** -ROUND_DECIMALS:
         values = (s - lo) / (hi - lo)
     else:
         values = np.full_like(s, 0.5)

@@ -7,6 +7,10 @@ Two on-disk formats are supported:
 
 Labels are coerced to {-1, +1}: the two distinct raw values are mapped by
 sorted order (smaller -> -1, larger -> +1).
+
+``SplitSpec`` and ``make_two_blobs`` check their own arguments and raise a
+ValueError naming the argument, so a caller (``rankal run`` among them) only
+has to build them.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .learner import check_int, is_real
 
 
 class DataFormatError(ValueError):
@@ -58,8 +64,9 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
+        if not (is_real(self.test_fraction) and 0.0 < self.test_fraction < 1.0):
             raise ValueError("test_fraction must lie in (0, 1)")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -269,6 +276,14 @@ def make_two_blobs(
     seed=0,
 ) -> Dataset:
     """Synthetic two-Gaussian-blob binary dataset."""
+    check_int("n", n, 1)
+    check_int("n_features", n_features, 1)
+    check_int("seed", seed, 0)
+    for name, value in (("center_distance", center_distance), ("sigma", sigma)):
+        if not (is_real(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0")
+    if not (is_real(pos_fraction) and 0 <= pos_fraction <= 1):
+        raise ValueError("pos_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     n_pos = int(round(n * pos_fraction))
     n_neg = n - n_pos

@@ -1,10 +1,10 @@
 """Classification metrics, paired t-tests and win/tie/loss tabulation.
 
-The Student-t CDF is implemented from scratch via the regularized incomplete
-beta function (modified Lentz continued fraction), so no statistics library
-is needed at run time.  Verdicts follow the fixed convention: a comparison
-ties when the two-sided p-value is >= alpha, or when the paired differences
-have zero variance and zero mean.
+The Student-t CDF is the exact finite series for integer degrees of freedom
+(the paired test's n - 1), so no statistics library is needed at run time.
+Verdicts follow the fixed convention: a comparison ties when the two-sided
+p-value is >= alpha, or when the paired differences have zero variance and
+zero mean.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .learner import check_int
 
 
 def accuracy(pred, true) -> float:
@@ -56,65 +58,26 @@ def auc(scores, true, positive_class=1) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def _betacf(a, b, x, max_iter=300, eps=3e-14):
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def reg_inc_beta(a, b, x) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if x < 0.0 or x > 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return float(x)
-    ln_bt = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(1.0 - x)
-    )
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
 def t_cdf(t, df) -> float:
-    """Student-t cumulative distribution function."""
-    if df <= 0:
-        raise ValueError("df must be positive")
-    x = df / (df + t * t)
-    p = 0.5 * reg_inc_beta(df / 2.0, 0.5, x)
-    return p if t < 0 else 1.0 - p
+    """Student-t cumulative distribution function for an integer ``df`` >= 1.
+
+    The exact finite series of Abramowitz & Stegun 26.7.3-4 in
+    theta = atan(t / sqrt(df)): A = P(|T| <= t), signed with t, is
+    sin(theta) times a sum of df // 2 terms in cos^2(theta) for even df, and
+    (2/pi) (theta + sin(theta) times (df - 1) // 2 terms) for odd df.
+    """
+    check_int("df", df, 1)
+    theta = math.atan(t / math.sqrt(df))
+    odd = df % 2
+    c2 = df / (df + t * t)  # cos^2(theta)
+    term, total = (math.sqrt(c2) if odd else 1.0), 0.0
+    for k in range(1, (df - odd) // 2 + 1):
+        total += term
+        term *= (2 * k - 1 + odd) / (2 * k + odd) * c2
+    a = math.sin(theta) * total
+    if odd:
+        a = 2.0 / math.pi * (theta + a)
+    return 0.5 + 0.5 * a
 
 
 @dataclass(frozen=True)

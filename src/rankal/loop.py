@@ -13,10 +13,16 @@ adding an entry.  It lives here, not in ``criteria``: its scorers look up
 a wrapper installed on ``rankal.loop.score_margin`` (as the benchmark's
 tracer does) sees every call.
 
+``ALConfig`` checks every field when it is built, including the ones a run
+only reads later: ``checkpoints`` must be finite, positive, strictly
+increasing and at most ``budget``; ``seed`` a non-negative integer; and
+``fixed_weights`` and ``serial_layers`` are accepted only with the one
+strategy that reads them.  Each error is a ValueError naming the field.
+
 Self-reconstruction (ted) scores depend only on the initial pool, so they
-are computed once per run and sliced per iteration; a caller that runs
-several methods on one pool (``rankal run``) computes them once with
-``pool_ted_scores`` and passes them in.  The solve itself works in the
+are computed once per run (never for a random run) and sliced per
+iteration; a caller that runs several methods on one pool (``rankal run``)
+computes them once with ``pool_ted_scores`` and passes them in.  The solve itself works in the
 feature-space span of the pool (see ``criteria.solve_ted``).
 
 Each run keeps one ``WarmStart``: the kernel between every pool row and the
@@ -141,6 +147,11 @@ class ALConfig:
         for c in self.criteria:
             if c not in CRITERIA:
                 raise ValueError(f"unknown criterion {c!r}")
+        if self.strategy == "parallel" and self.fixed_weights is None:
+            raise ValueError("parallel strategy requires fixed_weights")
+        for key, strategy in (("serial_layers", "serial"), ("fixed_weights", "parallel")):
+            if getattr(self, key) is not None and self.strategy != strategy:
+                raise ValueError(f"{key} applies only to strategy {strategy!r}")
         if self.serial_layers is not None:
             layers = self.serial_layers
             for size in layers:
@@ -151,16 +162,20 @@ class ALConfig:
                 raise ValueError(f"serial layer sizes must be non-increasing: {list(layers)}")
             if layers[-1] != self.n_select:
                 raise ValueError("last serial layer size must equal n_select")
-        if self.strategy == "parallel" or self.fixed_weights is not None:
-            w = self.fixed_weights
-            if w is None:
-                raise ValueError("parallel strategy requires fixed_weights")
-            if (len(w) != len(self.criteria) or not all(is_real(v) and v >= 0 for v in w)
-                    or sum(w) <= 0):
-                raise ValueError(
-                    "fixed_weights must be finite, non-negative, not all zero, "
-                    "one per criterion"
-                )
+        w = self.fixed_weights
+        if w is not None and (len(w) != len(self.criteria)
+                              or not all(is_real(v) and v >= 0 for v in w) or sum(w) <= 0):
+            raise ValueError(
+                "fixed_weights must be finite, non-negative, not all zero, "
+                "one per criterion"
+            )
+        check_int("seed", self.seed, 0)
+        points = (0.0, *self.checkpoints)  # the leading 0 makes "increasing" imply "> 0"
+        if not (all(map(is_real, points)) and all(a < b for a, b in zip(points, points[1:]))):
+            raise ValueError("checkpoints must be finite, positive and strictly increasing")
+        if points[-1] > self.budget:
+            raise ValueError(f"checkpoint {points[-1]:g} exceeds budget {self.budget:g} "
+                             "and would never be reached")
 
     @property
     def label(self):
@@ -196,9 +211,12 @@ def _rng(cfg, *stream):
 
 
 def pool_ted_scores(pool: PoolState, cfg: ALConfig):
-    """Self-reconstruction scores over the full pool, or None if the run uses none."""
-    needs_ted = any(CRITERIA[name].needs == "ted" for name in cfg.criteria)
-    if needs_ted or (cfg.strategy != "random" and cfg.initial_batch == "ted"):
+    """Self-reconstruction scores over the full pool, or None if the run uses none.
+
+    A random run reads no criterion and draws its initial batch at random.
+    """
+    if cfg.strategy != "random" and (cfg.initial_batch == "ted" or any(
+            CRITERIA[name].needs == "ted" for name in cfg.criteria)):
         return score_ted(pool.data.features, lam=cfg.ted_lambda)
     return None
 
@@ -433,7 +451,6 @@ def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
         ted_scores = pool_ted_scores(pool, cfg)
     n_pool = len(pool.data)
     target = math.ceil(cfg.budget * n_pool)
-    checkpoints = sorted(cfg.checkpoints)
     state = initial_batch(pool, cfg, ted_scores)
     warm = WarmStart()
 
@@ -443,13 +460,13 @@ def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
 
     def note_checkpoints(state):
         nonlocal next_cp
-        while next_cp < len(checkpoints) and state.n_labeled >= math.ceil(
-            checkpoints[next_cp] * n_pool
+        while next_cp < len(cfg.checkpoints) and state.n_labeled >= math.ceil(
+            cfg.checkpoints[next_cp] * n_pool
         ):
             acc, f1v, aucv = _evaluate(state, test, cfg, warm)
             cp_records.append(
                 CheckpointRecord(
-                    fraction=checkpoints[next_cp],
+                    fraction=cfg.checkpoints[next_cp],
                     n_labeled=state.n_labeled,
                     accuracy=acc, f1=f1v, auc=aucv,
                 )

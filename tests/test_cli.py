@@ -163,15 +163,21 @@ METHOD_VALUES = {
                 [{"max_iter": 0}, {"max_iter": "x"}, {"kernel": "poly"}, 5]),
     "diversity_reduce": (["max", "min"], ["mean"]),
     "ted_lambda": ([0.1, 1.0], [0, -1, "x"]),
-    "serial_layers": ([None, [1], [10, 1], [6, 3], [8, 4, 2], [5, 5, 1]], [[0], [2.5], "x"]),
+    "serial_layers": ([None, [1], [10, 1], [6, 3], [8, 4, 2], [5, 5, 1]],
+                      [[0], [2.5], "x", [6, 3, 1]]),
     "fixed_weights": ([None, [1.0], [0.5, 0.5], [0.0, 1.0], [0.2, 0.3, 0.5]],
-                      [[0.0], [-1.0, 2.0], "x"]),
+                      [[0.0], [-1.0, 2.0], "x", [1.0, 1.0, 1.0]]),
 }
+# a drawn fixed_weights or serial_layers comes with the one strategy that reads it;
+# spoiling one of them sets it without that strategy
+OWN_STRATEGY = {"fixed_weights": "parallel", "serial_layers": "serial"}
 TOP_VALUES = {
-    "seeds": ([[0], [0, 1]], [[], [-1], [1, 1], "x"]),
-    "checkpoints": ([[0.1, 0.2], [0.3], [0.2, 0.5, 1.0]], [[], [0.3, 0.1], [1.5], "x"]),
+    "seeds": ([[0], [0, 1]], [[], [-1], [1, 1], "x", [True]]),
+    "checkpoints": ([[0.1, 0.2], [0.3], [0.2, 0.5, 1.0]],
+                    [[], [0.3, 0.1], [1.5], "x", [0.1, 0.1], [0], [float("nan")]]),
     "split": ([{}, {"test_fraction": 0.5, "seed": 3}, {"test_fraction": 0.3}],
-              [{"test_fraction": 1.0}, {"bogus": 1}]),
+              [{"test_fraction": 1.0}, {"bogus": 1}, {"seed": -1}, {"seed": True},
+               {"test_fraction": float("nan")}]),
     "normalize_stats": (["full", "pool"], ["x"]),
 }
 
@@ -181,7 +187,11 @@ def run_configs(draw):
     """A config on a 40-sample synthetic set, at most one of its values spoiled."""
     def entry(values):
         keys = draw(st.sets(st.sampled_from(sorted(values))))
-        return {k: draw(st.sampled_from(values[k][0])) for k in sorted(keys)}
+        drawn = {k: draw(st.sampled_from(values[k][0])) for k in sorted(keys)}
+        for key, strategy in OWN_STRATEGY.items():
+            if drawn.get(key) is not None:
+                drawn["strategy"] = strategy
+        return drawn
 
     cfg = {"dataset": {"synthetic": {"n": 40, "seed": 0}}, "seeds": [0], "checkpoints": [0.2]}
     cfg.update(entry(TOP_VALUES))
@@ -257,15 +267,18 @@ class TestRun:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("checkpoints", ["a"], "'checkpoints' must be a list of numbers"),
-            ("checkpoints", [0.2, None], "'checkpoints' must be a list of numbers"),
-            ("checkpoints", [True], "'checkpoints' must be a list of numbers"),
+            ("checkpoints", ["a"],
+             "methods[0]: checkpoints must be finite, positive and strictly increasing"),
+            ("checkpoints", [0.2, None],
+             "methods[0]: checkpoints must be finite, positive and strictly increasing"),
+            ("checkpoints", [True],
+             "methods[0]: checkpoints must be finite, positive and strictly increasing"),
             ("checkpoints", 0.2, "'checkpoints' must be a list of numbers"),
-            ("seeds", ["a"], "'seeds' must be a non-empty list of non-negative integers"),
-            ("seeds", [0.5], "'seeds' must be a non-empty list of non-negative integers"),
-            ("seeds", [-1], "'seeds' must be a non-empty list of non-negative integers"),
-            ("split", {"test_fraction": "x"}, "'split.test_fraction' must be a number"),
-            ("split", {"seed": 1.5}, "'split.seed' must be a non-negative integer"),
+            ("seeds", ["a"], "seeds[0]: seed must be an integer >= 0"),
+            ("seeds", [0.5], "seeds[0]: seed must be an integer >= 0"),
+            ("seeds", [-1], "seeds[0]: seed must be an integer >= 0"),
+            ("split", {"test_fraction": "x"}, "split: test_fraction must lie in (0, 1)"),
+            ("split", {"seed": 1.5}, "split: seed must be an integer >= 0"),
             ("split", {"test_fraciton": 0.3}, "'split' may only hold"),
             ("seeds", [0, 1, 0], "'seeds' must not repeat a seed"),
         ],
@@ -286,8 +299,8 @@ class TestRun:
         "params, message",
         [
             ({"bogus": 1}, "'dataset.synthetic' has unknown key 'bogus'"),
-            ({"n": "x"}, "'dataset.synthetic.n' must be a positive integer"),
-            ({"sigma": -1}, "'dataset.synthetic.sigma' must be a finite number >= 0"),
+            ({"n": "x"}, "dataset.synthetic: n must be an integer >= 1"),
+            ({"sigma": -1}, "dataset.synthetic: sigma must be a finite number >= 0"),
         ],
         ids=["unknown-key", "non-numeric", "out-of-range"],
     )
@@ -312,8 +325,10 @@ class TestRun:
             ({"synthetic": {"n": 40}, "format": "dense-csv"}, "'dataset' has unknown key 'format'"),
             ({"path": SAMPLE_RANKS, "format": "bogus"},
              "'dataset.format' must be one of 'dense-csv', 'sparse-index-value'"),
+            ({"path": SAMPLE_RANKS + ".missing"}, "dataset.path: [Errno 2] No such file"),
         ],
-        ids=["path-list", "path-int", "unknown-path-key", "unknown-synthetic-key", "bad-format"],
+        ids=["path-list", "path-int", "unknown-path-key", "unknown-synthetic-key", "bad-format",
+             "missing-file"],
     )
     def test_bad_dataset_exits_2(self, tmp_path, capsys, dataset, message):
         out_dir = tmp_path / "r"
@@ -380,7 +395,7 @@ class TestRun:
         cfg_path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "run", str(cfg_path))
         assert code == 2
-        assert "seed 0: the pool split holds one class" in err
+        assert "seeds[0]: the pool split holds one class" in err
         assert not out_dir.exists()
 
     @settings(max_examples=30, deadline=None,
@@ -399,10 +414,9 @@ class TestRun:
             except UsageError:
                 accepted = False
             code, _, err = run_cli(capsys, "run", cfg_path)
-            # checks that need the data (pool size, classes per split) run
-            # after loading it, still before anything is written
-            data_error = "exceeds the pool" in err or "holds one class" in err
-            if accepted and not data_error:
+            # _load_config also makes the checks that need the data (pool size,
+            # classes per split), so every config it accepts runs
+            if accepted:
                 assert code == 0, err
                 assert os.path.exists(os.path.join(out_dir, "summary.json"))
             else:

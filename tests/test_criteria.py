@@ -270,6 +270,10 @@ class TestNormalizeAndRank:
         ns, ranks = normalize_and_rank([4.0, 4.0, 4.0])
         assert ns.values.tolist() == [0.5, 0.5, 0.5]
         assert ranks.tolist() == [1, 1, 1]
+        # a span of round-off counts as constant instead of being stretched to [0, 1]
+        ns, ranks = normalize_and_rank([0.0, -5.55e-17, -0.0])
+        assert ns.values.tolist() == [0.5, 0.5, 0.5]
+        assert ranks.tolist() == [1, 1, 1]
 
     def test_sort_order_ascending(self):
         ns, _ = normalize_and_rank([3.0, 1.0, 2.0])

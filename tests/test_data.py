@@ -157,6 +157,28 @@ class TestSplit:
         combined = sorted(test.ids.tolist() + pool.data.ids.tolist())
         assert combined == list(range(31))
 
+    @pytest.mark.parametrize(
+        "make, kwargs, message",
+        [
+            (SplitSpec, dict(seed=-1), "seed must be an integer >= 0"),
+            (SplitSpec, dict(seed=1.5), "seed must be an integer >= 0"),
+            (SplitSpec, dict(seed=True), "seed must be an integer >= 0"),
+            (make_two_blobs, dict(n=0), "n must be an integer >= 1"),
+            (make_two_blobs, dict(n_features=0), "n_features must be an integer >= 1"),
+            (make_two_blobs, dict(center_distance=float("nan")),
+             "center_distance must be a finite number >= 0"),
+            (make_two_blobs, dict(sigma=-1), "sigma must be a finite number >= 0"),
+            (make_two_blobs, dict(pos_fraction=1.5), r"pos_fraction must lie in \[0, 1\]"),
+            (make_two_blobs, dict(n="x"), "n must be an integer >= 1"),
+        ],
+        ids=["split-seed-negative", "split-seed-float", "split-seed-bool", "blobs-n-0",
+             "blobs-n_features-0", "blobs-center_distance-nan", "blobs-sigma-negative",
+             "blobs-pos_fraction-1.5", "blobs-n-str"],
+    )
+    def test_value_rejected(self, make, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            make(**kwargs)
+
     def test_tiny_dataset_rejected(self):
         d = Dataset(np.zeros((1, 2)), np.array([1]), np.arange(1))
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from rankal.evaluation import (
     LearningCurve,
@@ -98,6 +98,17 @@ class TestTCdf:
     def test_symmetry_and_median(self):
         assert t_cdf(0.0, 7) == pytest.approx(0.5)
         assert t_cdf(1.3, 7) == pytest.approx(1 - t_cdf(-1.3, 7), abs=1e-14)
+
+    def test_matches_scipy_on_grid(self):
+        ts = np.arange(-400, 401) / 10
+        for df in range(1, 201):
+            got = np.array([t_cdf(float(t), df) for t in ts])
+            np.testing.assert_allclose(got, stats.t.cdf(ts, df), rtol=0, atol=2e-15)
+
+    @pytest.mark.parametrize("df", [0, 2.5, True])
+    def test_rejects_non_integer_df(self, df):
+        with pytest.raises(ValueError, match="df must be an integer >= 1"):
+            t_cdf(1.0, df)
 
 
 class TestPairedT:

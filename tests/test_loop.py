@@ -301,6 +301,12 @@ class TestRuns:
             state = oracle_label(state, batch)
         np.testing.assert_array_equal(ted_scores, direct)
 
+    def test_random_run_solves_no_ted(self):
+        # a random run reads no criterion and draws its initial batch at random
+        d = normalize_features(make_two_blobs(n=60, seed=17))
+        _, pool = split_pool(d, SplitSpec(0.5, 17))
+        assert pool_ted_scores(pool, ALConfig(strategy="random", criteria=("ted",))) is None
+
     def test_serial_layers_larger_than_the_remaining_pool(self):
         # every layer is cut to what the pool still holds, so a fixed layer
         # plan runs until the pool is drained
@@ -332,6 +338,17 @@ class TestRuns:
             (dict(strategy="parallel", criteria=("margin",)), "requires fixed_weights"),
             (dict(strategy="parallel", criteria=("margin",), fixed_weights=(0.5, 0.5)),
              "one per criterion"),
+            (dict(budget=0.2, checkpoints=(0.1, 0.3)), "checkpoint 0.3 exceeds budget 0.2"),
+            (dict(checkpoints=(0.1, 0.1)), "positive and strictly increasing"),
+            (dict(checkpoints=(0.2, 0.1)), "positive and strictly increasing"),
+            (dict(checkpoints=(float("nan"),)), "checkpoints must be finite"),
+            (dict(checkpoints=(0.0, 0.1)), "positive and strictly increasing"),
+            (dict(seed=-1), "seed must be an integer >= 0"),
+            (dict(seed=True), "seed must be an integer >= 0"),
+            (dict(criteria=("margin",), fixed_weights=(1.0,)),
+             "fixed_weights applies only to strategy 'parallel'"),
+            (dict(criteria=("margin",), serial_layers=(1,)),
+             "serial_layers applies only to strategy 'serial'"),
         ],
     )
     def test_config_value_rejected(self, kwargs, message):
@@ -368,6 +385,7 @@ class TestWarmStart:
     )
     @example(n=20, d=2, seed=1, labeled_frac=0.0, n_select=1)  # 2 labels: one-class draws
     @example(n=30, d=3, seed=2, labeled_frac=0.9, n_select=3)  # ends with the drain step
+    @example(n=25, d=2, seed=1760396249, labeled_frac=0.0, n_select=2)  # qbc all round-off
     def test_fused_run_warm_matches_cold(self, n, d, seed, labeled_frac, n_select):
         state = self.pool(n, d, 2 + round(labeled_frac * (n - 3)), seed)
         cfg = ALConfig(criteria=("diversity", "margin", "qbc"), n_select=n_select, seed=seed % 997)
