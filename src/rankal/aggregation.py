@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .learner import check_int
+
 
 @dataclass(frozen=True)
 class BordaConfig:
@@ -87,8 +89,8 @@ def _as_rank_matrix(rank_lists):
         raise ValueError("rank_lists must be a 2-D (L, n) array")
     if r.shape[1] < 1:
         raise ValueError("rank_lists must cover at least one sample")
-    if np.any(r < 1):
-        raise ValueError("ranks must be >= 1")
+    if not np.all(np.isfinite(r)) or np.any(r < 1):
+        raise ValueError("ranks must be finite and >= 1")
     return r
 
 
@@ -207,8 +209,11 @@ def truncate_candidates(rank_lists, committee_flags, n_select, tun2=5) -> np.nda
 
     Committee lists carry many ties and would flood the candidate set, so
     they vote later but do not nominate.  If every list is committee-based,
-    truncation is skipped with a warning.
+    truncation is skipped with a warning.  ``n_select`` must be an integer
+    >= 1 and ``tun2`` one >= 0.
     """
+    check_int("n_select", n_select, 1)
+    check_int("tun2", tun2, 0)
     r = _as_rank_matrix(rank_lists)
     flags = np.asarray(committee_flags, dtype=bool)
     if flags.shape != (r.shape[0],):

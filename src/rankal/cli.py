@@ -272,6 +272,8 @@ def _load_config(path):
     if not isinstance(checkpoints, list):
         problems.append("'checkpoints' must be a list of numbers")
         checkpoints = []
+    elif not checkpoints:  # a run would write curves without a row
+        problems.append("'checkpoints' must be a non-empty list of numbers")
     methods = cfg.get("methods", [])
     if not isinstance(methods, list) or not methods:
         problems.append("'methods' must list at least one method")

@@ -50,8 +50,15 @@ Every kernel product has one entry point: ``fit`` and ``fit_committee``
 take the labeled Gram matrix as ``gram=``, and ``Model.predict_proba`` and
 ``Committee.member_proba`` take the kernel between their rows and the
 support as ``kernel=``; each computes it with ``kernel_matrix`` only when
-none is given.  The query loop passes slices of one pool x labeled block
-that it extends by a column per labeled sample (see ``rankal.loop``).
+none is given, and ``kernel_matrix`` alone works out the RBF width.  The
+query loop passes slices of one pool x labeled block that it extends by a
+column per labeled sample (see ``rankal.loop``).
+
+``fit`` and ``fit_committee`` share one solve, ``_fit_rows``, over a count
+matrix with one row per problem.  Its one one-class rule: a row whose
+samples with a positive count hold a single class is that class's
+degenerate model (``degenerate_label``), predicting it at 0.99, and stays
+out of the stack that goes to ``_newton``, which has no other caller.
 
 Committees are built by bootstrap bagging with per-member RNG streams
 derived from (seed, member).  Every member is solved on the whole labeled
@@ -114,15 +121,16 @@ class LearnerConfig:
         check_int("max_iter", self.max_iter, 1)
 
 
-def kernel_matrix(config: LearnerConfig, a, b, gamma=None):
-    """Gram matrix between rows of ``a`` and rows of ``b``."""
+def kernel_matrix(config: LearnerConfig, a, b):
+    """Gram matrix between rows of ``a`` and rows of ``b``.
+
+    The RBF width is ``config.gamma``, or 1 / n_features when it is not set.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if config.kernel == "linear":
         return a @ b.T
-    g = gamma if gamma is not None else config.gamma
-    if g is None:
-        g = 1.0 / a.shape[1]
+    g = config.gamma if config.gamma is not None else 1.0 / a.shape[1]
     sq = (
         np.sum(a * a, axis=1)[:, None]
         + np.sum(b * b, axis=1)[None, :]
@@ -152,14 +160,14 @@ def _features(x, support):
     return x
 
 
-def _cross_kernel(config, x, support, gamma, kernel):
+def _cross_kernel(config, x, support, kernel):
     """The kernel between the rows of ``x`` and ``support``: ``kernel`` if given.
 
     With ``support`` = ``x`` it is the Gram matrix.
     """
     x = _features(x, support)
     if kernel is None:
-        return kernel_matrix(config, x, support, gamma=gamma)
+        return kernel_matrix(config, x, support)
     kernel = np.asarray(kernel, dtype=float)
     if kernel.shape != (len(x), len(support)):
         raise ValueError(
@@ -176,11 +184,13 @@ class Model:
     support: np.ndarray
     dual_coeffs: np.ndarray
     intercept: float
-    gamma: float | None
-    degenerate: bool = False
-    degenerate_label: int = 0
+    degenerate_label: int = 0  # a one-class set's class, predicted at 0.99; else 0
     n_iter: int = 0  # Newton steps taken
     converged: bool = True  # a stop rule fired before max_iter
+
+    @property
+    def degenerate(self):
+        return self.degenerate_label != 0
 
     def predict_proba(self, x, *, kernel=None):
         """Posterior P(y = +1 | x) for each row of ``x``, clamped to (0, 1).
@@ -191,7 +201,7 @@ class Model:
         if self.degenerate:
             p = 0.99 if self.degenerate_label == 1 else 0.01
             return np.full(len(_features(x, self.support)), p)
-        k = _cross_kernel(self.config, x, self.support, self.gamma, kernel)
+        k = _cross_kernel(self.config, x, self.support, kernel)
         p = _sigmoid(k @ self.dual_coeffs + self.intercept)
         return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
@@ -315,19 +325,6 @@ def _newton(config, k, target, counts, alpha, intercept):
     return alpha, intercept, n_iter, converged
 
 
-def _degenerate(config, x, label, gamma):
-    """The model of a one-class labeled set: P(label) = 0.99 everywhere."""
-    return Model(
-        config=config,
-        support=x,
-        dual_coeffs=np.zeros(len(x)),
-        intercept=0.0,
-        gamma=gamma,
-        degenerate=True,
-        degenerate_label=int(label),
-    )
-
-
 def _start(init, g, n):
     """(g, n) starting alphas and (g,) intercepts: zero, or ``init`` repeated."""
     if init is None:
@@ -350,6 +347,39 @@ def _counts(counts, n):
     return c
 
 
+def _fit_rows(config, features, labels, counts, init, gram):
+    """Fit one problem per row of the (m, n) ``counts`` over one labeled set.
+
+    A row whose samples with a positive count hold one class is that class's
+    degenerate model (alpha and intercept 0); one ``_newton`` stack solves the
+    others from ``init`` on K = ``gram``.  Returns x and, per row, alpha,
+    intercept, Newton steps, converged flag and label (0 for a solved row).
+    """
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    y = np.asarray(labels, dtype=int)
+    if len(x) == 0:
+        raise ValueError("cannot fit on an empty labeled set")
+    m, n = counts.shape
+    seen = counts > 0
+    hi, lo = np.where(seen, y, -1).max(axis=1), np.where(seen, y, 1).min(axis=1)
+    label = np.where(hi == lo, hi, 0)  # labels are -1 and +1
+    live = np.flatnonzero(label == 0)
+    start = _start(init, len(live), n)
+    alpha, intercept = np.zeros((m, n)), np.zeros(m)
+    n_iter, converged = np.zeros(m, dtype=int), np.ones(m, dtype=bool)
+    if len(live):
+        k = _cross_kernel(config, x, x, gram)
+        alpha[live], intercept[live], n_iter[live], converged[live] = _newton(
+            config, k, (y + 1) / 2.0, counts[live], *start)
+    return x, alpha, intercept, n_iter, converged, label
+
+
+def _model(config, x, alpha, intercept, n_iter, converged, label):
+    """The ``Model`` with support ``x`` from one row of ``_fit_rows``."""
+    return Model(config=config, support=x, dual_coeffs=alpha, intercept=float(intercept),
+                 degenerate_label=int(label), n_iter=int(n_iter), converged=bool(converged))
+
+
 def fit(config: LearnerConfig, features, labels, counts=None, *, init=None,
         gram=None) -> Model:
     """Train kernel logistic regression on labels in {-1,+1}.
@@ -363,29 +393,11 @@ def fit(config: LearnerConfig, features, labels, counts=None, *, init=None,
     that predicts that class with probability 0.99 (flagged via
     ``Model.degenerate``).
     """
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(labels, dtype=int)
-    if len(x) == 0:
-        raise ValueError("cannot fit on an empty labeled set")
-    n = len(x)
-    gamma = config.gamma if config.gamma is not None else 1.0 / x.shape[1]
+    n = len(labels)
     c = np.ones(n) if counts is None else _counts(counts, n)
-    classes = np.unique(y[c > 0])
-    if len(classes) == 1:
-        return _degenerate(config, x, classes[0], gamma)
-
-    alpha, intercept = _start(init, 1, n)
-    k = _cross_kernel(config, x, x, gamma, gram)
-    alpha, intercept, n_iter, converged = _newton(
-        config, k, (y + 1) / 2.0, c[None, :], alpha, intercept
-    )
-    return _model(config, x, gamma, alpha[0], intercept[0], n_iter[0], converged[0])
-
-
-def _model(config, x, gamma, alpha, intercept, n_iter, converged):
-    """The fitted ``Model`` with support ``x`` from one row of a Newton solve."""
-    return Model(config=config, support=x, dual_coeffs=alpha, intercept=float(intercept),
-                 gamma=gamma, n_iter=int(n_iter), converged=bool(converged))
+    x, alpha, intercept, n_iter, converged, label = _fit_rows(
+        config, features, labels, c[None, :], init, gram)
+    return _model(config, x, alpha[0], intercept[0], n_iter[0], converged[0], label[0])
 
 
 @dataclass(frozen=True)
@@ -404,7 +416,6 @@ class Committee:
 
     config: LearnerConfig
     support: np.ndarray  # (n, d): the labeled set every member is solved on
-    gamma: float
     model: Model  # the fit on the whole labeled set, count 1 per row
     drawn: np.ndarray  # (g, n) bool
     coeffs: np.ndarray  # (g, n)
@@ -423,7 +434,7 @@ class Committee:
         ``kernel`` is ``kernel_matrix(config, x, support)`` if the caller
         already has it; by default it is computed here.
         """
-        k = _cross_kernel(self.config, x, self.support, self.gamma, kernel)
+        k = _cross_kernel(self.config, x, self.support, kernel)
         p = np.clip(_sigmoid(self.coeffs @ k.T + self.intercepts[:, None]),
                     PROB_CLAMP, 1.0 - PROB_CLAMP)
         fixed = np.where(self.degenerate_label == 1, 0.99, 0.01)
@@ -433,10 +444,9 @@ class Committee:
     def members(self):
         """Each member as a ``Model`` on its distinct draws."""
         return tuple(
-            _degenerate(self.config, self.support[d], label, self.gamma) if label else _model(
-                self.config, self.support[d], self.gamma, self.coeffs[j, d],
-                self.intercepts[j], self.n_iter[j], self.converged[j])
-            for j, (d, label) in enumerate(zip(self.drawn, self.degenerate_label))
+            _model(self.config, self.support[d], self.coeffs[j, d], self.intercepts[j],
+                   self.n_iter[j], self.converged[j], self.degenerate_label[j])
+            for j, d in enumerate(self.drawn)
         )
 
 
@@ -467,29 +477,14 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0, *,
     """
     if g < 2:
         raise ValueError("committee size g must be >= 2")
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(labels, dtype=int)
-    if len(x) == 0:
-        raise ValueError("cannot fit a committee on an empty labeled set")
-    n = len(x)
-    gamma = config.gamma if config.gamma is not None else 1.0 / x.shape[1]
+    n = len(labels)
     counts = _bootstrap_counts(n, g, seed)
+    x, alpha, intercept, n_iter, converged, label = _fit_rows(
+        config, features, labels, np.concatenate([np.ones((1, n)), counts]), init, gram)
     drawn = counts > 0
-    label = np.array([0 if np.ptp(y[d]) > 0 else y[d][0] for d in drawn])
-    live = np.flatnonzero(label == 0)  # empty unless the labeled set has two classes
-    rows = np.concatenate([np.ones((int(np.ptp(y) > 0), n)), counts[live]])
-    alpha, intercept = _start(init, len(rows), n)
-    coeffs, intercepts = np.zeros((g, n)), np.zeros(g)
-    n_iter, converged = np.zeros(g, dtype=int), np.ones(g, dtype=bool)
-    if len(rows):
-        k = _cross_kernel(config, x, x, gamma, gram)
-        alpha, intercept, steps, done = _newton(config, k, (y + 1) / 2.0, rows, alpha, intercept)
-        model = _model(config, x, gamma, alpha[0], intercept[0], steps[0], done[0])
-        coeffs[live], intercepts[live], n_iter[live], converged[live] = (
-            alpha[1:], intercept[1:], steps[1:], done[1:])
-        coeffs[~drawn] = 0.0
-    else:
-        model = _degenerate(config, x, y[0], gamma)
-    return Committee(config=config, support=x, gamma=gamma, model=model, drawn=drawn,
-                     coeffs=coeffs, intercepts=intercepts, degenerate_label=label,
-                     n_iter=n_iter, converged=converged)
+    coeffs = alpha[1:]
+    coeffs[~drawn] = 0.0
+    model = _model(config, x, alpha[0], intercept[0], n_iter[0], converged[0], label[0])
+    return Committee(config=config, support=x, model=model, drawn=drawn, coeffs=coeffs,
+                     intercepts=intercept[1:], degenerate_label=label[1:],
+                     n_iter=n_iter[1:], converged=converged[1:])

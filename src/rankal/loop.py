@@ -278,11 +278,6 @@ class WarmStart:
         return self.model
 
 
-def _labeled_fit(pool, cfg, warm):
-    """The model fitted on the labeled set; cold when ``warm`` is None."""
-    return (WarmStart() if warm is None else warm).fit(pool, cfg)
-
-
 def _inputs(pool, cfg, ted_scores, warm=None):
     """The scorers' inputs: the fits and the kernel that the configured criteria need.
 
@@ -320,8 +315,7 @@ def criterion_scores(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
 
 def top_positions(scores, k):
     """Positions of the k lowest scores, ties broken by ascending position."""
-    order = np.lexsort((np.arange(len(scores)), scores))
-    return order[:k]
+    return np.argsort(scores, kind="stable")[:k]
 
 
 def _fuse(pool: PoolState, cfg: ALConfig, scores):
@@ -429,8 +423,8 @@ def initial_batch(pool: PoolState, cfg: ALConfig, ted_scores) -> PoolState:
     return state
 
 
-def _evaluate(pool: PoolState, test: Dataset, cfg: ALConfig, warm=None):
-    model = _labeled_fit(pool, cfg, warm)
+def _evaluate(pool: PoolState, test: Dataset, cfg: ALConfig, warm: WarmStart):
+    model = warm.fit(pool, cfg)
     p_pos = model.predict_proba(test.features)
     preds = np.where(p_pos >= 0.5, 1, -1)
     return (

@@ -49,15 +49,13 @@ def _penalized_nll(k, target, alpha, intercept, reg):
 def fit(config: LearnerConfig, features, labels) -> Model:
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=int)
-    gamma = config.gamma if config.gamma is not None else 1.0 / x.shape[1]
     classes = np.unique(y)
     if len(classes) == 1:
         return Model(config=config, support=x, dual_coeffs=np.zeros(len(x)),
-                     intercept=0.0, gamma=gamma, degenerate=True,
-                     degenerate_label=int(classes[0]))
+                     intercept=0.0, degenerate_label=int(classes[0]))
     n = len(x)
     target = (y + 1) / 2.0
-    k = kernel_matrix(config, x, x, gamma=gamma)
+    k = kernel_matrix(config, x, x)
     alpha = np.zeros(n)
     intercept = 0.0
     obj = _penalized_nll(k, target, alpha, intercept, config.reg)
@@ -88,7 +86,7 @@ def fit(config: LearnerConfig, features, labels) -> Model:
         if moved < config.tol:
             break
     return Model(config=config, support=x, dual_coeffs=alpha,
-                 intercept=float(intercept), gamma=gamma)
+                 intercept=float(intercept))
 
 
 def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0) -> tuple:

@@ -463,12 +463,31 @@ class TestAggregateDispatch:
             aggregate("condorcet", self.LISTS, self.WEIGHTS)
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_weight_rejected(self, method, bad):
+    @pytest.mark.parametrize("where, bad", [("weight", np.nan), ("weight", np.inf),
+                                            ("rank", np.nan), ("rank", np.inf)],
+                             ids=["nan", "inf", "nan-rank", "inf-rank"])
+    def test_non_finite_weight_rejected(self, method, where, bad):
         weights = np.array(self.WEIGHTS, dtype=float)
-        weights[0] = bad
+        lists = self.LISTS.copy()
+        if where == "weight":
+            weights[0] = bad
+        else:
+            lists[0, 4] = bad
         with pytest.raises(ValueError, match="finite"):
-            aggregate(method, self.LISTS, weights, committee_flags=self.FLAGS)
+            aggregate(method, lists, weights, committee_flags=self.FLAGS)
+
+    @pytest.mark.parametrize("method", ["mc1", "mc2", "mc3"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_select", -3, "n_select must be an integer >= 1"),
+        ("n_select", 0, "n_select must be an integer >= 1"),
+        ("n_select", 2.5, "n_select must be an integer >= 1"),
+        ("tun2", 1.5, "tun2 must be an integer >= 0"),
+        ("tun2", -5, "tun2 must be an integer >= 0"),
+    ])
+    def test_truncation_values_rejected(self, method, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            aggregate(method, self.LISTS, self.WEIGHTS, committee_flags=self.FLAGS,
+                      **{key: value})
 
 
 @st.composite

@@ -184,7 +184,8 @@ TOP_VALUES = {
 
 @st.composite
 def run_configs(draw):
-    """A config on a 40-sample synthetic set, at most one of its values spoiled."""
+    """A config on a 40-sample synthetic set, at most one of its values spoiled,
+    and whether the spoiled value is a top-level one (invalid in any config)."""
     def entry(values):
         keys = draw(st.sets(st.sampled_from(sorted(values))))
         drawn = {k: draw(st.sampled_from(values[k][0])) for k in sorted(keys)}
@@ -203,7 +204,7 @@ def run_configs(draw):
     elif spoil == "method":
         key = draw(st.sampled_from(sorted(METHOD_VALUES)))
         cfg["methods"][0][key] = draw(st.sampled_from(METHOD_VALUES[key][1]))
-    return cfg
+    return cfg, spoil == "top"
 
 
 class TestRun:
@@ -281,6 +282,7 @@ class TestRun:
             ("split", {"seed": 1.5}, "split: seed must be an integer >= 0"),
             ("split", {"test_fraciton": 0.3}, "'split' may only hold"),
             ("seeds", [0, 1, 0], "'seeds' must not repeat a seed"),
+            ("checkpoints", [], "'checkpoints' must be a non-empty list of numbers"),
         ],
     )
     def test_mistyped_value_exits_2(self, tmp_path, capsys, key, value, message):
@@ -400,8 +402,9 @@ class TestRun:
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(cfg=run_configs())
-    def test_accepted_configs_run_and_rejected_ones_write_nothing(self, tmp_path, capsys, cfg):
+    @given(case=run_configs())
+    def test_accepted_configs_run_and_rejected_ones_write_nothing(self, tmp_path, capsys, case):
+        cfg, spoiled_top = case
         with tempfile.TemporaryDirectory(dir=tmp_path) as work:
             out_dir = os.path.join(work, "results")
             cfg = dict(cfg, output_dir=out_dir)
@@ -413,6 +416,7 @@ class TestRun:
                 accepted = True
             except UsageError:
                 accepted = False
+            assert not (accepted and spoiled_top), cfg
             code, _, err = run_cli(capsys, "run", cfg_path)
             # _load_config also makes the checks that need the data (pool size,
             # classes per split), so every config it accepts runs

@@ -241,7 +241,7 @@ class TestOptimality:
         x, y, c = _pool(n, d, seed)
         cfg = LearnerConfig(kernel=kernel)
         m = fit(cfg, x, y, c)
-        k = kernel_matrix(cfg, x, x, gamma=m.gamma)
+        k = kernel_matrix(cfg, x, x)
         t = (y + 1) / 2.0
         p = 1.0 / (1.0 + np.exp(-(k @ m.dual_coeffs + m.intercept)))
         # gradient in function space: blind to the near-null space of K,
@@ -257,7 +257,7 @@ class TestOptimality:
         x, y, c = _pool(n, d, seed)
         cfg = LearnerConfig(kernel=kernel)
         m = fit(cfg, x, y, c)
-        k = kernel_matrix(cfg, x, x, gamma=m.gamma)
+        k = kernel_matrix(cfg, x, x)
         t = (y + 1) / 2.0
         p = 1.0 / (1.0 + np.exp(-(k @ m.dual_coeffs + m.intercept)))
         # at the optimum alpha = -c (p - t) / reg exactly (representer
@@ -332,7 +332,7 @@ class TestWarmStart:
         two_class = [np.ptp(y[row > 0]) > 0 for row in counts]
         counts = counts[two_class]
         alpha, _, _, converged = learner._newton(
-            cfg, kernel_matrix(cfg, x, x, gamma=margin.gamma), (y + 1) / 2.0, counts,
+            cfg, kernel_matrix(cfg, x, x), (y + 1) / 2.0, counts,
             np.tile(margin.dual_coeffs, (len(counts), 1)), np.full(len(counts), margin.intercept),
         )
         assert converged.all()

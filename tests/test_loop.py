@@ -34,7 +34,6 @@ from rankal.loop import (
     WarmStart,
     _fuse,
     _inputs,
-    _labeled_fit,
     criterion_scores,
     fused_step,
     initial_batch,
@@ -413,8 +412,8 @@ class TestWarmStart:
                 # a checkpoint fit, from which the next step's stack starts
                 x = state.data.features
                 np.testing.assert_allclose(
-                    _labeled_fit(state, cfg, warm).predict_proba(x),
-                    _labeled_fit(state, cfg, None).predict_proba(x), rtol=0, atol=1e-6,
+                    warm.fit(state, cfg).predict_proba(x),
+                    WarmStart().fit(state, cfg).predict_proba(x), rtol=0, atol=1e-6,
                 )
             if state.n_unlabeled == 0:
                 break
@@ -423,10 +422,10 @@ class TestWarmStart:
         state = prepared_pool(seed=18)
         cfg = ALConfig(criteria=("margin",))
         warm = WarmStart()
-        model = _labeled_fit(state, cfg, warm)
+        model = warm.fit(state, cfg)
         assert _inputs(state, cfg, None, warm).model is model
         grown = oracle_label(state, state.unlabeled_idx[:2])
-        assert _labeled_fit(grown, cfg, warm) is not model
+        assert warm.fit(grown, cfg) is not model
 
     def test_run_warm_starts_and_stays_deterministic(self, monkeypatch):
         import rankal.loop as loop
