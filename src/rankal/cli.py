@@ -8,6 +8,14 @@ Verbs:
 * ``run``        -- execute a JSON-configured experiment grid
 * ``compare``    -- win/tie/loss table between two result directories
 
+The CLI parses no file itself: ``rankal.data`` reads the dataset, rank-list
+and weights files (``load_table``, ``load_rank_lists``, ``load_weights``), and
+its ``csv_rows`` and ``parse_number`` split and check the rows of the curve
+files that ``_curves_from_dir`` reads back (``_write_curve``'s format), so no
+number is parsed here and a bad field is reported with its file and row.  The
+CLI keeps argument handling and printing, such as the note that weights not
+summing to 1 are normalized.
+
 ``run`` checks a config by building the library's objects from it
 (``make_two_blobs`` or ``load_table``, ``SplitSpec``, ``ALConfig``,
 ``LearnerConfig``) and reports each one's error under its key; it checks
@@ -19,7 +27,6 @@ Exit codes: 0 success, 1 benchmark check failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import math
@@ -34,9 +41,13 @@ from . import aggregation as agg
 from .data import (
     TABLE_FORMATS,
     SplitSpec,
+    csv_rows,
+    load_rank_lists,
     load_table,
+    load_weights,
     make_two_blobs,
     normalize_features,
+    parse_number,
     split_pool,
 )
 from .evaluation import LearningCurve, win_tie_loss
@@ -51,81 +62,15 @@ class UsageError(Exception):
     pass
 
 
-def _read_rank_csv(path):
-    ids, columns, id_rows = [], None, {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise UsageError(f"{path}: empty rank-list file")
-    start = 0
-    try:
-        [float(v) for v in rows[0]]
-    except ValueError:
-        start = 1  # header row
-    for lineno, row in enumerate(rows[start:], start=start + 1):
-        try:
-            values = [float(v) for v in row]
-        except ValueError as exc:
-            raise UsageError(f"{path}: row {lineno}: {exc}") from None
-        if columns is None:
-            columns = len(values)
-            if columns < 2:
-                raise UsageError(f"{path}: need an id column plus at least one rank list")
-        elif len(values) != columns:
-            raise UsageError(f"{path}: row {lineno}: inconsistent field count")
-        if not np.all(np.isfinite(values[1:])):
-            raise UsageError(f"{path}: row {lineno}: rank values must be finite")
-        sid = values[0]
-        if not sid.is_integer():
-            raise UsageError(f"{path}: row {lineno}: sample id {row[0]!r} is not an integer")
-        if sid in id_rows:
-            raise UsageError(
-                f"{path}: row {lineno}: duplicate sample id {int(sid)} "
-                f"(first on row {id_rows[sid]})"
-            )
-        id_rows[sid] = lineno
-        ids.append(values)
-    table = np.array(ids)
-    sample_ids = table[:, 0].astype(int)
-    ranks = table[:, 1:].T  # (L, n)
-    if np.any(ranks < 1):
-        raise UsageError(f"{path}: ranks must be >= 1")
-    return sample_ids, ranks
-
-
-def _read_weights(path, n_lists):
-    values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                value = np.nan
-            if not np.isfinite(value):
-                raise UsageError(
-                    f"{path}: row {lineno}: weight {line.strip()!r} is not a finite number"
-                )
-            values.append(value)
-    if len(values) != n_lists:
-        raise UsageError(f"{path}: expected {n_lists} weights, got {len(values)}")
-    w = np.array(values)
-    if np.any(w < 0) or w.sum() <= 0:
-        raise UsageError(f"{path}: weights must be non-negative with positive sum")
-    if abs(w.sum() - 1.0) > 1e-9:
-        print(f"note: weights sum to {w.sum():g}; normalizing to 1")
-        w = w / w.sum()
-    return w
-
-
 def cmd_aggregate(args):
-    sample_ids, ranks = _read_rank_csv(args.lists)
-    weights = (
-        _read_weights(args.weights, len(ranks))
-        if args.weights
-        else np.full(len(ranks), 1.0 / len(ranks))
-    )
+    sample_ids, ranks = load_rank_lists(args.lists)
+    if args.weights:
+        weights = load_weights(args.weights, len(ranks))
+        if abs(weights.sum() - 1.0) > 1e-9:
+            print(f"note: weights sum to {weights.sum():g}; normalizing to 1")
+            weights = weights / weights.sum()
+    else:
+        weights = np.full(len(ranks), 1.0 / len(ranks))
     ranking = agg.aggregate(
         args.method, ranks, weights, ids=sample_ids, n_select=args.n,
         tun1=args.tun1, tun2=args.tun2, p=args.p, truncate=not args.no_truncate,
@@ -404,42 +349,36 @@ def cmd_run(args):
 
 
 def _curves_from_dir(path, metric):
+    """Each ``curve_<method>.csv`` in ``path`` (``_write_curve``'s format) as a LearningCurve."""
+    columns = ("seed", "fraction", metric)
     curves = {}
     for fname in sorted(os.listdir(path)):
         if not (fname.startswith("curve_") and fname.endswith(".csv")):
             continue
         method = fname[len("curve_"):-len(".csv")]
         where = os.path.join(path, fname)
-        rows = {}
-        with open(where, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in ("seed", "fraction", metric)
-                       if c not in (reader.fieldnames or ())]
-            if missing:
-                raise UsageError(f"{where}: row 1: no {', '.join(missing)} column")
-            for rec in reader:
-                try:
-                    seed = int(rec["seed"])
-                    point = (float(rec["fraction"]), float(rec[metric]))
-                except (TypeError, ValueError):  # TypeError: a short row
-                    raise UsageError(
-                        f"{where}: row {reader.line_num}: bad seed, fraction or {metric}"
-                    ) from None
-                if not all(map(math.isfinite, point)):
-                    raise UsageError(
-                        f"{where}: row {reader.line_num}: fraction and {metric} "
-                        "must be finite"
-                    )
-                rows.setdefault(seed, []).append(point)
-        if not rows:
-            raise UsageError(f"{where}: row 1: header without data rows")
-        seeds = sorted(rows)
-        fractions = tuple(f for f, _ in rows[seeds[0]])
+        rows = csv_rows(where)
+        header_row, header = next(rows, (1, []))
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise UsageError(f"{where}: row {header_row}: no {', '.join(missing)} column")
+        at = [header.index(c) for c in columns]
+        points = {}
+        for row, fields in rows:
+            seed, fraction, value = (
+                parse_number(where, row, fields[j], name, integer=name == "seed")
+                for j, name in zip(at, columns)
+            )
+            points.setdefault(seed, []).append((fraction, value))
+        if not points:
+            raise UsageError(f"{where}: row {header_row}: header without data rows")
+        seeds = sorted(points)
+        fractions = tuple(f for f, _ in points[seeds[0]])
         values = []
         for seed in seeds:
-            if tuple(f for f, _ in rows[seed]) != fractions:
+            if tuple(f for f, _ in points[seed]) != fractions:
                 raise UsageError(f"{where}: inconsistent checkpoint grid")
-            values.append([v for _, v in rows[seed]])
+            values.append([v for _, v in points[seed]])
         curves[method] = LearningCurve(method, fractions, np.array(values))
     if not curves:
         raise UsageError(f"{path}: no curve_*.csv files found")

@@ -1,12 +1,26 @@
 """Tabular binary-classification data: loading, normalization, pool management.
 
-Two on-disk formats are supported:
+Every dataset, rank-list and weights file is read here.  Four text formats,
+all UTF-8:
 
-* dense CSV: UTF-8, comma separated, one header row, label in the last column
-* sparse index/value lines: ``label idx:val idx:val ...`` with 1-based indices
+* dense CSV: comma separated, one header row, label in the last column
+  (``load_dense_csv``)
+* sparse index/value lines: ``label idx:val idx:val ...`` with 1-based
+  indices (``load_sparse``)
+* rank-list CSV: sample id, then one rank per list; the first row is a header
+  when its first field is not a number (``load_rank_lists``)
+* weights: one weight per line (``load_weights``)
+
+The curve CSV that ``rankal run`` writes and ``rankal compare`` reads is
+parsed in ``rankal.cli`` next to its writer, through the same two helpers:
+``csv_rows`` yields each non-blank CSV row with its line number and makes
+every row as wide as the first, and ``parse_number`` turns one field into a
+finite float.  Row numbers are physical line numbers: blank lines count.  An
+error is a DataFormatError ``<path>: row <n>: <what> <field> ...``.
 
 Labels are coerced to {-1, +1}: the two distinct raw values are mapped by
-sorted order (smaller -> -1, larger -> +1).
+sorted order (smaller -> -1, larger -> +1).  A label column holds numbers or
+strings, not both.
 
 ``SplitSpec`` and ``make_two_blobs`` check their own arguments and raise a
 ValueError naming the argument, so a caller (``rankal run`` among them) only
@@ -16,6 +30,7 @@ has to build them.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
@@ -116,89 +131,175 @@ class PoolState:
         return self.data.features[self.unlabeled_idx]
 
 
-def _coerce_labels(raw, path):
-    """Map the two distinct raw label values to {-1, +1} by sorted order."""
-    distinct = sorted(set(raw))
+def _text(path):
+    """The UTF-8 text of ``path``; a DataFormatError names the row of a bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}: row {row}: not UTF-8 text: {exc.reason}") from None
+
+
+def csv_rows(path, width=None):
+    """Yield (line number, fields) for each non-blank row of the CSV file ``path``.
+
+    A row is blank when its line holds only whitespace.  Every row must have
+    ``width`` fields (default: as many as the first row), else DataFormatError.
+    """
+    reader = csv.reader(io.StringIO(_text(path), newline=""))
+    try:
+        for row in reader:
+            if len(row) > 1 or (row and row[0].strip()):
+                width = len(row) if width is None else width
+                if len(row) != width:
+                    raise DataFormatError(
+                        f"{path}: row {reader.line_num}: expected {width} fields, got {len(row)}"
+                    )
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+
+
+def parse_number(path, row, field, what, minimum=-math.inf, integer=False):
+    """``field`` as a finite float >= ``minimum``.
+
+    With ``integer``, the float must also hold an integer below 2**53 in
+    magnitude, so that no two integers in the file parse to one value.
+    Otherwise DataFormatError ``<path>: row <row>: <what> <field> is not ...``.
+    """
+    try:
+        value = float(field)
+    except ValueError:
+        value = math.nan
+    exact = value.is_integer() and abs(value) < 2**53
+    if not (math.isfinite(value) and value >= minimum and (exact or not integer)):
+        need = "an integer of magnitude < 2**53" if integer else "a finite number"
+        if minimum > -math.inf:
+            need += f" >= {minimum:g}"
+        raise DataFormatError(f"{path}: row {row}: {what} {field!r} is not {need}")
+    return value
+
+
+def _number_or_text(text):
+    """``text`` as a float if it parses as one, else as it is."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _coerce_labels(path, labels):
+    """Map the two distinct raw labels to {-1, +1} by sorted order.
+
+    ``labels`` holds (row, text) pairs.  A label that parses as a float is a
+    number, any other a string; the first label decides which the column holds.
+    """
+    values = [_number_or_text(text) for _, text in labels]
+    for (row, text), value in zip(labels, values):
+        if type(value) is not type(values[0]):
+            what = "a number" if isinstance(value, float) else "not a number"
+            first_row, first = labels[0]
+            raise DataFormatError(
+                f"{path}: row {row}: label {text!r} is {what}, unlike label {first!r} "
+                f"on row {first_row}"
+            )
+    distinct = sorted(set(values))
     if len(distinct) > 2:
         raise ValueError(f"{path}: more than two distinct labels: {distinct[:5]}...")
     if len(distinct) < 2:
         raise ValueError(f"{path}: need two distinct labels, found {distinct}")
     mapping = {distinct[0]: -1, distinct[1]: 1}
-    return np.array([mapping[v] for v in raw], dtype=int)
-
-
-def _parse_label(token):
-    try:
-        return float(token)
-    except ValueError:
-        return token
+    return np.array([mapping[v] for v in values], dtype=int)
 
 
 def load_dense_csv(path) -> Dataset:
     """Load a dense CSV with header row and the label in the last column."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataFormatError(
-                    f"{path}: row {lineno}: expected {width} fields, got {len(row)}"
-                )
-            try:
-                feats = [float(v) for v in row[:-1]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in feats):
-                raise DataFormatError(f"{path}: row {lineno}: feature values must be finite")
-            rows.append((feats, _parse_label(row[-1])))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    features = np.array([r[0] for r in rows], dtype=float)
-    labels = _coerce_labels([r[1] for r in rows], path)
-    return Dataset(features, labels, np.arange(len(rows)))
+    rows = csv_rows(path)
+    next(rows, None)  # the header
+    features, labels = [], []
+    for row, fields in rows:
+        features.append([parse_number(path, row, v, "feature") for v in fields[:-1]])
+        labels.append((row, fields[-1]))
+    if not labels:
+        raise DataFormatError(f"{path}: no data rows")
+    return Dataset(np.array(features, dtype=float), _coerce_labels(path, labels),
+                   np.arange(len(labels)))
 
 
 def load_sparse(path) -> Dataset:
     """Load sparse 'label idx:val ...' lines; indices are 1-based."""
-    entries = []
+    entries, labels = [], []
     max_index = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            pairs = []
-            for tok in tokens[1:]:
-                try:
-                    idx_s, val_s = tok.split(":")
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {lineno}: bad index:value token {tok!r}"
-                    ) from None
-                if idx < 1:
-                    raise DataFormatError(f"{path}: row {lineno}: index {idx} < 1")
-                if not math.isfinite(val):
-                    raise DataFormatError(f"{path}: row {lineno}: feature values must be finite")
-                pairs.append((idx, val))
-                max_index = max(max_index, idx)
-            entries.append((_parse_label(tokens[0]), pairs))
+    for row, line in enumerate(io.StringIO(_text(path), newline=None), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        pairs = []
+        for tok in tokens[1:]:
+            try:
+                idx_s, val_s = tok.split(":")
+                idx = int(idx_s)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: row {row}: bad index:value token {tok!r}"
+                ) from None
+            if idx < 1:
+                raise DataFormatError(f"{path}: row {row}: index {idx} < 1")
+            pairs.append((idx, parse_number(path, row, val_s, "feature")))
+            max_index = max(max_index, idx)
+        entries.append(pairs)
+        labels.append((row, tokens[0]))
     if not entries:
-        raise ValueError(f"{path}: empty file")
+        raise DataFormatError(f"{path}: empty file")
     features = np.zeros((len(entries), max_index))
-    for i, (_, pairs) in enumerate(entries):
+    for i, pairs in enumerate(entries):
         for idx, val in pairs:
             features[i, idx - 1] = val
-    labels = _coerce_labels([e[0] for e in entries], path)
-    return Dataset(features, labels, np.arange(len(entries)))
+    return Dataset(features, _coerce_labels(path, labels), np.arange(len(entries)))
+
+
+def load_rank_lists(path):
+    """The sample ids (n,) and the (L, n) rank lists of a rank-list CSV.
+
+    Column 1 holds distinct integer sample ids, the other columns one rank
+    list each: finite ranks >= 1, ties allowed.  The first row is a header
+    when its first field is not a number.
+    """
+    rows = list(csv_rows(path))
+    if rows and not isinstance(_number_or_text(rows[0][1][0]), float):
+        rows = rows[1:]  # the header
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    if len(rows[0][1]) < 2:
+        raise DataFormatError(
+            f"{path}: row {rows[0][0]}: need an id column plus at least one rank list"
+        )
+    id_rows, ranks = {}, []
+    for row, fields in rows:
+        sid = parse_number(path, row, fields[0], "sample id", integer=True)
+        if sid in id_rows:
+            raise DataFormatError(
+                f"{path}: row {row}: duplicate sample id {int(sid)} (first on row {id_rows[sid]})"
+            )
+        id_rows[sid] = row
+        ranks.append([parse_number(path, row, v, "rank", minimum=1) for v in fields[1:]])
+    return np.array(list(id_rows)).astype(int), np.array(ranks).T
+
+
+def load_weights(path, n_lists):
+    """The ``n_lists`` weights of a weights file, one per line, not normalized.
+
+    Each weight is a finite number >= 0 and their sum is positive.
+    """
+    w = np.array([parse_number(path, row, field, "weight", minimum=0)
+                  for row, (field,) in csv_rows(path, width=1)])
+    if len(w) != n_lists:
+        raise DataFormatError(f"{path}: expected {n_lists} weights, got {len(w)}")
+    if not w.sum() > 0:
+        raise DataFormatError(f"{path}: weights must have a positive sum")
+    return w
 
 
 TABLE_FORMATS = {"dense-csv": load_dense_csv, "sparse-index-value": load_sparse}

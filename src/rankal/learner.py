@@ -357,8 +357,10 @@ def _fit_rows(config, features, labels, counts, init, gram):
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=int)
-    if len(x) == 0:
+    if len(y) == 0:
         raise ValueError("cannot fit on an empty labeled set")
+    if len(x) != len(y):
+        raise ValueError(f"features has {len(x)} rows but labels has {len(y)}")
     m, n = counts.shape
     seen = counts > 0
     hi, lo = np.where(seen, y, -1).max(axis=1), np.where(seen, y, 1).min(axis=1)

@@ -66,8 +66,10 @@ class TestAggregate:
         [
             ("id,l1\n1.5,1\n2,2\n", 2, "not an integer"),
             ("id,l1\n1,1\n2,2\n1,3\n", 4, "duplicate sample id 1"),
+            ("id,l1\n1e30,1\n2,2\n", 2, "not an integer"),
+            ("id,l1\n9007199254740993,1\n9007199254740992,2\n", 2, "not an integer"),
         ],
-        ids=["non-integer", "duplicate"],
+        ids=["non-integer", "duplicate", "beyond-int64", "beyond-2**53"],
     )
     def test_bad_sample_id_exits_2(self, tmp_path, capsys, body, row, message):
         path = tmp_path / "ids.csv"
@@ -75,6 +77,24 @@ class TestAggregate:
         code, out, err = run_cli(capsys, "aggregate", str(path))
         assert code == 2
         assert str(path) in err and f"row {row}" in err and message in err
+        assert "order" not in out
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("id,l1,l2\n\n1,1,2\n\n2,x,1\n", "row 5: rank 'x' is not a finite number >= 1"),
+            ("id,l1,l2\n1,1,2\n2,0,1\n", "row 3: rank '0' is not a finite number >= 1"),
+            ("1,x,2\n2,1,1\n", "row 1: rank 'x' is not a finite number >= 1"),
+            ("id,l1\n", "no data rows"),
+        ],
+        ids=["blank-lines-counted", "rank-below-1", "first-row-is-data", "header-only"],
+    )
+    def test_bad_rank_file_names_row(self, tmp_path, capsys, body, message):
+        path = tmp_path / "ranks.csv"
+        path.write_text(body, encoding="utf-8")
+        code, out, err = run_cli(capsys, "aggregate", str(path))
+        assert code == 2
+        assert f"{path}: {message}" in err
         assert "order" not in out
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -466,9 +486,9 @@ class TestCompare:
             (CURVE_HEADER, "row 1: header without data rows"),
             ("seed,fraction,n_labeled,f1,auc\n0,0.1,4,0.9,0.9\n", "row 1: no accuracy column"),
             (CURVE_HEADER + "0,0.1,4,0.9,0.9,0.9\n0,0.2,4,nan,0.9,0.9\n",
-             "row 3: fraction and accuracy must be finite"),
-            (CURVE_HEADER + "0,inf,4,0.9,0.9,0.9\n", "row 2: fraction and accuracy must be finite"),
-            (CURVE_HEADER + "0,0.1,4\n", "row 2: bad seed, fraction or accuracy"),
+             "row 3: accuracy 'nan' is not a finite number"),
+            (CURVE_HEADER + "0,inf,4,0.9,0.9,0.9\n", "row 2: fraction 'inf' is not a finite number"),
+            (CURVE_HEADER + "0,0.1,4\n", "row 2: expected 6 fields, got 3"),
         ],
         ids=["header-only", "no-metric-column", "nan", "inf", "short-row"],
     )

@@ -51,6 +51,18 @@ class TestLoadDense:
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: row 4:") + ".*finite"):
             load_table(path)
 
+    def test_mixed_labels_name_row_and_label(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,y\n1,0\n2,1+1\n3,1\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{path}: row 3: label '1+1' is not a number, unlike label '0' on row 2")):
+            load_table(path)
+
+    def test_non_utf8_byte_reports_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,y\n1,0\n2,\xff\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: row 3: not UTF-8 text")):
+            load_table(str(path))
+
     def test_three_labels_rejected(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,y\n1,0\n2,1\n3,2\n")
         with pytest.raises(ValueError, match="two distinct"):
@@ -78,6 +90,12 @@ class TestLoadSparse:
     def test_non_finite_feature_reports_line(self, tmp_path, value):
         path = write(tmp_path, "s.txt", f"1 2:0.5\n-1 1:{value} 3:2.0\n")
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: row 2:") + ".*finite"):
+            load_table(path, "sparse-index-value")
+
+    def test_mixed_labels_name_row_and_label(self, tmp_path):
+        path = write(tmp_path, "s.txt", "pos 1:1\n\n1 1:2\nneg 1:3\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{path}: row 3: label '1' is a number, unlike label 'pos' on row 1")):
             load_table(path, "sparse-index-value")
 
     def test_unknown_format(self, tmp_path):

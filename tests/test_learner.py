@@ -484,3 +484,18 @@ class TestFitCounts:
         m = fit(CFG, self.x, self.y, counts)
         assert m.degenerate and m.degenerate_label == label and m.n_iter == 0
         np.testing.assert_array_equal(m.predict_proba(self.x), 0.99 if label == 1 else 0.01)
+
+
+class TestFitLengths:
+    """``fit`` and ``fit_committee`` reject features and labels of different lengths."""
+
+    x = np.arange(5.0)[:, None]
+    y = np.array([-1, -1, 1, 1])
+
+    def test_fit_names_both_lengths(self):
+        with pytest.raises(ValueError, match="features has 5 rows but labels has 4"):
+            fit(CFG, self.x, self.y)
+
+    def test_fit_committee_names_both_lengths(self):
+        with pytest.raises(ValueError, match="features has 5 rows but labels has 4"):
+            fit_committee(CFG, self.x, self.y, g=3, seed=0)
