@@ -29,9 +29,9 @@ ladder = np.array([0.1, 0.1, 0.1, 0.4, 0.4, 0.9])   # committee-style duplicates
 print("duplicate weight, ladder list:", duplicate_weight(ladder, 1))
 
 # --- group-mass law: committee and non-committee split the mass ----------
-wv = blend_weights([0.9, 0.2, 0.6], [False, False, True])
-print("\nweights for (diversity, margin, qbc):", np.round(wv.weights, 4))
-print("non-committee mass:", wv.weights[:2].sum(), " committee mass:", wv.weights[2])
+weights = blend_weights([0.9, 0.2, 0.6], [False, False, True])
+print("\nweights for (diversity, margin, qbc):", np.round(weights, 4))
+print("non-committee mass:", weights[:2].sum(), " committee mass:", weights[2])
 
 # --- live weight trajectory over a short run ------------------------------
 data = normalize_features(benchmark_blobs(seed=0))

@@ -51,6 +51,6 @@ from .evaluation import (
 )
 from .learner import Committee, LearnerConfig, Model, fit, fit_committee, posterior
 from .loop import ALConfig, RunTrace, run_active_learning
-from .weighting import WeightVector, blend_weights, bvsb_weight, duplicate_weight
+from .weighting import blend_weights, bvsb_weight, duplicate_weight
 
 __version__ = "0.1.0"

@@ -177,10 +177,10 @@ def _load_config(path):
     ``load_table``, ``SplitSpec``, ``ALConfig`` and ``LearnerConfig``.  A
     ValueError, TypeError or OSError raised while building one object becomes
     one problem, ``<key>: <message>``.  Checks only the runner can make (key
-    names, the shape of ``dataset``, ``seeds``, ``split`` and ``checkpoints``,
-    labels, and what the data leaves each run) are made here; those that need
-    the splits run once everything else is valid.  UsageError lists every
-    problem, before anything is written.
+    names, the shape of ``dataset``, ``output_dir``, ``seeds``, ``split`` and
+    ``checkpoints``, labels, and what the data leaves each run) are made
+    here; those that need the splits run once everything else is valid.
+    UsageError lists every problem, before anything is written.
     """
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -203,6 +203,8 @@ def _load_config(path):
         dataset = build(key, _load_dataset, dataset)
     if "output_dir" not in cfg:
         problems.append("missing 'output_dir'")
+    elif not (isinstance(cfg["output_dir"], str) and cfg["output_dir"]):
+        problems.append("'output_dir' must be a non-empty string")
     seeds = cfg.get("seeds", list(range(10)))
     if not isinstance(seeds, list) or not seeds:
         problems.append("'seeds' must be a non-empty list")

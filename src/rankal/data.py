@@ -19,8 +19,8 @@ finite float.  Row numbers are physical line numbers: blank lines count.  An
 error is a DataFormatError ``<path>: row <n>: <what> <field> ...``.
 
 Labels are coerced to {-1, +1}: the two distinct raw values are mapped by
-sorted order (smaller -> -1, larger -> +1).  A label column holds numbers or
-strings, not both.
+sorted order (smaller -> -1, larger -> +1).  A label column holds finite
+numbers or strings, not both.
 
 ``SplitSpec`` and ``make_two_blobs`` check their own arguments and raise a
 ValueError naming the argument, so a caller (``rankal run`` among them) only
@@ -194,10 +194,13 @@ def _coerce_labels(path, labels):
     """Map the two distinct raw labels to {-1, +1} by sorted order.
 
     ``labels`` holds (row, text) pairs.  A label that parses as a float is a
-    number, any other a string; the first label decides which the column holds.
+    number, and must be finite; any other is a string.  The first label
+    decides which the column holds.
     """
     values = [_number_or_text(text) for _, text in labels]
     for (row, text), value in zip(labels, values):
+        if isinstance(value, float):
+            parse_number(path, row, text, "label")  # rejects nan and inf
         if type(value) is not type(values[0]):
             what = "a number" if isinstance(value, float) else "not a number"
             first_row, first = labels[0]
@@ -360,12 +363,16 @@ def oracle_label(pool: PoolState, batch) -> PoolState:
     kept = hits[pool.unlabeled_idx] == 0
     if len(kept) - np.count_nonzero(kept) != len(batch):  # some index hit no unlabeled member
         raise ValueError("batch contains indices that are not unlabeled pool members")
-    return PoolState(
+    # moving a checked batch out of a valid partition leaves one, so the
+    # successor skips PoolState.__post_init__'s check of the whole pool
+    state = object.__new__(PoolState)
+    state.__dict__.update(
         data=pool.data,
         labeled_idx=np.concatenate([pool.labeled_idx, batch]),
         unlabeled_idx=pool.unlabeled_idx[kept],
         iteration=pool.iteration + 1,
     )
+    return state
 
 
 def make_two_blobs(

@@ -7,6 +7,14 @@ checkpoint.  The fused strategy scores the pool under every configured
 criterion, turns the score lists into tie-aware rank lists, computes
 self-adaptive weights, and feeds everything to the configured aggregator.
 
+Each strategy is one step function, ``<strategy>_step(pool, cfg, ted_scores,
+warm=None)``, returning ``(batch, weights)``: the pool indices to label and
+the ``{criterion: blended weight}`` dict recorded in ``IterationRecord``
+(``{}`` for every strategy but fused).  ``run_active_learning`` makes the one
+drain decision: when at most ``n_select`` samples remain unlabeled it labels
+them all, with weights ``{}``, and calls no step; so a step is only ever
+called with ``pool.n_unlabeled > cfg.n_select``.
+
 ``CRITERIA`` is the one table of query criteria; a criterion is added by
 adding an entry.  It lives here, not in ``criteria``: its scorers look up
 ``score_margin`` and the others in this module's namespace when called, so
@@ -322,79 +330,81 @@ def _fuse(pool: PoolState, cfg: ALConfig, scores):
     """Rank, weight and aggregate one iteration's criterion scores.
 
     Returns (ranking, weights, rank lists): the ``AggregatedRanking`` of the
-    unlabeled pool, the ``WeightVector`` and the (L, n_unlabeled) ranks.
+    unlabeled pool, the blended weights and the (L, n_unlabeled) ranks.
+    Needs ``pool.n_unlabeled > cfg.n_select``, as every step does.
     """
-    n_batch = min(cfg.n_select, pool.n_unlabeled)
     flags = [CRITERIA[name].committee for name in cfg.criteria]
     rank_rows, raw_weights = [], []
     for s, committee_based in zip(scores, flags):
         normalized, ranks = normalize_and_rank(s)
-        if pool.n_unlabeled > n_batch:
-            weight = duplicate_weight if committee_based else bvsb_weight
-            raw = weight(normalized.sorted_values, n_batch)
-        else:
-            raw = 0.0  # final batch drains the pool; weights are moot
+        weight = duplicate_weight if committee_based else bvsb_weight
         rank_rows.append(ranks)
-        raw_weights.append(raw)
+        raw_weights.append(weight(normalized.sorted_values, cfg.n_select))
 
-    wv = blend_weights(raw_weights, flags)
+    weights = blend_weights(raw_weights, flags)
     rank_lists = np.array(rank_rows, dtype=float)
     ranking = agg.aggregate(
-        cfg.aggregator, rank_lists, wv.weights,
-        ids=pool.unlabeled_idx, n_select=n_batch, tun1=cfg.tun1, tun2=cfg.tun2,
+        cfg.aggregator, rank_lists, weights,
+        ids=pool.unlabeled_idx, n_select=cfg.n_select, tun1=cfg.tun1, tun2=cfg.tun2,
         p=cfg.p, committee_flags=np.array(flags),
     )
-    return ranking, wv, rank_lists
+    return ranking, weights, rank_lists
 
 
 def fused_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
-    """One aggregation-driven selection: returns (batch, weights).
+    """Rank fusion with self-adaptive weights: (batch, {criterion: blended weight}).
 
-    ``warm`` is the run's ``WarmStart``; None fits every model cold.
+    Needs ``pool.n_unlabeled > cfg.n_select``.
     """
-    ranking, wv, _ = _fuse(pool, cfg, criterion_scores(pool, cfg, ted_scores, warm))
-    return ranking.top(min(cfg.n_select, pool.n_unlabeled)), wv
+    ranking, weights, _ = _fuse(pool, cfg, criterion_scores(pool, cfg, ted_scores, warm))
+    return ranking.top(cfg.n_select), dict(zip(cfg.criteria, weights.tolist()))
 
 
 def _serial_layer_sizes(cfg, n_unlabeled):
     if cfg.serial_layers is not None:
-        sizes = list(cfg.serial_layers)
-    else:
-        total = len(cfg.criteria)
-        sizes = [
-            max(cfg.n_select, math.ceil(n_unlabeled * 0.1 ** ((k + 1) / total)))
-            for k in range(total)
-        ]
-        sizes[-1] = cfg.n_select
-    # ALConfig checks the given sizes; no layer keeps more than the pool holds
-    return [min(size, n_unlabeled) for size in sizes]
+        return cfg.serial_layers
+    total = len(cfg.criteria)
+    sizes = [
+        max(cfg.n_select, math.ceil(n_unlabeled * 0.1 ** ((k + 1) / total)))
+        for k in range(total)
+    ]
+    sizes[-1] = cfg.n_select
+    return sizes
 
 
 def serial_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
-    """Multi-layer filtering: each criterion keeps its top slice of survivors."""
+    """Multi-layer filtering: each criterion keeps its top slice of survivors.
+
+    A layer larger than its survivors keeps them all.  Returns (batch, {});
+    needs ``pool.n_unlabeled > cfg.n_select``.
+    """
     sizes = _serial_layer_sizes(cfg, pool.n_unlabeled)
     survivors = np.arange(pool.n_unlabeled)
     for scores, size in zip(criterion_scores(pool, cfg, ted_scores, warm), sizes):
-        survivors = survivors[top_positions(scores[survivors], min(size, len(survivors)))]
-    return pool.unlabeled_idx[survivors]
+        survivors = survivors[top_positions(scores[survivors], size)]
+    return pool.unlabeled_idx[survivors], {}
 
 
 def parallel_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
-    """Fixed-weight sum of normalized score lists; lowest total wins."""
+    """Fixed-weight sum of normalized score lists, lowest total wins: (batch, {}).
+
+    Needs ``pool.n_unlabeled > cfg.n_select``.
+    """
     w = np.asarray(cfg.fixed_weights, dtype=float)
     total = np.zeros(pool.n_unlabeled)
     for scores, wk in zip(criterion_scores(pool, cfg, ted_scores, warm), w):
         total += wk * normalize_and_rank(scores)[0].values
-    n_batch = min(cfg.n_select, pool.n_unlabeled)
-    return pool.unlabeled_idx[top_positions(total, n_batch)]
+    return pool.unlabeled_idx[top_positions(total, cfg.n_select)], {}
 
 
 def random_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
-    """Uniform draw without replacement from the unlabeled pool (fits nothing)."""
-    n_batch = min(cfg.n_select, pool.n_unlabeled)
+    """Uniform draw without replacement, fitting nothing: (batch, {}).
+
+    Needs ``pool.n_unlabeled > cfg.n_select``.
+    """
     return _rng(cfg, 2, pool.iteration).choice(
-        pool.unlabeled_idx, size=n_batch, replace=False
-    )
+        pool.unlabeled_idx, size=cfg.n_select, replace=False
+    ), {}
 
 
 def initial_batch(pool: PoolState, cfg: ALConfig, ted_scores) -> PoolState:
@@ -468,17 +478,15 @@ def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
             next_cp += 1
 
     note_checkpoints(state)
+    # looked up once per run, through the module's names, so that a wrapper
+    # installed on one of them (as the benchmark's tracer does) takes effect
+    step = {"fused": fused_step, "serial": serial_step, "parallel": parallel_step,
+            "random": random_step}[cfg.strategy]
     while state.n_labeled < target and state.n_unlabeled > 0:
-        weights = {}
         if state.n_unlabeled <= cfg.n_select:
-            batch = state.unlabeled_idx  # drain the pool; nothing to rank
-        elif cfg.strategy == "fused":
-            batch, wv = fused_step(state, cfg, ted_scores, warm=warm)
-            weights = dict(zip(cfg.criteria, wv.weights.tolist()))
+            batch, weights = state.unlabeled_idx, {}  # drain the pool; nothing to rank
         else:
-            # looked up per call so that a wrapped module attribute takes effect
-            step = {"serial": serial_step, "parallel": parallel_step, "random": random_step}
-            batch = step[cfg.strategy](state, cfg, ted_scores, warm=warm)
+            batch, weights = step(state, cfg, ted_scores, warm=warm)
         state = oracle_label(state, batch)
         iterations.append(
             IterationRecord(

@@ -6,23 +6,18 @@ selected batch, the stronger the criterion's opinion.  Committee criteria,
 whose score lists are ladder-like with many duplicates, are weighted by how
 rarely the remaining samples tie with the last selected score.  The two
 groups then share the total mass proportionally to their head counts.
+
+The query loop computes the raw weights and blends them once per fused step,
+only while more than N samples remain unlabeled (the last, draining batch
+ranks nothing); the blended array becomes the step's ``{criterion: weight}``
+record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Final weights (sum 1) plus the raw per-criterion quantities behind them."""
-
-    weights: np.ndarray
-    raw: np.ndarray
 
 
 def bvsb_weight(sorted_scores, n_select) -> float:
@@ -52,13 +47,13 @@ def duplicate_weight(sorted_scores, n_select) -> float:
     return count / len(s)
 
 
-def blend_weights(raw_weights, committee_flags) -> WeightVector:
+def blend_weights(raw_weights, committee_flags) -> np.ndarray:
     """Combine raw group weights into one normalized weight vector.
 
     Non-committee criteria share mass c1/L proportionally to their raw BVSB
     weights; committee criteria share c2/L proportionally to their duplicate
     weights.  A group whose raw weights are all zero splits its mass
-    uniformly.  The result sums to 1.
+    uniformly.  Returns the weights, one per criterion, summing to 1.
     """
     raw = np.asarray(raw_weights, dtype=float)
     flags = np.asarray(committee_flags, dtype=bool)
@@ -81,4 +76,4 @@ def blend_weights(raw_weights, committee_flags) -> WeightVector:
             weights[members] = mass * group / group.sum()
         else:
             weights[members] = mass / count
-    return WeightVector(weights=weights, raw=raw)
+    return weights

@@ -48,8 +48,8 @@ def _tied(state, cfg, scores, p, q):
     normalized = [normalize_and_rank(s)[0].values for s in scores]
     if all(abs(v[p] - v[q]) <= SCORE_TOL for v in normalized):
         return True
-    ranking, wv, rank_lists = _fuse(state, cfg, scores)
-    key = _aggregate_key(cfg, ranking, rank_lists, wv.weights)
+    ranking, weights, rank_lists = _fuse(state, cfg, scores)
+    key = _aggregate_key(cfg, ranking, rank_lists, weights)
     return bool(np.all(key[p] == key[q]))
 
 

@@ -88,7 +88,7 @@ def test_acceptance_2_toy_markov_chains():
 
 def test_acceptance_3_weighting_laws():
     # (a) two criteria, one committee-based -> exactly (0.5, 0.5)
-    pair = blend_weights([0.37, 0.85], [False, True]).weights
+    pair = blend_weights([0.37, 0.85], [False, True])
     a_ok = pair.tolist() == [0.5, 0.5]
 
     # (b) sum-to-one and group-mass laws on 1000 random instances
@@ -105,11 +105,11 @@ def test_acceptance_3_weighting_laws():
             raws.append(
                 duplicate_weight(scores, n) if committee else bvsb_weight(scores, n)
             )
-        wv = blend_weights(raws, flags)
-        b_ok &= abs(wv.weights.sum() - 1.0) < 1e-12
+        weights = blend_weights(raws, flags)
+        b_ok &= abs(weights.sum() - 1.0) < 1e-12
         if flags.any() and (~flags).any():
-            b_ok &= abs(wv.weights[~flags].sum() - (~flags).sum() / total) < 1e-12
-            b_ok &= abs(wv.weights[flags].sum() - flags.sum() / total) < 1e-12
+            b_ok &= abs(weights[~flags].sum() - (~flags).sum() / total) < 1e-12
+            b_ok &= abs(weights[flags].sum() - flags.sum() / total) < 1e-12
 
     # (c) ideal step list -> raw weight exactly 1
     step = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])

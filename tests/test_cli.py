@@ -303,6 +303,10 @@ class TestRun:
             ("split", {"test_fraciton": 0.3}, "'split' may only hold"),
             ("seeds", [0, 1, 0], "'seeds' must not repeat a seed"),
             ("checkpoints", [], "'checkpoints' must be a non-empty list of numbers"),
+            ("output_dir", 5, "'output_dir' must be a non-empty string"),
+            ("output_dir", None, "'output_dir' must be a non-empty string"),
+            ("output_dir", ["x"], "'output_dir' must be a non-empty string"),
+            ("output_dir", "", "'output_dir' must be a non-empty string"),
         ],
     )
     def test_mistyped_value_exits_2(self, tmp_path, capsys, key, value, message):

@@ -57,6 +57,13 @@ class TestLoadDense:
                 f"{path}: row 3: label '1+1' is not a number, unlike label '0' on row 2")):
             load_table(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_label_names_row_and_label(self, tmp_path, value):
+        path = write(tmp_path, "d.csv", f"a,y\n1,0\n2,{value}\n3,0\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{path}: row 3: label {value!r} is not a finite number")):
+            load_table(path)
+
     def test_non_utf8_byte_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,y\n1,0\n2,\xff\n")
@@ -96,6 +103,13 @@ class TestLoadSparse:
         path = write(tmp_path, "s.txt", "pos 1:1\n\n1 1:2\nneg 1:3\n")
         with pytest.raises(DataFormatError, match=re.escape(
                 f"{path}: row 3: label '1' is a number, unlike label 'pos' on row 1")):
+            load_table(path, "sparse-index-value")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_label_names_row_and_label(self, tmp_path, value):
+        path = write(tmp_path, "s.txt", f"1 1:1\n\n{value} 1:2\n-1 1:3\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{path}: row 3: label {value!r} is not a finite number")):
             load_table(path, "sparse-index-value")
 
     def test_unknown_format(self, tmp_path):
@@ -271,6 +285,17 @@ class TestOracle:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
             assert getattr(got, name).dtype == getattr(want, name).dtype
         assert got.iteration == want.iteration and got.data is want.data
+
+
+def test_oracle_successor_passes_the_full_partition_check():
+    # oracle_label builds its result without PoolState's whole-pool check; the
+    # constructor, which makes that check, must accept every state of a run
+    _, state = split_pool(make_two_blobs(n=60, seed=6), SplitSpec(0.5, 6))
+    rng = np.random.default_rng(6)
+    while state.n_unlabeled:
+        size = min(4, state.n_unlabeled)
+        state = oracle_label(state, rng.choice(state.unlabeled_idx, size=size, replace=False))
+        PoolState(state.data, state.labeled_idx, state.unlabeled_idx)  # raises if not one
 
 
 class TestPoolState:

@@ -47,6 +47,15 @@ from rankal.loop import (
 AGGS = ("borda-min", "borda-median", "borda-geo", "borda-pnorm", "bucklin", "mc1", "mc2", "mc3")
 
 
+# per strategy, the ALConfig fields a step of it needs besides the defaults
+STEP_CONFIGS = {
+    "fused": {},
+    "serial": dict(criteria=("margin", "diversity")),
+    "parallel": dict(criteria=("margin", "diversity"), fixed_weights=(0.5, 0.5)),
+    "random": {},
+}
+
+
 def prepared_pool(n=120, seed=0, n_labeled=8):
     d = normalize_features(make_two_blobs(n=n, seed=seed))
     _, pool = split_pool(d, SplitSpec(0.5, seed))
@@ -65,25 +74,25 @@ class TestFusedStep:
         expected = state.unlabeled_idx[top_positions(raw, 3)]
         for aggregator in AGGS:
             cfg = ALConfig(criteria=("margin",), aggregator=aggregator, n_select=3)
-            batch, wv = fused_step(state, cfg, pool_ted_scores(state, cfg))
+            batch, weights = fused_step(state, cfg, pool_ted_scores(state, cfg))
             assert batch.tolist() == expected.tolist(), aggregator
-            assert wv.weights.tolist() == [1.0]
+            assert weights == {"margin": 1.0}
 
     def test_group_mass_law_live(self):
         state = prepared_pool(seed=1)
         cfg = ALConfig(criteria=("diversity", "margin", "qbc"), aggregator="mc2")
-        _, wv = fused_step(state, cfg, pool_ted_scores(state, cfg))
-        non_committee = wv.weights[:2].sum()
+        _, weights = fused_step(state, cfg, pool_ted_scores(state, cfg))
+        non_committee = weights["diversity"] + weights["margin"]
         assert non_committee == pytest.approx(2 / 3, abs=1e-12)
-        assert wv.weights[2] == pytest.approx(1 / 3, abs=1e-12)
+        assert weights["qbc"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_duplicated_criterion_splits_weight_and_keeps_batch(self):
         state = prepared_pool(seed=2)
         single = ALConfig(criteria=("margin",), aggregator="borda-pnorm", n_select=2)
         double = ALConfig(criteria=("margin", "margin"), aggregator="borda-pnorm", n_select=2)
         b1, _ = fused_step(state, single, pool_ted_scores(state, single))
-        b2, wv = fused_step(state, double, pool_ted_scores(state, double))
-        assert wv.weights[0] == pytest.approx(wv.weights[1])
+        b2, weights = fused_step(state, double, pool_ted_scores(state, double))
+        assert weights == {"margin": pytest.approx(0.5)}  # the second half; they sum to 1
         assert b1.tolist() == b2.tolist()
 
 
@@ -93,7 +102,7 @@ class TestStrategiesAgainstDirectComputation:
         cfg = ALConfig(
             strategy="serial", criteria=("margin",), serial_layers=(1,), n_select=1
         )
-        batch = serial_step(state, cfg, pool_ted_scores(state, cfg))
+        batch, _ = serial_step(state, cfg, pool_ted_scores(state, cfg))
         model = fit(LearnerConfig(), state.labeled_features, state.labeled_labels)
         raw = score_margin(model, state.unlabeled_features)
         assert batch.tolist() == state.unlabeled_idx[top_positions(raw, 1)].tolist()
@@ -106,7 +115,7 @@ class TestStrategiesAgainstDirectComputation:
             serial_layers=(10, 1),
             n_select=1,
         )
-        batch = serial_step(state, cfg, pool_ted_scores(state, cfg))
+        batch, _ = serial_step(state, cfg, pool_ted_scores(state, cfg))
         model = fit(LearnerConfig(), state.labeled_features, state.labeled_labels)
         margin = score_margin(model, state.unlabeled_features)
         survivors = top_positions(margin, 10)
@@ -127,9 +136,9 @@ class TestStrategiesAgainstDirectComputation:
             serial_layers=(n_u, 1),
             n_select=1,
         )
-        batch = serial_step(state, cfg, pool_ted_scores(state, cfg))
+        batch, _ = serial_step(state, cfg, pool_ted_scores(state, cfg))
         cfg2 = ALConfig(strategy="serial", criteria=("margin",), serial_layers=(1,))
-        assert batch.tolist() == serial_step(state, cfg2, pool_ted_scores(state, cfg2)).tolist()
+        assert batch.tolist() == serial_step(state, cfg2, pool_ted_scores(state, cfg2))[0].tolist()
 
     def test_parallel_null_weight_is_single_criterion(self):
         state = prepared_pool(seed=6)
@@ -139,7 +148,7 @@ class TestStrategiesAgainstDirectComputation:
             fixed_weights=(1.0, 0.0),
             n_select=2,
         )
-        batch = parallel_step(state, cfg, pool_ted_scores(state, cfg))
+        batch, _ = parallel_step(state, cfg, pool_ted_scores(state, cfg))
         model = fit(LearnerConfig(), state.labeled_features, state.labeled_labels)
         raw = score_margin(model, state.unlabeled_features)
         assert batch.tolist() == state.unlabeled_idx[top_positions(raw, 2)].tolist()
@@ -152,7 +161,7 @@ class TestStrategiesAgainstDirectComputation:
             fixed_weights=(0.5, 0.5),
             n_select=1,
         )
-        batch = parallel_step(state, cfg, pool_ted_scores(state, cfg))
+        batch, _ = parallel_step(state, cfg, pool_ted_scores(state, cfg))
         model = fit(LearnerConfig(), state.labeled_features, state.labeled_labels)
         total = (
             0.5 * normalize_and_rank(score_margin(model, state.unlabeled_features))[0].values
@@ -272,6 +281,45 @@ class TestRuns:
         trace = run_active_learning(pool, test, cfg)
         labeled = 4 + sum(len(r.selected) for r in trace.iterations)
         assert labeled == 20
+
+    @pytest.mark.parametrize("strategy", STEP_CONFIGS)
+    def test_last_batch_drains_the_pool(self, monkeypatch, strategy):
+        # 23 pool samples, n_select 3: the last batch is shorter and no step ranks it
+        d = normalize_features(make_two_blobs(n=46, seed=22))
+        test, pool = split_pool(d, SplitSpec(0.5, 22))
+        cfg = ALConfig(strategy=strategy, n_select=3, budget=1.0, checkpoints=(1.0,),
+                       seed=22, **STEP_CONFIGS[strategy])
+        name = f"{strategy}_step"
+        real, called = getattr(rankal.loop, name), []
+
+        def recording(state, cfg, *args, **kwargs):
+            called.append(state.n_unlabeled > cfg.n_select)
+            return real(state, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(rankal.loop, name, recording)
+        trace = run_active_learning(pool, test, cfg)
+        *steps, last = trace.iterations
+        assert called == [True] * len(steps)
+        assert 0 < len(last.selected) < cfg.n_select and last.weights == {}
+        assert all(set(r.weights) == (set(cfg.criteria) if strategy == "fused" else set())
+                   for r in steps)
+        assert trace.checkpoints[-1].n_labeled == len(pool.data)  # every pool sample
+
+    @pytest.mark.parametrize("strategy", STEP_CONFIGS)
+    def test_every_step_returns_batch_and_weights(self, strategy):
+        state = prepared_pool(seed=24)
+        cfg = ALConfig(strategy=strategy, n_select=2, seed=24, **STEP_CONFIGS[strategy])
+        result = getattr(rankal.loop, f"{strategy}_step")(state, cfg, pool_ted_scores(state, cfg))
+        assert type(result) is tuple and len(result) == 2
+        batch, weights = result
+        assert type(batch) is np.ndarray and batch.dtype.kind == "i" and len(batch) == 2
+        assert set(batch.tolist()) <= set(state.unlabeled_idx.tolist())
+        assert type(weights) is dict
+        if strategy == "fused":
+            assert list(weights) == list(cfg.criteria)
+            assert all(type(w) is float for w in weights.values())
+        else:
+            assert weights == {}
 
     def test_random_trend_monotone_within_noise(self):
         accs = []

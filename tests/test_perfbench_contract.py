@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import rankal
 import rankal.cli  # noqa: F401  (the tracer wraps names in rankal.cli)
 from rankal.data import SplitSpec, make_two_blobs, normalize_features, split_pool
@@ -71,6 +73,29 @@ def test_every_wrapped_scorer_records_spans():
     ancestors = tracing.summarize(tracer.spans, 0, len(tracer.spans))["ancestors"]
     assert any(span[0] == "learner.kernel_matrix" and "loop.fused_step" in chain
                for span, chain in zip(tracer.spans, ancestors))
+
+
+@pytest.mark.parametrize("strategy, fields", [
+    ("serial", {}), ("parallel", dict(fixed_weights=(0.5, 0.5))),
+])
+def test_traced_baseline_steps_record_their_fits(strategy, fields):
+    # run_active_learning must reach each step through rankal.loop's names,
+    # or loop.<strategy>_step and the learner spans under it read 0 s
+    tracing = _tracing()
+    test, pool = split_pool(normalize_features(make_two_blobs(n=80, seed=4)), SplitSpec(0.5, 4))
+    cfg = ALConfig(strategy=strategy, criteria=("margin", "diversity"), budget=0.3,
+                   checkpoints=(0.3,), seed=4, **fields)
+    tracer = tracing.Tracer(rankal)
+    tracer.install()
+    try:
+        run_active_learning(pool, test, cfg)
+    finally:
+        tracer.uninstall()
+    step = f"loop.{strategy}_step"
+    ancestors = tracing.summarize(tracer.spans, 0, len(tracer.spans))["ancestors"]
+    assert any(span[0] == step for span in tracer.spans), f"no {step} spans"
+    assert any(span[0].startswith("learner.") and step in chain
+               for span, chain in zip(tracer.spans, ancestors)), f"no learner span under {step}"
 
 
 def test_benchmark_smoke_check_passes():

@@ -56,23 +56,23 @@ class TestDuplicate:
 
 class TestBlend:
     def test_one_committee_one_other_is_half_half(self):
-        wv = blend_weights([0.8, 0.3], [False, True])
-        assert wv.weights.tolist() == [0.5, 0.5]
-        wv = blend_weights([0.0, 0.0], [False, True])  # degenerate raws
-        assert wv.weights.tolist() == [0.5, 0.5]
+        weights = blend_weights([0.8, 0.3], [False, True])
+        assert weights.tolist() == [0.5, 0.5]
+        weights = blend_weights([0.0, 0.0], [False, True])  # degenerate raws
+        assert weights.tolist() == [0.5, 0.5]
 
     def test_two_noncommittee(self):
-        wv = blend_weights([1.0, 0.5], [False, False])
-        np.testing.assert_allclose(wv.weights, [2 / 3, 1 / 3])
+        weights = blend_weights([1.0, 0.5], [False, False])
+        np.testing.assert_allclose(weights, [2 / 3, 1 / 3])
 
     def test_single_criterion(self):
-        wv = blend_weights([0.2], [False])
-        assert wv.weights.tolist() == [1.0]
-        assert blend_weights([0.0], [True]).weights.tolist() == [1.0]
+        weights = blend_weights([0.2], [False])
+        assert weights.tolist() == [1.0]
+        assert blend_weights([0.0], [True]).tolist() == [1.0]
 
     def test_zero_group_spreads_uniformly(self):
-        wv = blend_weights([0.0, 0.0, 0.7], [False, False, True])
-        np.testing.assert_allclose(wv.weights, [1 / 3, 1 / 3, 1 / 3])
+        weights = blend_weights([0.0, 0.0, 0.7], [False, False, True])
+        np.testing.assert_allclose(weights, [1 / 3, 1 / 3, 1 / 3])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -89,14 +89,14 @@ class TestBlend:
     @settings(max_examples=200, deadline=None)
     def test_sum_and_group_mass_laws(self, raws, data):
         flags = [data.draw(st.booleans()) for _ in raws]
-        wv = blend_weights(raws, flags)
+        weights = blend_weights(raws, flags)
         total = len(raws)
-        assert abs(wv.weights.sum() - 1.0) < 1e-12
-        assert np.all(wv.weights >= 0) and np.all(wv.weights <= 1 + 1e-12)
+        assert abs(weights.sum() - 1.0) < 1e-12
+        assert np.all(weights >= 0) and np.all(weights <= 1 + 1e-12)
         flags = np.array(flags)
         if flags.any() and (~flags).any():
-            assert wv.weights[~flags].sum() == pytest.approx((~flags).sum() / total, abs=1e-12)
-            assert wv.weights[flags].sum() == pytest.approx(flags.sum() / total, abs=1e-12)
+            assert weights[~flags].sum() == pytest.approx((~flags).sum() / total, abs=1e-12)
+            assert weights[flags].sum() == pytest.approx(flags.sum() / total, abs=1e-12)
 
 
 def test_final_weight_monotone_in_own_gap():
@@ -104,6 +104,6 @@ def test_final_weight_monotone_in_own_gap():
     other = 0.4
     prev = -1.0
     for gap in np.linspace(0.0, 1.0, 11):
-        wv = blend_weights([gap, other, 0.5], [False, False, True])
-        assert wv.weights[0] >= prev - 1e-12
-        prev = wv.weights[0]
+        weights = blend_weights([gap, other, 0.5], [False, False, True])
+        assert weights[0] >= prev - 1e-12
+        prev = weights[0]
