@@ -323,7 +323,7 @@ def cmd_run(args):
             trace = run_active_learning(pool, test, al_cfg, ted[key])
             _write_trace(
                 os.path.join(out, f"trace_{al_cfg.label}_seed{seed}.csv"),
-                trace, al_cfg.criteria,
+                trace, dict.fromkeys(al_cfg.criteria),  # one column per distinct name
             )
             traces.append(trace)
         label = al_cfg.label

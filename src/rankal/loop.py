@@ -354,10 +354,14 @@ def _fuse(pool: PoolState, cfg: ALConfig, scores):
 def fused_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
     """Rank fusion with self-adaptive weights: (batch, {criterion: blended weight}).
 
+    A criterion listed more than once records the sum of its lists' weights.
     Needs ``pool.n_unlabeled > cfg.n_select``.
     """
     ranking, weights, _ = _fuse(pool, cfg, criterion_scores(pool, cfg, ted_scores, warm))
-    return ranking.top(cfg.n_select), dict(zip(cfg.criteria, weights.tolist()))
+    record = {}
+    for name, wk in zip(cfg.criteria, weights.tolist()):
+        record[name] = record.get(name, 0.0) + wk
+    return ranking.top(cfg.n_select), record
 
 
 def _serial_layer_sizes(cfg, n_unlabeled):

@@ -14,6 +14,14 @@
   of full pool x pool and labeled x labeled kernel matrices.
 * ``power_iteration``: the stationary distribution of a transition matrix by
   power iteration from the uniform vector to an L1 change of 1e-12.
+* ``preference``, ``build_transition``, ``stationary_distribution``,
+  ``markov_aggregate`` and ``brute_force_aggregate``: the Markov chain path
+  as it was before preferences were coded as bits and T was solved in place:
+  one float64 n x n temporary per list, the variant applied to the n x n
+  sums, and the solve on a transposed copy of T.  The library's version must
+  return bit-identical matrices, distributions and rankings.
+* ``kendall_distance``: the discordant-pair count from the dense n x n sign
+  matrices of both rank lists.
 * ``bucklin_aggregate``: weighted majority voting that deepens one integer
   depth at a time from 1 to max(rank); it raises where no integer depth up
   to int(max(rank)) confirms every sample (a fractional largest rank).
@@ -26,9 +34,11 @@ against an independent implementation, not against itself.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from rankal.aggregation import AggregatedRanking
+from rankal.aggregation import AggregatedRanking, truncate_candidates
 from rankal.data import PoolState
 from rankal.learner import LearnerConfig, Model, kernel_matrix
 
@@ -227,3 +237,91 @@ def oracle_label(pool: PoolState, batch) -> PoolState:
     mask = np.isin(pool.unlabeled_idx, batch, invert=True)
     return PoolState(data=pool.data, labeled_idx=labeled,
                      unlabeled_idx=pool.unlabeled_idx[mask], iteration=pool.iteration + 1)
+
+
+def preference(r, w):
+    n = r.shape[1]
+    pref = np.zeros((n, n))
+    for k in range(len(r)):
+        col = r[k]
+        pref += w[k] * (col[:, None] > col[None, :])
+    return pref
+
+
+def build_transition(rank_lists, weights, variant="mc2", tun1=0.05):
+    r = np.asarray(rank_lists, dtype=float)
+    n = r.shape[1]
+    w = np.asarray(weights, dtype=float)
+    t = preference(r, w / w.sum())
+    if variant == "mc1":
+        np.greater(t, 0.0, out=t)
+    elif variant == "mc2":
+        np.greater(t, 0.5, out=t)
+    t /= n
+    np.fill_diagonal(t, 0.0)
+    np.fill_diagonal(t, 1.0 - t.sum(axis=1))
+    t *= 1.0 - tun1
+    t += tun1 / n
+    return t
+
+
+def stationary_distribution(t):
+    t = np.asarray(t)
+    n = len(t)
+    a = t.T.copy()
+    a[np.diag_indices(n)] -= 1.0
+    a[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
+    residual = np.abs(pi @ t - pi).sum()
+    if residual >= 1e-10:
+        raise RuntimeError(f"stationary solve is inaccurate (residual {residual:.2e})")
+    return pi
+
+
+def markov_aggregate(rank_lists, weights, variant="mc2", n_select=1, tun1=0.05, tun2=5,
+                     committee_flags=None, truncate=True) -> AggregatedRanking:
+    r = np.asarray(rank_lists, dtype=float)
+    n_lists, n = r.shape
+    if committee_flags is None:
+        committee_flags = np.zeros(n_lists, dtype=bool)
+    cand = truncate_candidates(r, committee_flags, n_select, tun2) if truncate else np.arange(n)
+    pi = stationary_distribution(build_transition(r[:, cand], weights, variant, tun1))
+    desc = np.argsort(-pi, kind="stable")
+    tier = np.concatenate(([0], np.cumsum(np.diff(pi[desc]) < -1e-12)))
+    best = desc[np.lexsort((desc, tier))]
+    rest = np.ones(n, dtype=bool)
+    rest[cand] = False
+    order = np.concatenate([cand[best], np.flatnonzero(rest)]).astype(int)
+    scores = np.zeros(n)
+    scores[: len(cand)] = pi[best]
+    ranks = np.empty(n, dtype=int)
+    ranks[order] = np.arange(1, n + 1)
+    return AggregatedRanking(ids=order, scores=scores, ranks=ranks)
+
+
+def brute_force_aggregate(rank_lists, weights):
+    r = np.asarray(rank_lists, dtype=float)
+    n_lists, n = r.shape
+    pair_cost = preference(r, np.asarray(weights, dtype=float))
+    best_order = None
+    best_cost = np.inf
+    for perm in itertools.permutations(range(n)):
+        cost = 0.0
+        for a_pos in range(n):
+            i = perm[a_pos]
+            for b_pos in range(a_pos + 1, n):
+                cost += pair_cost[i, perm[b_pos]]
+        if cost < best_cost - 1e-12:
+            best_cost = cost
+            best_order = perm
+    return np.array(best_order, dtype=int), float(best_cost / n_lists)
+
+
+def kendall_distance(a, b) -> int:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    da = a[:, None] - a[None, :]
+    db = b[:, None] - b[None, :]
+    return int(((da * db) < 0).sum() // 2)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rankal.aggregation import (
     METHODS,
     AggregatedRanking,
     BordaConfig,
+    TransitionMatrix,
     aggregate,
     borda_aggregate,
     brute_force_aggregate,
@@ -264,6 +266,116 @@ class TestStationary:
             assert abs(pi.sum() - 1.0) < 1e-12
             assert np.all(pi >= 0)
 
+    def test_argument_left_unchanged(self):
+        rng = np.random.default_rng(17)
+        t = build_transition(random_permutations(rng, 3, 30), np.ones(3), "mc3")
+        before = t.entries.copy()
+        pi = stationary_distribution(t)
+        np.testing.assert_array_equal(t.entries, before)
+        np.testing.assert_array_equal(stationary_distribution(before), pi)
+        np.testing.assert_array_equal(before, t.entries)
+
+    def test_argument_restored_when_the_solve_raises(self):
+        t = np.eye(3)  # T - I is 0: singular with its last column set to 1
+        with pytest.raises(np.linalg.LinAlgError):
+            stationary_distribution(t)
+        np.testing.assert_array_equal(t, np.eye(3))
+
+    def test_read_only_argument_accepted(self):
+        rng = np.random.default_rng(18)
+        t = build_transition(random_permutations(rng, 2, 9), np.ones(2), "mc2").entries
+        pi = stationary_distribution(t)
+        t.flags.writeable = False
+        np.testing.assert_array_equal(stationary_distribution(t), pi)
+        np.testing.assert_array_equal(stationary_distribution(np.asfortranarray(t)), pi)
+
+
+class TestTransitionMatrixChecks:
+    @pytest.mark.parametrize("entries, message", [
+        ([[1.1, -0.1], [0.5, 0.5]], "non-negative"),
+        ([[0.9, 0.2], [0.5, 0.5]], "sum to 1"),
+        ([[np.nan, np.nan], [0.5, 0.5]], "sum to 1"),
+        ([[1.0, 0.0], [0.5, 0.5]], "ergodic floor"),
+    ], ids=["negative", "row-sum", "nan", "floor"])
+    def test_rejects(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            TransitionMatrix(np.array(entries), tun1=0.05)
+
+
+@st.composite
+def markov_instances(draw):
+    """Rank lists over n = 2..150 samples from L = 1..12 lists (past the eight
+    that share one code matrix), of a kind that permutes, ties heavily, takes
+    half steps, exceeds the int16 range or is real, with random weights
+    (some zero), equal weights 1/L (mc2's preference lands on exactly 0.5)
+    or small integers."""
+    n = draw(st.integers(2, 150))
+    n_lists = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("permutation", "ties", "half", "large", "real")))
+    if kind == "permutation":
+        lists = random_permutations(rng, n_lists, n)
+    elif kind == "ties":
+        lists = rng.integers(1, max(2, n // 8) + 1, size=(n_lists, n)).astype(float)
+    elif kind == "half":
+        lists = rng.integers(2, 2 * n + 2, size=(n_lists, n)) / 2.0
+    elif kind == "large":  # up to 2**15 - 2, or just past the int16 range, or far past it
+        lists = rng.integers(1, 4, size=(n_lists, n)) * rng.choice([10922.0, 10923.0, 1e20])
+    else:
+        lists = rng.uniform(1.0, 4.0, size=(n_lists, n))
+    weighting = draw(st.sampled_from(("random", "equal", "integer")))
+    if weighting == "random":
+        w = rng.uniform(0.0, 1.0, n_lists) * (rng.random(n_lists) < 0.7)
+    elif weighting == "equal":
+        w = np.full(n_lists, 1.0 / n_lists)
+    else:
+        w = rng.integers(0, 3, n_lists).astype(float)
+    w[rng.integers(n_lists)] += 0.5  # positive sum
+    return lists, w, rng.random(n_lists) < 0.3
+
+
+class TestMarkovPathMatchesReference:
+    """The coded preference build and the in-place solve are bit-identical to
+    the frozen float64 sums and transposed-copy solve in ``reference``."""
+
+    @given(markov_instances(), st.sampled_from(("mc1", "mc2", "mc3")), st.floats(0.01, 0.5))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_transition_and_stationary(self, instance, variant, tun1):
+        lists, w, _ = instance
+        t = build_transition(lists, w, variant, tun1=tun1)
+        expected = reference.build_transition(lists, w, variant, tun1=tun1)
+        np.testing.assert_array_equal(t.entries, expected)
+        np.testing.assert_array_equal(stationary_distribution(t),
+                                      reference.stationary_distribution(expected))
+
+    @given(markov_instances(), st.sampled_from(("mc1", "mc2", "mc3")), st.booleans(),
+           st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:all rank lists are committee-based")
+    def test_markov_aggregate(self, instance, variant, truncate, n_select):
+        lists, w, flags = instance
+        kwargs = dict(variant=variant, n_select=n_select, tun2=2, committee_flags=flags,
+                      truncate=truncate)
+        if truncate and not flags.all() and len(truncate_candidates(lists, flags, n_select, 2)) < 2:
+            with pytest.raises(ValueError, match="2 candidates|at least one sample"):
+                markov_aggregate(lists, w, **kwargs)
+            return
+        out = markov_aggregate(lists, w, **kwargs)
+        expected = reference.markov_aggregate(lists, w, **kwargs)
+        np.testing.assert_array_equal(out.ids, expected.ids)
+        np.testing.assert_array_equal(out.ranks, expected.ranks)
+        np.testing.assert_array_equal(out.scores, expected.scores)
+
+    @given(markov_instances().filter(lambda inst: inst[0].shape[1] <= 6))
+    @settings(max_examples=100, deadline=None)
+    def test_brute_force(self, instance):
+        lists, w, _ = instance
+        out, objective = brute_force_aggregate(lists, w)
+        order, expected = reference.brute_force_aggregate(lists, w)
+        np.testing.assert_array_equal(out.ids, order)
+        assert objective == expected
+
 
 class TestStationaryReference:
     @given(st.integers(2, 59), st.integers(1, 5), st.sampled_from(("mc1", "mc2", "mc3")),
@@ -373,7 +485,41 @@ class TestDistances:
             )
 
 
+    @given(st.integers(0, 80), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_kendall_matches_dense_count(self, n, levels, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(1, levels + 1, n).astype(float)  # ties in both lists
+        b = rng.integers(1, levels + 1, n) / 2.0
+        assert kendall_distance(a, b) == reference.kendall_distance(a, b)
+        assert kendall_distance(b, a) == reference.kendall_distance(a, b)
+
+    def test_kendall_memory_is_linear(self):
+        rng = np.random.default_rng(19)
+        # n = 2000 first: an n x n count fails there with ~100 MB, not at 10 GB
+        for n in (2000, 20000):
+            a = rng.permutation(n) + 1.0
+            b = rng.integers(1, 100, n).astype(float)
+            tracemalloc.start()
+            try:
+                kendall_distance(a, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 50e6, n
+
+    def test_kendall_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            kendall_distance([1.0, np.nan], [1.0, 2.0])
+
+
 class TestBruteForce:
+    def test_rejects_bad_weights(self):
+        lists = np.array([[1.0, 2.0, 3.0]] * 2)
+        for w in ([1.0, np.nan], [1.0, -0.5], [0.0, 0.0]):
+            with pytest.raises(ValueError, match="weights"):
+                brute_force_aggregate(lists, np.array(w))
+
     def test_single_list(self):
         base = np.array([[2.0, 1.0, 3.0]])
         out, obj = brute_force_aggregate(base, np.array([1.0]))

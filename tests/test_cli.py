@@ -1,7 +1,11 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,6 +35,42 @@ class TestAggregate:
                                "--no-truncate")
         assert code == 0
         assert "summed distances" in out
+
+    @pytest.mark.parametrize("method, digest", [
+        ("mc2", "820867975c8da77be4fe69fe1bb75ba312965e3895cfe4c53efc355d41086530"),
+        ("borda-pnorm", "4cd021507c56347d29dd53c8d263f2262d15650e37efec25c8f443c260fb8922"),
+    ])
+    def test_3000_rows_in_bounded_memory(self, tmp_path, method, digest):
+        # digests of the output when Kendall distances came from dense n x n arrays
+        n = 3000
+        rng = np.random.default_rng(2800)
+        latent = rng.random(n)
+        cols = [np.argsort(np.argsort(latent + rng.normal(0, 0.3, n))) + 1 for _ in range(2)]
+        cols.append(np.argsort(np.argsort(latent + rng.normal(0, 0.3, n))) // 7 + 1)  # ties
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(["id,l1,l2,l3"] + [
+            f"{i + 1},{a},{b},{c}" for i, (a, b, c) in enumerate(zip(*cols))
+        ]) + "\n", encoding="utf-8")
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status for the peak resident set")
+        # VmHWM, not ru_maxrss: the latter carries over the forking process's peak
+        script = ("import sys\n"
+                  "from rankal.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM')]\n"
+                  "print(hwm[0].split()[1], file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "aggregate", str(path), "--method", method],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+        assert int(proc.stderr.decode().split()[-1]) < 100 * 1024  # kB
 
     def test_weights_normalization_notice(self, tmp_path, capsys):
         lists = tmp_path / "two.csv"
@@ -250,6 +290,22 @@ class TestRun:
         first = (out_dir / "curve_fused-mc2.csv").read_bytes()
         run_cli(capsys, "run", str(cfg_path))
         assert (out_dir / "curve_fused-mc2.csv").read_bytes() == first
+
+    def test_repeated_criterion_writes_one_column_holding_its_weight(self, tmp_path, capsys):
+        cfg = experiment_config(tmp_path, tmp_path / "r")
+        cfg["seeds"] = [0]
+        cfg["methods"] = [{"name": "twice", "strategy": "fused", "aggregator": "mc2",
+                           "criteria": ["margin", "margin", "qbc"], "budget": 0.4}]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, _ = run_cli(capsys, "run", str(cfg_path))
+        assert code == 0
+        header, *rows = (tmp_path / "r" / "trace_twice_seed0.csv").read_text().splitlines()
+        assert header == "iteration,selected,w_margin,w_qbc"
+        fused = [row.split(",")[2:] for row in rows if row.split(",")[2]]
+        assert fused
+        for weights in fused:
+            assert sum(map(float, weights)) == pytest.approx(1.0)
 
     def test_bad_config_lists_offending_keys(self, tmp_path, capsys):
         cfg = experiment_config(tmp_path, tmp_path / "r")

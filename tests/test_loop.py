@@ -92,7 +92,7 @@ class TestFusedStep:
         double = ALConfig(criteria=("margin", "margin"), aggregator="borda-pnorm", n_select=2)
         b1, _ = fused_step(state, single, pool_ted_scores(state, single))
         b2, weights = fused_step(state, double, pool_ted_scores(state, double))
-        assert weights == {"margin": pytest.approx(0.5)}  # the second half; they sum to 1
+        assert weights == {"margin": pytest.approx(1.0)}  # both halves, under one key
         assert b1.tolist() == b2.tolist()
 
 
