@@ -19,7 +19,9 @@ Three families are provided:
   solved in its own buffer: one LU plus a fixed number of n x n passes.
 
 ``aggregate(method, ...)`` is the one entry point that maps the names in
-``METHODS`` to these backends.
+``METHODS`` to these backends.  ``check_options`` holds the one range rule
+per option (``n_select``, ``tun1``, ``tun2``, ``p``); ``aggregate`` checks
+all four, each backend the ones it takes.
 
 A factorial brute-force minimizer of the weighted Kendall objective serves
 as an oracle for small instances, and Kendall / Spearman-footrule distances
@@ -34,7 +36,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learner import check_int
+from .learner import check_int, is_real
+
+
+def check_options(n_select=1, tun1=0.05, tun2=5, p=1.0):
+    """Raise ValueError unless every aggregation option lies in its range.
+
+    ``n_select`` is an integer >= 1, ``tun2`` an integer >= 0, ``tun1`` a
+    real in (0, 1) and ``p`` a finite real >= 1; bools are not numbers here.
+    The one statement of these ranges: ``ALConfig``, ``aggregate``, each
+    backend (for the options it takes) and the ``rankal aggregate`` flags
+    call it.
+    """
+    check_int("n_select", n_select, 1)
+    check_int("tun2", tun2, 0)
+    if not (is_real(tun1) and 0.0 < tun1 < 1.0):
+        raise ValueError("tun1 must lie in (0, 1)")
+    if not (is_real(p) and p >= 1.0):
+        raise ValueError("p must be a finite number >= 1")
 
 
 @dataclass(frozen=True)
@@ -47,8 +66,7 @@ class BordaConfig:
     def __post_init__(self):
         if self.fusion not in self._FUSIONS:
             raise ValueError(f"fusion must be one of {self._FUSIONS}")
-        if not 1.0 <= self.p < np.inf:
-            raise ValueError("p must be finite and >= 1")
+        check_options(p=self.p)
 
 
 @dataclass(frozen=True)
@@ -60,6 +78,8 @@ class TransitionMatrix:
 
     def __post_init__(self):
         t = self.entries
+        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+            raise ValueError(f"transition entries must be a square matrix, got shape {t.shape}")
         low = t.min()
         if low < 0:
             raise ValueError("transition entries must be non-negative")
@@ -239,11 +259,11 @@ def truncate_candidates(rank_lists, committee_flags, n_select, tun2=5) -> np.nda
 
     Committee lists carry many ties and would flood the candidate set, so
     they vote later but do not nominate.  If every list is committee-based,
-    truncation is skipped with a warning.  ``n_select`` must be an integer
-    >= 1 and ``tun2`` one >= 0.
+    truncation is skipped with a warning.  ``n_select`` and ``tun2`` are
+    checked by ``check_options``; a truncation that keeps no candidate
+    raises ValueError.
     """
-    check_int("n_select", n_select, 1)
-    check_int("tun2", tun2, 0)
+    check_options(n_select=n_select, tun2=tun2)
     r = _as_rank_matrix(rank_lists)
     flags = np.asarray(committee_flags, dtype=bool)
     if flags.shape != (r.shape[0],):
@@ -253,6 +273,9 @@ def truncate_candidates(rank_lists, committee_flags, n_select, tun2=5) -> np.nda
         return np.arange(r.shape[1])
     n_star = n_select + tun2
     keep = (r[~flags] <= n_star).any(axis=0)
+    if not keep.any():
+        raise ValueError(f"truncation keeps no candidate: no non-committee list ranks "
+                         f"a sample within the top N* = n_select + tun2 = {n_star}")
     return np.where(keep)[0]
 
 
@@ -264,15 +287,13 @@ def build_transition(rank_lists, weights, variant="mc2", tun1=0.05) -> Transitio
     (> 1/2), mc3 proportionally to the preferring weight.  Off-diagonal mass
     is spread by 1/|C|, the diagonal absorbs the remainder, and the matrix is
     blended with the uniform matrix by tun1 so every entry is positive.
+    One candidate gives the one-state chain T = [[1]].
     """
     if variant not in ("mc1", "mc2", "mc3"):
         raise ValueError(f"unknown Markov chain variant {variant!r}")
-    if not 0.0 < tun1 < 1.0:
-        raise ValueError("tun1 must lie in (0, 1)")
+    check_options(tun1=tun1)
     r = _as_rank_matrix(rank_lists)
     n_lists, n = r.shape
-    if n < 2:
-        raise ValueError("need at least 2 candidates")
     threshold = {"mc1": 0.0, "mc2": 0.5}.get(variant)
 
     def finish(x):
@@ -365,7 +386,9 @@ def aggregate(method, rank_lists, weights, *, ids=None, n_select=1, tun1=0.05,
 
     The Borda fusions use ``p``; the Markov chains use ``n_select``, ``tun1``,
     ``tun2``, ``committee_flags`` and ``truncate``; Bucklin uses none of them.
+    All four options are checked (``check_options``) whichever method runs.
     """
+    check_options(n_select, tun1, tun2, p)
     if method in _BORDA_FUSIONS:
         cfg = BordaConfig(fusion=_BORDA_FUSIONS[method], p=p)
         return borda_aggregate(rank_lists, weights, cfg, ids=ids)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import sys
 import tempfile
@@ -81,12 +80,13 @@ def cmd_aggregate(args):
     by_rank = np.argsort(ranking.ranks)
     for pos, idx in enumerate(by_rank):
         print(f"{sample_ids[idx]},{ranking.scores[pos]:.6g},{ranking.ranks[idx]}")
+    total_k = total_s = 0
     for k in range(len(ranks)):
         dk = agg.kendall_distance(ranking.ranks, ranks[k])
         ds = agg.spearman_distance(ranking.ranks, ranks[k])
         print(f"distance to list {k + 1}: kendall={dk} spearman={ds}")
-    total = agg.ranking_distances(ranking.ranks, ranks)
-    print(f"summed distances: kendall={total[0]} spearman={total[1]}")
+        total_k, total_s = total_k + dk, total_s + ds
+    print(f"summed distances: kendall={total_k} spearman={total_s}")
     return 0
 
 
@@ -397,14 +397,19 @@ def cmd_compare(args):
     return 0
 
 
-def _checked(convert, accept, requirement):
-    """argparse ``type=`` rejecting values that fail ``accept`` (exit 2, naming the flag)."""
+def _checked(convert, name):
+    """argparse ``type=`` for the aggregation option ``name``: ``convert``, then
+    ``check_options``; a rejected value exits 2 naming the flag, the rule and the text."""
     def parse(text):
-        value = convert(text)
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        try:
+            value = convert(text)
+        except ValueError:
+            value = text  # not a number: check_options rejects it with its rule
+        try:
+            agg.check_options(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
         return value
-    parse.__name__ = convert.__name__  # argparse's "invalid int value" wording
     return parse
 
 
@@ -419,12 +424,11 @@ def build_parser():
     p.add_argument("lists", help="CSV: column 1 sample id, columns 2..L+1 ranks")
     p.add_argument("--weights", help="file with one weight per list")
     p.add_argument("--method", default="borda-pnorm", choices=agg.METHODS)
-    p.add_argument("--n", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=1,
+    p.add_argument("--n", type=_checked(int, "n_select"), default=1,
                    help="batch size for truncation")
-    p.add_argument("--tun1", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"), default=0.05)
-    p.add_argument("--tun2", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=5)
-    p.add_argument("--p", type=_checked(float, lambda v: 1 <= v < math.inf, "finite and >= 1"),
-                   default=1.0)
+    p.add_argument("--tun1", type=_checked(float, "tun1"), default=0.05)
+    p.add_argument("--tun2", type=_checked(int, "tun2"), default=5)
+    p.add_argument("--p", type=_checked(float, "p"), default=1.0)
     p.add_argument("--no-truncate", action="store_true")
     p.set_defaults(func=cmd_aggregate)
 

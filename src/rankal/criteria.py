@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learner import Committee, LearnerConfig, Model, kernel_matrix, posterior
+from .learner import Committee, LearnerConfig, Model, check_int, is_real, kernel_matrix, posterior
 
 ROUND_DECIMALS = 12
 
@@ -133,10 +133,9 @@ def solve_ted(pool_features, lam=0.1, max_iter=100, tol=1e-8) -> TedSolution:
     n = len(x)
     if n < 2:
         raise ValueError("need at least 2 pool samples")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    if not (is_real(lam) and lam > 0):
+        raise ValueError("lam must be a positive finite number")
+    check_int("max_iter", max_iter, 1)
     d = x.T  # samples as columns
     eps = 1e-10
 

@@ -154,6 +154,11 @@ class LearningCurve:
                    values=np.array(rows, dtype=float))
 
 
+def _tally(verdicts):
+    """(wins, ties, losses) among ``verdicts``."""
+    return tuple(sum(v == kind for v in verdicts) for kind in ("win", "tie", "loss"))
+
+
 @dataclass(frozen=True)
 class WinTieLossTable:
     """Verdicts of a target method against baselines, per checkpoint."""
@@ -164,12 +169,8 @@ class WinTieLossTable:
     verdicts: list  # [baseline][checkpoint] -> 'win' | 'tie' | 'loss'
 
     def counts(self):
-        flat = [v for row in self.verdicts for v in row]
-        return (
-            sum(v == "win" for v in flat),
-            sum(v == "tie" for v in flat),
-            sum(v == "loss" for v in flat),
-        )
+        """(wins, ties, losses) over every baseline and checkpoint."""
+        return _tally([v for row in self.verdicts for v in row])
 
     def format(self):
         lines = [f"{self.target} vs baselines (win/tie/loss per checkpoint)"]
@@ -179,9 +180,7 @@ class WinTieLossTable:
         lines.append(header)
         for name, row in zip(self.baselines, self.verdicts):
             cells = "".join(f"{v[:1].upper():>8}" for v in row)
-            w = sum(v == "win" for v in row)
-            t = sum(v == "tie" for v in row)
-            l = sum(v == "loss" for v in row)
+            w, t, l = _tally(row)
             lines.append(name.ljust(18) + cells + f"   {w}/{t}/{l}")
         w, t, l = self.counts()
         lines.append(f"IN ALL: {w}/{t}/{l}")

@@ -60,6 +60,13 @@ samples with a positive count hold a single class is that class's
 degenerate model (``degenerate_label``), predicting it at 0.99, and stays
 out of the stack that goes to ``_newton``, which has no other caller.
 
+Posteriors have one rule too, ``_proba`` over stacked fitted rows: kernel,
+sigmoid, clamp to [PROB_CLAMP, 1 - PROB_CLAMP], and 0.99 for a degenerate
+row's class.  ``Model.predict_proba`` is its one-row case and
+``Committee.member_proba`` its g-row case.  The class decision (p >= 0.5
+is +1) is made only in ``posterior``, which ``Model.predict`` and the
+query loop's checkpoint evaluation call.
+
 Committees are built by bootstrap bagging with per-member RNG streams
 derived from (seed, member).  Every member is solved on the whole labeled
 set with its draw counts as weights (0 for undrawn rows), so all members
@@ -149,23 +156,17 @@ def _sigmoid(z, out=None):
     return np.divide(1.0, out, out=out)
 
 
-def _features(x, support):
-    """``x`` as a 2-D float array with as many columns as ``support``."""
+def _cross_kernel(config, x, support, kernel):
+    """The kernel between the rows of ``x`` and ``support``: ``kernel`` if given.
+
+    With ``support`` = ``x`` it is the Gram matrix.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != support.shape[1]:
         raise ValueError(
             f"dimension mismatch: model expects {support.shape[1]} "
             f"features, got {x.shape[1]}"
         )
-    return x
-
-
-def _cross_kernel(config, x, support, kernel):
-    """The kernel between the rows of ``x`` and ``support``: ``kernel`` if given.
-
-    With ``support`` = ``x`` it is the Gram matrix.
-    """
-    x = _features(x, support)
     if kernel is None:
         return kernel_matrix(config, x, support)
     kernel = np.asarray(kernel, dtype=float)
@@ -174,6 +175,19 @@ def _cross_kernel(config, x, support, kernel):
             f"precomputed kernel must have shape ({len(x)}, {len(support)}), got {kernel.shape}"
         )
     return kernel
+
+
+def _proba(config, x, support, kernel, coeffs, intercepts, degenerate_label):
+    """(g, n_samples) posteriors P(y = +1 | x) of g fitted rows over one support.
+
+    Row j is sigmoid(K(x, support) coeffs[j] + intercepts[j]) clamped to
+    [PROB_CLAMP, 1 - PROB_CLAMP], unless ``degenerate_label[j]`` is nonzero:
+    then it predicts that class at 0.99.
+    """
+    k = _cross_kernel(config, x, support, kernel)
+    p = np.clip(_sigmoid(coeffs @ k.T + intercepts[:, None]), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    fixed = np.where(degenerate_label == 1, 0.99, 0.01)
+    return np.where(degenerate_label[:, None] != 0, fixed[:, None], p)
 
 
 @dataclass(frozen=True)
@@ -198,15 +212,11 @@ class Model:
         ``kernel`` is ``kernel_matrix(config, x, support)`` if the caller
         already has it; by default it is computed here.
         """
-        if self.degenerate:
-            p = 0.99 if self.degenerate_label == 1 else 0.01
-            return np.full(len(_features(x, self.support)), p)
-        k = _cross_kernel(self.config, x, self.support, kernel)
-        p = _sigmoid(k @ self.dual_coeffs + self.intercept)
-        return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        return _proba(self.config, x, self.support, kernel, self.dual_coeffs[None, :],
+                      np.array([self.intercept]), np.array([self.degenerate_label]))[0]
 
     def predict(self, x):
-        return np.where(self.predict_proba(x) >= 0.5, 1, -1)
+        return posterior(self, x)[1]
 
 
 def posterior(model: Model, x, *, kernel=None):
@@ -409,11 +419,11 @@ class Committee:
     ``model`` is the fit on the whole labeled set, solved in the members'
     Newton stack: the model ``fit`` returns, up to round-off.
 
-    Member j's posterior is sigmoid(K(x, support) coeffs[j] + intercepts[j]),
-    clamped like ``Model.predict_proba``, unless ``degenerate_label[j]`` is
-    nonzero: then its draws held that one class and it predicts it at 0.99.
-    ``coeffs[j]`` is 0 at the rows member j did not draw (``drawn[j]`` is
-    False) and everywhere for a degenerate member.
+    Member j's posterior is row j of ``_proba`` over ``coeffs``,
+    ``intercepts`` and ``degenerate_label``: a nonzero ``degenerate_label[j]``
+    means its draws held that one class.  ``coeffs[j]`` is 0 at the rows
+    member j did not draw (``drawn[j]`` is False) and everywhere for a
+    degenerate member.
     """
 
     config: LearnerConfig
@@ -436,11 +446,8 @@ class Committee:
         ``kernel`` is ``kernel_matrix(config, x, support)`` if the caller
         already has it; by default it is computed here.
         """
-        k = _cross_kernel(self.config, x, self.support, kernel)
-        p = np.clip(_sigmoid(self.coeffs @ k.T + self.intercepts[:, None]),
-                    PROB_CLAMP, 1.0 - PROB_CLAMP)
-        fixed = np.where(self.degenerate_label == 1, 0.99, 0.01)
-        return np.where(self.degenerate[:, None], fixed[:, None], p)
+        return _proba(self.config, x, self.support, kernel, self.coeffs, self.intercepts,
+                      self.degenerate_label)
 
     @property
     def members(self):
@@ -477,8 +484,7 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0, *,
     the degenerate model of that class, and so is ``model`` for a one-class
     labeled set; their rows stay out of the stack.
     """
-    if g < 2:
-        raise ValueError("committee size g must be >= 2")
+    check_int("g", g, 2)
     n = len(labels)
     counts = _bootstrap_counts(n, g, seed)
     x, alpha, intercept, n_iter, converged, label = _fit_rows(

@@ -25,7 +25,10 @@ tracer does) sees every call.
 only reads later: ``checkpoints`` must be finite, positive, strictly
 increasing and at most ``budget``; ``seed`` a non-negative integer; and
 ``fixed_weights`` and ``serial_layers`` are accepted only with the one
-strategy that reads them.  Each error is a ValueError naming the field.
+strategy that reads them.  The aggregation options (``n_select``,
+``tun1``, ``tun2``, ``p``) are checked by ``aggregation.check_options``,
+the one statement of their ranges.  Each error is a ValueError naming the
+field.
 
 Self-reconstruction (ted) scores depend only on the initial pool, so they
 are computed once per run (never for a random run) and sliced per
@@ -64,7 +67,7 @@ from .criteria import normalize_and_rank, score_diversity, score_margin, score_q
 from .data import Dataset, PoolState, oracle_label
 from .evaluation import accuracy, auc, f1
 from . import learner
-from .learner import LearnerConfig, check_int, fit, fit_committee, is_real
+from .learner import LearnerConfig, check_int, fit, fit_committee, is_real, posterior
 from .weighting import blend_weights, bvsb_weight, duplicate_weight
 
 STRATEGIES = ("fused", "serial", "parallel", "random")
@@ -132,16 +135,11 @@ class ALConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.aggregator not in agg.METHODS:
             raise ValueError(f"aggregator must be one of {agg.METHODS}")
-        check_int("n_select", self.n_select, 1)
+        agg.check_options(self.n_select, self.tun1, self.tun2, self.p)
         check_int("n_initial", self.n_initial, 2)
-        check_int("tun2", self.tun2, 0)
         check_int("g", self.g, 2)
         if not (is_real(self.budget) and 0.0 < self.budget <= 1.0):
             raise ValueError("budget must lie in (0, 1]")
-        if not (is_real(self.tun1) and 0.0 < self.tun1 < 1.0):
-            raise ValueError("tun1 must lie in (0, 1)")
-        if not (is_real(self.p) and self.p >= 1.0):
-            raise ValueError("p must be a finite number >= 1")
         if not (is_real(self.ted_lambda) and self.ted_lambda > 0.0):
             raise ValueError("ted_lambda must be a positive finite number")
         if self.initial_batch not in ("ted", "random"):
@@ -438,9 +436,7 @@ def initial_batch(pool: PoolState, cfg: ALConfig, ted_scores) -> PoolState:
 
 
 def _evaluate(pool: PoolState, test: Dataset, cfg: ALConfig, warm: WarmStart):
-    model = warm.fit(pool, cfg)
-    p_pos = model.predict_proba(test.features)
-    preds = np.where(p_pos >= 0.5, 1, -1)
+    p_pos, preds, _ = posterior(warm.fit(pool, cfg), test.features)
     return (
         accuracy(preds, test.labels),
         f1(preds, test.labels),

@@ -78,12 +78,15 @@ class ToyResult:
         return self.distances_ok and self.exact_ok
 
 
-def aggregate_toy(method: str, tun1=0.05, p=1.0) -> AggregatedRanking:
-    """Run one aggregation method on the embedded lists, uniform weights."""
+def aggregate_toy(method: str) -> AggregatedRanking:
+    """Run one aggregation method on the embedded lists, uniform weights.
+
+    ``aggregate``'s defaults are the conventions above: tun1 = 0.05, p = 1.
+    """
     lists = TOY_RANK_LISTS if method in ("mc1", "mc2", "mc3") else ordinalize(TOY_RANK_LISTS)
     return aggregate(
         method, lists, np.ones(TOY_RANK_LISTS.shape[0]),
-        ids=TOY_SAMPLE_IDS, tun1=tun1, p=p, truncate=False,
+        ids=TOY_SAMPLE_IDS, truncate=False,
     )
 
 

@@ -68,7 +68,7 @@ def test_acceptance_1_toy_deterministic_aggregators():
 
 
 def test_acceptance_2_toy_markov_chains():
-    rankings = {m: aggregate_toy(m, tun1=0.05) for m in ("mc1", "mc2", "mc3")}
+    rankings = {m: aggregate_toy(m) for m in ("mc1", "mc2", "mc3")}
     distances = {
         m: ranking_distances(r.ranks, TOY_RANK_LISTS) for m, r in rankings.items()
     }

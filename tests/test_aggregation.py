@@ -139,7 +139,7 @@ class TestBorda:
 class TestBordaConfig:
     @pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
     def test_rejects_p_that_is_not_finite_and_at_least_1(self, p):
-        with pytest.raises(ValueError, match="p must be finite"):
+        with pytest.raises(ValueError, match="p must be a finite number >= 1"):
             BordaConfig("pnorm", p=p)
 
 
@@ -208,6 +208,12 @@ class TestTruncation:
             cand = truncate_candidates(l1[None, :], [True], 1, tun2=1)
         assert cand.tolist() == [0, 1, 2]
 
+    def test_no_candidate_names_the_truncation(self):
+        lists = np.array([[4.0, 5.0, 6.0], [1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match=r"truncation keeps no candidate.*N\* = n_select "
+                                             r"\+ tun2 = 3"):
+            truncate_candidates(lists, [False, True], 2, tun2=1)
+
     def test_union_bound_over_random_instances(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -241,8 +247,14 @@ class TestTransition:
             assert t.entries.min() >= 0.07 / 12 - 1e-15
 
     def test_too_few_candidates(self):
-        with pytest.raises(ValueError):
-            build_transition(np.array([[1.0]]), np.array([1.0]), "mc2")
+        with pytest.raises(ValueError, match="at least one sample"):
+            build_transition(np.empty((1, 0)), np.array([1.0]), "mc2")
+
+    @pytest.mark.parametrize("variant", ["mc1", "mc2", "mc3"])
+    def test_one_candidate_is_the_one_state_chain(self, variant):
+        t = build_transition(np.array([[3.0], [1.0]]), np.array([0.4, 0.6]), variant)
+        assert t.entries.tolist() == [[1.0]]
+        assert stationary_distribution(t).tolist() == [1.0]
 
 
 class TestStationary:
@@ -296,7 +308,9 @@ class TestTransitionMatrixChecks:
         ([[0.9, 0.2], [0.5, 0.5]], "sum to 1"),
         ([[np.nan, np.nan], [0.5, 0.5]], "sum to 1"),
         ([[1.0, 0.0], [0.5, 0.5]], "ergodic floor"),
-    ], ids=["negative", "row-sum", "nan", "floor"])
+        (np.full((2, 3), 1 / 3), "square matrix, got shape \\(2, 3\\)"),
+        ([1.0], "square matrix"),
+    ], ids=["negative", "row-sum", "nan", "floor", "not-square", "1-D"])
     def test_rejects(self, entries, message):
         with pytest.raises(ValueError, match=message):
             TransitionMatrix(np.array(entries), tun1=0.05)
@@ -357,8 +371,8 @@ class TestMarkovPathMatchesReference:
         lists, w, flags = instance
         kwargs = dict(variant=variant, n_select=n_select, tun2=2, committee_flags=flags,
                       truncate=truncate)
-        if truncate and not flags.all() and len(truncate_candidates(lists, flags, n_select, 2)) < 2:
-            with pytest.raises(ValueError, match="2 candidates|at least one sample"):
+        if truncate and not flags.all() and not (lists[~flags] <= n_select + 2).any():
+            with pytest.raises(ValueError, match="truncation keeps no candidate"):
                 markov_aggregate(lists, w, **kwargs)
             return
         out = markov_aggregate(lists, w, **kwargs)

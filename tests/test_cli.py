@@ -10,7 +10,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rankal.aggregation import (
+    BordaConfig,
+    aggregate,
+    build_transition,
+    check_options,
+    markov_aggregate,
+    truncate_candidates,
+)
 from rankal.cli import UsageError, _load_config, main
+from rankal.loop import ALConfig
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +29,15 @@ def run_cli(capsys, *argv):
 
 
 SAMPLE_RANKS = os.path.join(os.path.dirname(__file__), "..", "sample_data", "rank_lists.csv")
+# the range rule of each aggregation option, worded as every entry point states it
+OPTION_RULES = {
+    "n_select": "n_select must be an integer >= 1",
+    "tun1": "tun1 must lie in (0, 1)",
+    "tun2": "tun2 must be an integer >= 0",
+    "p": "p must be a finite number >= 1",
+}
+OPTION_FLAGS = {"n_select": "--n", "tun1": "--tun1", "tun2": "--tun2", "p": "--p"}
+FLAG_RULES = {OPTION_FLAGS[name]: rule for name, rule in OPTION_RULES.items()}
 
 
 class TestAggregate:
@@ -156,7 +174,7 @@ class TestAggregate:
             main(["aggregate", SAMPLE_RANKS, "--method", "mc2", flag, value])
         captured = capsys.readouterr()
         assert exc.value.code == 2
-        assert f"argument {flag}: must be" in captured.err and repr(value) in captured.err
+        assert f"argument {flag}: {FLAG_RULES[flag]}, got {value!r}" in captured.err
         assert "order" not in captured.out
 
     def test_bucklin_confirms_fractional_rank_at_its_ceiling(self, tmp_path, capsys):
@@ -173,6 +191,75 @@ class TestAggregate:
         with pytest.raises(SystemExit) as exc:
             main(["aggregate", str(path), "--method", "condorcet"])
         assert exc.value.code == 2
+
+
+# per option: values every entry point accepts, then values every one rejects
+OPTION_VALUES = {
+    "n_select": ([1, 3], [0, -5, 2.5, True, np.nan, np.inf, "x"]),
+    "tun1": ([0.05, 0.5, 1e-9], [0, 1, 1.5, -0.1, True, np.nan, np.inf, "x"]),
+    "tun2": ([0, 5], [-1, 1.5, True, np.nan, np.inf, "x"]),
+    "p": ([1.0, 2, 7.5], [0.5, 0, -1, True, np.nan, np.inf, -np.inf, "x"]),
+}
+OPTION_CASES = [
+    pytest.param(name, value, rule, id=f"{name}-{value!r}")
+    for name, (good, bad) in OPTION_VALUES.items()
+    for values, rule in ((good, None), (bad, OPTION_RULES[name]))
+    for value in values
+]
+OPTION_LISTS = np.array([[1.0, 2, 3, 4, 5, 6, 7], [3.0, 1, 2, 7, 6, 5, 4], [1.0, 1, 3, 3, 5, 5, 7]])
+OPTION_COMMITTEE = np.array([False, False, True])
+
+
+def _verdict(call):
+    """None if ``call()`` returns, else its ValueError's message."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestOptionRanges:
+    """Every entry point that takes an aggregation option (``ALConfig``,
+    ``aggregate``, each backend, the ``rankal aggregate`` flag) accepts and
+    rejects the same values, with the same rule text."""
+
+    @staticmethod
+    def library_calls(name, value):
+        lists, weights, flags = OPTION_LISTS, np.ones(3), OPTION_COMMITTEE
+        kw = {name: value}
+        calls = {
+            "check_options": lambda: check_options(**kw),
+            "ALConfig": lambda: ALConfig(**kw),
+            "aggregate-mc2": lambda: aggregate("mc2", lists, weights, committee_flags=flags, **kw),
+            "aggregate-bucklin": lambda: aggregate("bucklin", lists, weights, **kw),
+        }
+        if name in ("n_select", "tun2", "tun1"):
+            calls["markov_aggregate"] = lambda: markov_aggregate(
+                lists, weights, committee_flags=flags, **kw)
+        if name in ("n_select", "tun2"):
+            calls["truncate_candidates"] = lambda: truncate_candidates(
+                lists, flags, **{"n_select": 1, **kw})
+        if name == "tun1":
+            calls["build_transition"] = lambda: build_transition(lists, weights, "mc2", **kw)
+        if name == "p":
+            calls["BordaConfig"] = lambda: BordaConfig("pnorm", **kw)
+        return calls
+
+    @pytest.mark.parametrize("name, value, rule", OPTION_CASES)
+    def test_same_verdict_everywhere(self, capsys, name, value, rule):
+        verdicts = {where: _verdict(call) for where, call in self.library_calls(name, value).items()}
+        flag, text = OPTION_FLAGS[name], str(value)
+        try:
+            code = main(["aggregate", SAMPLE_RANKS, "--method", "mc2", f"{flag}={text}"])
+            verdicts[flag] = None if code == 0 else f"exit {code}"
+        except SystemExit as exc:
+            err = capsys.readouterr().err
+            prefix, suffix = f"argument {flag}: ", f", got {text!r}"
+            line = err.strip().splitlines()[-1]
+            assert exc.code == 2 and prefix in line and line.endswith(suffix), err
+            verdicts[flag] = line.split(prefix, 1)[1][:-len(suffix)]
+        assert verdicts == dict.fromkeys(verdicts, rule)
 
 
 class TestToyTable:

@@ -256,6 +256,22 @@ class TestTed:
         with pytest.raises(ValueError, match="max_iter"):
             solve_ted(np.ones((3, 2)), lam=0.1, max_iter=0)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lam", np.nan, "lam must be a positive finite number"),
+        ("lam", np.inf, "lam must be a positive finite number"),
+        ("lam", True, "lam must be a positive finite number"),
+        ("lam", "x", "lam must be a positive finite number"),
+        ("max_iter", 2.5, "max_iter must be an integer >= 1"),
+        ("max_iter", True, "max_iter must be an integer >= 1"),
+    ])
+    def test_values_checked_like_alconfig(self, key, value, message):
+        x = np.random.default_rng(0).normal(size=(5, 2))
+        with pytest.raises(ValueError, match=message):
+            solve_ted(x, **{key: value})
+        if key == "lam":  # score_ted returned all-zero scores at lam = inf
+            with pytest.raises(ValueError, match=message):
+                score_ted(x, lam=value)
+
 
 class TestNormalizeAndRank:
     def test_competition_ties(self):

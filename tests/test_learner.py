@@ -178,6 +178,11 @@ class TestCommittee:
         with pytest.raises(ValueError):
             fit_committee(CFG, np.zeros((2, 1)), np.array([-1, 1]), g=1)
 
+    @pytest.mark.parametrize("g", [1, 2.5, True, "5"])
+    def test_committee_size_checked_like_alconfig(self, g):
+        with pytest.raises(ValueError, match="g must be an integer >= 2"):
+            fit_committee(CFG, np.zeros((2, 1)), np.array([-1, 1]), g=g)
+
 
 def test_fit_records_how_it_ended():
     d = make_two_blobs(n=60, seed=12)

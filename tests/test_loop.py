@@ -354,6 +354,18 @@ class TestRuns:
         _, pool = split_pool(d, SplitSpec(0.5, 17))
         assert pool_ted_scores(pool, ALConfig(strategy="random", criteria=("ted",))) is None
 
+    @pytest.mark.parametrize("criteria", [("margin",), ("margin", "qbc")])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_candidate_chain_runs_to_budget(self, criteria, seed):
+        # N* = n_select + tun2 = 1: the one non-committee list nominates only its
+        # rank-1 sample, so the chain has one state
+        d = normalize_features(make_two_blobs(n=200, seed=seed))
+        test, pool = split_pool(d, SplitSpec(0.5, seed))
+        cfg = ALConfig(criteria=criteria, aggregator="mc2", tun2=0, n_select=1, seed=seed)
+        trace = run_active_learning(pool, test, cfg)
+        assert trace.checkpoints[-1].n_labeled == 30
+        assert all(len(rec.selected) == 1 for rec in trace.iterations)
+
     def test_serial_layers_larger_than_the_remaining_pool(self):
         # every layer is cut to what the pool still holds, so a fixed layer
         # plan runs until the pool is drained
