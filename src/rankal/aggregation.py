@@ -19,9 +19,13 @@ Three families are provided:
   solved in its own buffer: one LU plus a fixed number of n x n passes.
 
 ``aggregate(method, ...)`` is the one entry point that maps the names in
-``METHODS`` to these backends.  ``check_options`` holds the one range rule
-per option (``n_select``, ``tun1``, ``tun2``, ``p``); ``aggregate`` checks
-all four, each backend the ones it takes.
+``METHODS`` to these backends; ``MARKOV_VARIANTS`` is the one table of the
+Markov variants and their thresholds.  ``check_options`` holds the one range
+rule per option (``n_select``, ``tun1``, ``tun2``, ``p``); ``aggregate``
+checks all four, each backend the ones it takes.  The other rules come from
+``rankal.checks``: every weight vector (one per list) is checked by
+``check_weights``, and the method, fusion and variant names by
+``check_choice``.
 
 A factorial brute-force minimizer of the weighted Kendall objective serves
 as an oracle for small instances, and Kendall / Spearman-footrule distances
@@ -36,7 +40,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learner import check_int, is_real
+from .checks import check_choice, check_int, check_real, check_weights
+
+_BORDA_FUSIONS = {
+    "borda-min": "minimum",
+    "borda-median": "median",
+    "borda-geo": "geometric-mean",
+    "borda-pnorm": "pnorm",
+}
+# Markov variant -> the preferring weight a move needs: mc1 any, mc2 a strict
+# majority, mc3 none (it moves in proportion to the weight)
+MARKOV_VARIANTS = {"mc1": 0.0, "mc2": 0.5, "mc3": None}
+METHODS = (*_BORDA_FUSIONS, "bucklin", *MARKOV_VARIANTS)
 
 
 def check_options(n_select=1, tun1=0.05, tun2=5, p=1.0):
@@ -50,10 +65,8 @@ def check_options(n_select=1, tun1=0.05, tun2=5, p=1.0):
     """
     check_int("n_select", n_select, 1)
     check_int("tun2", tun2, 0)
-    if not (is_real(tun1) and 0.0 < tun1 < 1.0):
-        raise ValueError("tun1 must lie in (0, 1)")
-    if not (is_real(p) and p >= 1.0):
-        raise ValueError("p must be a finite number >= 1")
+    check_real("tun1", tun1, 0, 1, open_low=True, open_high=True)
+    check_real("p", p, 1)
 
 
 @dataclass(frozen=True)
@@ -61,11 +74,8 @@ class BordaConfig:
     fusion: str = "pnorm"  # minimum | median | geometric-mean | pnorm
     p: float = 1.0
 
-    _FUSIONS = ("minimum", "median", "geometric-mean", "pnorm")
-
     def __post_init__(self):
-        if self.fusion not in self._FUSIONS:
-            raise ValueError(f"fusion must be one of {self._FUSIONS}")
+        check_choice("fusion", self.fusion, _BORDA_FUSIONS.values())
         check_options(p=self.p)
 
 
@@ -77,6 +87,7 @@ class TransitionMatrix:
     tun1: float
 
     def __post_init__(self):
+        check_options(tun1=self.tun1)
         t = self.entries
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError(f"transition entries must be a square matrix, got shape {t.shape}")
@@ -116,18 +127,8 @@ def _as_rank_matrix(rank_lists):
     return r
 
 
-def _check_weights(weights, n_lists):
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n_lists,):
-        raise ValueError(f"need one weight per list, got shape {w.shape}")
-    total = w.sum()
-    if not 0.0 < total < np.inf or w.min() < 0:
-        raise ValueError("weights must be finite and non-negative with positive sum")
-    return w
-
-
 def _norm_weights(weights, n_lists):
-    w = _check_weights(weights, n_lists)
+    w = check_weights("weights", weights, n_lists, "list")
     return w / w.sum()
 
 
@@ -206,7 +207,7 @@ def borda_aggregate(rank_lists, weights, cfg: BordaConfig = BordaConfig(),
     """
     r = _as_rank_matrix(rank_lists)
     n_lists, n = r.shape
-    w = _check_weights(weights, n_lists)
+    w = check_weights("weights", weights, n_lists, "list")
     if cfg.fusion == "geometric-mean":
         w = np.maximum(w, 1e-9)
     elif cfg.fusion in ("minimum", "median"):
@@ -289,12 +290,11 @@ def build_transition(rank_lists, weights, variant="mc2", tun1=0.05) -> Transitio
     blended with the uniform matrix by tun1 so every entry is positive.
     One candidate gives the one-state chain T = [[1]].
     """
-    if variant not in ("mc1", "mc2", "mc3"):
-        raise ValueError(f"unknown Markov chain variant {variant!r}")
+    check_choice("variant", variant, MARKOV_VARIANTS)
     check_options(tun1=tun1)
     r = _as_rank_matrix(rank_lists)
     n_lists, n = r.shape
-    threshold = {"mc1": 0.0, "mc2": 0.5}.get(variant)
+    threshold = MARKOV_VARIANTS[variant]
 
     def finish(x):
         if threshold is not None:
@@ -371,15 +371,6 @@ def markov_aggregate(rank_lists, weights, variant="mc2", n_select=1,
     return _ranking(order, scores, ids)
 
 
-_BORDA_FUSIONS = {
-    "borda-min": "minimum",
-    "borda-median": "median",
-    "borda-geo": "geometric-mean",
-    "borda-pnorm": "pnorm",
-}
-METHODS = (*_BORDA_FUSIONS, "bucklin", "mc1", "mc2", "mc3")
-
-
 def aggregate(method, rank_lists, weights, *, ids=None, n_select=1, tun1=0.05,
               tun2=5, p=1.0, committee_flags=None, truncate=True) -> AggregatedRanking:
     """Run the aggregator named ``method`` (one of ``METHODS``).
@@ -388,18 +379,29 @@ def aggregate(method, rank_lists, weights, *, ids=None, n_select=1, tun1=0.05,
     ``tun2``, ``committee_flags`` and ``truncate``; Bucklin uses none of them.
     All four options are checked (``check_options``) whichever method runs.
     """
+    check_choice("method", method, METHODS)
     check_options(n_select, tun1, tun2, p)
     if method in _BORDA_FUSIONS:
         cfg = BordaConfig(fusion=_BORDA_FUSIONS[method], p=p)
         return borda_aggregate(rank_lists, weights, cfg, ids=ids)
     if method == "bucklin":
         return bucklin_aggregate(rank_lists, weights, ids=ids)
-    if method in ("mc1", "mc2", "mc3"):
-        return markov_aggregate(
-            rank_lists, weights, variant=method, n_select=n_select, tun1=tun1,
-            tun2=tun2, committee_flags=committee_flags, truncate=truncate, ids=ids,
-        )
-    raise ValueError(f"unknown aggregation method {method!r}; expected one of {METHODS}")
+    return markov_aggregate(
+        rank_lists, weights, variant=method, n_select=n_select, tun1=tun1,
+        tun2=tun2, committee_flags=committee_flags, truncate=truncate, ids=ids,
+    )
+
+
+def _rank_pair(a, b):
+    """``a`` and ``b`` as float arrays, or ValueError unless both are 1-D,
+    finite and of equal length."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("rank lists must have equal length")
+    if a.ndim != 1 or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("rank lists must be 1-D and finite")
+    return a, b
 
 
 def kendall_distance(a, b) -> int:
@@ -410,12 +412,7 @@ def kendall_distance(a, b) -> int:
     counted at run widths 1, 2, 4, ...: each value of a right run is looked
     up in its sorted left neighbour.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("rank lists must have equal length")
-    if a.ndim != 1 or not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("rank lists must be 1-D and finite")
+    a, b = _rank_pair(a, b)
     n = len(a)
     # b's dense ranks in (a, b) order: a tie in a is sorted by b, so it holds
     # no inversion
@@ -437,10 +434,7 @@ def kendall_distance(a, b) -> int:
 
 def spearman_distance(a, b) -> int:
     """Footrule distance: total absolute rank displacement."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("rank lists must have equal length")
+    a, b = _rank_pair(a, b)
     return int(np.abs(a - b).sum())
 
 
@@ -455,7 +449,7 @@ def ranking_distances(agg_ranks, rank_lists):
 def weighted_kendall_objective(agg_ranks, rank_lists, weights) -> float:
     """(1/L) sum_k w_k * Kendall(R, R_k) -- the quantity aggregation minimizes."""
     r = _as_rank_matrix(rank_lists)
-    w = np.asarray(weights, dtype=float)
+    w = check_weights("weights", weights, len(r), "list")
     total = sum(
         w[k] * kendall_distance(agg_ranks, r[k]) for k in range(len(r))
     )
@@ -474,7 +468,7 @@ def brute_force_aggregate(rank_lists, weights, ids=None):
     if n > 8:
         raise ValueError("brute force search is limited to 8 samples")
     # pair_cost[i, j]: weighted discordance mass incurred by placing i before j
-    pair_cost = _preference(r, _check_weights(weights, n_lists))
+    pair_cost = _preference(r, check_weights("weights", weights, n_lists, "list"))
     best_order = None
     best_cost = np.inf
     for perm in itertools.permutations(range(n)):

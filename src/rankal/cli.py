@@ -37,6 +37,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import aggregation as agg
+from .checks import check_choice
 from .data import (
     TABLE_FORMATS,
     SplitSpec,
@@ -124,11 +125,10 @@ def _dataset_problems(spec):
     if "path" in spec:
         if not (isinstance(spec["path"], str) and spec["path"]):
             problems.append("'dataset.path' must be a non-empty string")
-        fmt = spec.get("format", "dense-csv")
-        if not (isinstance(fmt, str) and fmt in TABLE_FORMATS):
-            problems.append(
-                f"'dataset.format' must be one of {', '.join(map(repr, TABLE_FORMATS))}"
-            )
+        try:
+            check_choice("'dataset.format'", spec.get("format", "dense-csv"), TABLE_FORMATS)
+        except ValueError as exc:
+            problems.append(str(exc))
         return problems
     params = spec["synthetic"]
     if not isinstance(params, dict):

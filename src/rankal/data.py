@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .learner import check_int, is_real
+from .checks import check_choice, check_int, check_real
 
 
 class DataFormatError(ValueError):
@@ -79,8 +79,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (is_real(self.test_fraction) and 0.0 < self.test_fraction < 1.0):
-            raise ValueError("test_fraction must lie in (0, 1)")
+        check_real("test_fraction", self.test_fraction, 0, 1, open_low=True, open_high=True)
         check_int("seed", self.seed, 0)
 
 
@@ -309,8 +308,7 @@ TABLE_FORMATS = {"dense-csv": load_dense_csv, "sparse-index-value": load_sparse}
 
 
 def load_table(path, format="dense-csv") -> Dataset:
-    if format not in TABLE_FORMATS:
-        raise ValueError(f"unknown format {format!r}")
+    check_choice("format", format, TABLE_FORMATS)
     return TABLE_FORMATS[format](path)
 
 
@@ -387,11 +385,9 @@ def make_two_blobs(
     check_int("n", n, 1)
     check_int("n_features", n_features, 1)
     check_int("seed", seed, 0)
-    for name, value in (("center_distance", center_distance), ("sigma", sigma)):
-        if not (is_real(value) and value >= 0):
-            raise ValueError(f"{name} must be a finite number >= 0")
-    if not (is_real(pos_fraction) and 0 <= pos_fraction <= 1):
-        raise ValueError("pos_fraction must lie in [0, 1]")
+    check_real("center_distance", center_distance, 0)
+    check_real("sigma", sigma, 0)
+    check_real("pos_fraction", pos_fraction, 0, 1)
     rng = np.random.default_rng(seed)
     n_pos = int(round(n * pos_fraction))
     n_neg = n - n_pos

@@ -14,23 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learner import check_int
+from .checks import check_int
 
 
-def accuracy(pred, true) -> float:
+def _paired(pred, true):
+    """``pred`` and ``true`` as arrays, or ValueError unless of equal length and non-empty."""
     pred = np.asarray(pred)
     true = np.asarray(true)
     if pred.shape != true.shape or len(pred) == 0:
         raise ValueError("pred and true must be equal-length, non-empty")
+    return pred, true
+
+
+def accuracy(pred, true) -> float:
+    pred, true = _paired(pred, true)
     return float(np.mean(pred == true))
 
 
 def f1(pred, true, positive_class=1) -> float:
     """Harmonic mean of precision and recall; degenerate cases return 0."""
-    pred = np.asarray(pred)
-    true = np.asarray(true)
-    if pred.shape != true.shape or len(pred) == 0:
-        raise ValueError("pred and true must be equal-length, non-empty")
+    pred, true = _paired(pred, true)
     tp = np.sum((pred == positive_class) & (true == positive_class))
     fp = np.sum((pred == positive_class) & (true != positive_class))
     fn = np.sum((pred != positive_class) & (true == positive_class))
@@ -44,9 +47,11 @@ def f1(pred, true, positive_class=1) -> float:
 
 
 def auc(scores, true, positive_class=1) -> float:
-    """Rank-based (Mann-Whitney) AUC; tied scores contribute 1/2."""
-    scores = np.asarray(scores, dtype=float)
-    true = np.asarray(true)
+    """Rank-based (Mann-Whitney) AUC; tied scores contribute 1/2.
+
+    ``scores`` and ``true`` are checked as ``accuracy`` checks its pair.
+    """
+    scores, true = _paired(np.asarray(scores, dtype=float), true)
     pos = true == positive_class
     n_pos = int(pos.sum())
     n_neg = len(true) - n_pos

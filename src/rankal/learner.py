@@ -85,29 +85,23 @@ member whose draws hold a single class (it predicts that class at 0.99), so
 all member posteriors are one kernel and one matrix product.
 ``Committee.members`` derives each member as a ``Model`` on its distinct
 draws.
+
+Arguments are checked by the rules of ``rankal.checks``: ``LearnerConfig``
+its kernel name with ``check_choice`` and ``gamma``, ``reg`` and ``tol``
+with ``check_real``, and ``fit`` its counts with ``check_weights`` (one per
+sample).
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_choice, check_int, check_real, check_weights
+
 PROB_CLAMP = 1e-6
 OBJ_RTOL = 1e-10  # Newton stops once half its decrement is this small, relatively
-
-
-def check_int(name, value, low):
-    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}")
-
-
-def is_real(value):
-    """True for a finite real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -119,12 +113,10 @@ class LearnerConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.kernel not in ("rbf", "linear"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
+        check_choice("kernel", self.kernel, ("rbf", "linear"))
         for name in ("gamma", "reg", "tol"):
-            value = getattr(self, name)
-            if (name != "gamma" or value is not None) and not (is_real(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number")
+            if name != "gamma" or self.gamma is not None:
+                check_real(name, getattr(self, name), 0, open_low=True)
         check_int("max_iter", self.max_iter, 1)
 
 
@@ -345,18 +337,6 @@ def _start(init, g, n):
     return np.tile(alpha, (g, 1)), np.full(g, float(init[1]))
 
 
-def _counts(counts, n):
-    """``counts`` as n finite non-negative floats, not all zero, or ValueError."""
-    c = np.asarray(counts, dtype=float)
-    if c.shape != (n,):
-        raise ValueError(f"counts must have shape ({n},), got {c.shape}")
-    if not np.all(np.isfinite(c) & (c >= 0)):
-        raise ValueError("counts must be finite and non-negative")
-    if not np.any(c):
-        raise ValueError("counts must not all be zero")
-    return c
-
-
 def _fit_rows(config, features, labels, counts, init, gram):
     """Fit one problem per row of the (m, n) ``counts`` over one labeled set.
 
@@ -406,7 +386,7 @@ def fit(config: LearnerConfig, features, labels, counts=None, *, init=None,
     ``Model.degenerate``).
     """
     n = len(labels)
-    c = np.ones(n) if counts is None else _counts(counts, n)
+    c = np.ones(n) if counts is None else check_weights("counts", counts, n, "sample")
     x, alpha, intercept, n_iter, converged, label = _fit_rows(
         config, features, labels, c[None, :], init, gram)
     return _model(config, x, alpha[0], intercept[0], n_iter[0], converged[0], label[0])

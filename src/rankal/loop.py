@@ -27,8 +27,12 @@ increasing and at most ``budget``; ``seed`` a non-negative integer; and
 ``fixed_weights`` and ``serial_layers`` are accepted only with the one
 strategy that reads them.  The aggregation options (``n_select``,
 ``tun1``, ``tun2``, ``p``) are checked by ``aggregation.check_options``,
-the one statement of their ranges.  Each error is a ValueError naming the
-field.
+the one statement of their ranges; the other fields by the rules of
+``rankal.checks``: the names (``strategy``, ``aggregator``,
+``initial_batch``, ``diversity_reduce``, each criterion) by
+``check_choice``, ``budget`` and ``ted_lambda`` by ``check_real`` and
+``fixed_weights`` by ``check_weights`` (one per criterion).  Each error is
+a ValueError naming the field.
 
 Self-reconstruction (ted) scores depend only on the initial pool, so they
 are computed once per run (never for a random run) and sliced per
@@ -63,11 +67,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import aggregation as agg
-from .criteria import normalize_and_rank, score_diversity, score_margin, score_qbc, score_ted
+from .checks import check_choice, check_int, check_real, check_weights, is_real
+from .criteria import (DIVERSITY_REDUCE, normalize_and_rank, score_diversity, score_margin,
+                       score_qbc, score_ted)
 from .data import Dataset, PoolState, oracle_label
 from .evaluation import accuracy, auc, f1
 from . import learner
-from .learner import LearnerConfig, check_int, fit, fit_committee, is_real, posterior
+from .learner import LearnerConfig, fit, fit_committee, posterior
 from .weighting import blend_weights, bvsb_weight, duplicate_weight
 
 STRATEGIES = ("fused", "serial", "parallel", "random")
@@ -131,28 +137,21 @@ class ALConfig:
     name: str = ""
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if self.aggregator not in agg.METHODS:
-            raise ValueError(f"aggregator must be one of {agg.METHODS}")
+        check_choice("strategy", self.strategy, STRATEGIES)
+        check_choice("aggregator", self.aggregator, agg.METHODS)
         agg.check_options(self.n_select, self.tun1, self.tun2, self.p)
         check_int("n_initial", self.n_initial, 2)
         check_int("g", self.g, 2)
-        if not (is_real(self.budget) and 0.0 < self.budget <= 1.0):
-            raise ValueError("budget must lie in (0, 1]")
-        if not (is_real(self.ted_lambda) and self.ted_lambda > 0.0):
-            raise ValueError("ted_lambda must be a positive finite number")
-        if self.initial_batch not in ("ted", "random"):
-            raise ValueError("initial_batch must be 'ted' or 'random'")
-        if self.diversity_reduce not in ("max", "min"):
-            raise ValueError("diversity_reduce must be 'max' or 'min'")
+        check_real("budget", self.budget, 0, 1, open_low=True)
+        check_real("ted_lambda", self.ted_lambda, 0, open_low=True)
+        check_choice("initial_batch", self.initial_batch, ("ted", "random"))
+        check_choice("diversity_reduce", self.diversity_reduce, DIVERSITY_REDUCE)
         if not isinstance(self.name, str):
             raise ValueError("name must be a string")
         if not self.criteria:
             raise ValueError("criteria must name at least one criterion")
         for c in self.criteria:
-            if c not in CRITERIA:
-                raise ValueError(f"unknown criterion {c!r}")
+            check_choice("each criterion", c, CRITERIA)
         if self.strategy == "parallel" and self.fixed_weights is None:
             raise ValueError("parallel strategy requires fixed_weights")
         for key, strategy in (("serial_layers", "serial"), ("fixed_weights", "parallel")):
@@ -168,13 +167,8 @@ class ALConfig:
                 raise ValueError(f"serial layer sizes must be non-increasing: {list(layers)}")
             if layers[-1] != self.n_select:
                 raise ValueError("last serial layer size must equal n_select")
-        w = self.fixed_weights
-        if w is not None and (len(w) != len(self.criteria)
-                              or not all(is_real(v) and v >= 0 for v in w) or sum(w) <= 0):
-            raise ValueError(
-                "fixed_weights must be finite, non-negative, not all zero, "
-                "one per criterion"
-            )
+        if self.fixed_weights is not None:
+            check_weights("fixed_weights", self.fixed_weights, len(self.criteria), "criterion")
         check_int("seed", self.seed, 0)
         points = (0.0, *self.checkpoints)  # the leading 0 makes "increasing" imply "> 0"
         if not (all(map(is_real, points)) and all(a < b for a, b in zip(points, points[1:]))):

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import AggregatedRanking, aggregate, ordinalize, ranking_distances
+from .aggregation import (MARKOV_VARIANTS, AggregatedRanking, aggregate, ordinalize,
+                          ranking_distances)
 
 # rank of sample i (row) in list k (column); ties are competition-style
 TOY_RANK_LISTS = np.array(
@@ -83,7 +84,7 @@ def aggregate_toy(method: str) -> AggregatedRanking:
 
     ``aggregate``'s defaults are the conventions above: tun1 = 0.05, p = 1.
     """
-    lists = TOY_RANK_LISTS if method in ("mc1", "mc2", "mc3") else ordinalize(TOY_RANK_LISTS)
+    lists = TOY_RANK_LISTS if method in MARKOV_VARIANTS else ordinalize(TOY_RANK_LISTS)
     return aggregate(
         method, lists, np.ones(TOY_RANK_LISTS.shape[0]),
         ids=TOY_SAMPLE_IDS, truncate=False,

@@ -20,6 +20,14 @@ import numpy as np
 _EPS = 1e-12
 
 
+def _sorted_scores(sorted_scores, n_select):
+    """``sorted_scores`` as a float array, or ValueError unless it is longer than N."""
+    s = np.asarray(sorted_scores, dtype=float)
+    if len(s) <= n_select:
+        raise ValueError(f"need more than N={n_select} scores, got {len(s)}")
+    return s
+
+
 def bvsb_weight(sorted_scores, n_select) -> float:
     """Gap between the last selected and first rejected score, range-scaled.
 
@@ -27,9 +35,7 @@ def bvsb_weight(sorted_scores, n_select) -> float:
     the batch size N.  Returns (S*(N) - S*(N+1)) / (S*(1) - S*(end)), which
     is 1 for an ideal step list and 0 for a constant list (0/0 -> 0).
     """
-    s = np.asarray(sorted_scores, dtype=float)
-    if len(s) <= n_select:
-        raise ValueError(f"need more than N={n_select} scores, got {len(s)}")
+    s = _sorted_scores(sorted_scores, n_select)
     denom = s[0] - s[-1]
     if abs(denom) < _EPS:
         return 0.0
@@ -39,9 +45,7 @@ def bvsb_weight(sorted_scores, n_select) -> float:
 
 def duplicate_weight(sorted_scores, n_select) -> float:
     """Fraction of post-batch scores that differ from the last selected score."""
-    s = np.asarray(sorted_scores, dtype=float)
-    if len(s) <= n_select:
-        raise ValueError(f"need more than N={n_select} scores, got {len(s)}")
+    s = _sorted_scores(sorted_scores, n_select)
     pivot = s[n_select - 1]
     count = int(np.sum(s[n_select:] != pivot))
     return count / len(s)

@@ -710,5 +710,5 @@ class TestCriteriaTable:
         assert header == "iteration,selected,w_entropy,w_diversity,w_qbc"
 
         monkeypatch.undo()
-        with pytest.raises(ValueError, match="unknown criterion 'entropy'"):
+        with pytest.raises(ValueError, match="each criterion must be one of .*, got 'entropy'"):
             ALConfig(criteria=("margin", "entropy"))
