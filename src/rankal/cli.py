@@ -116,6 +116,15 @@ def _method_config(spec, checkpoints):
     return ALConfig(learner=learner, checkpoints=tuple(checkpoints), **spec)
 
 
+def _choice_problems(name, value, options):
+    """``check_choice``'s message as the one problem in a list, or []."""
+    try:
+        check_choice(name, value, options)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
+
+
 def _dataset_problems(spec):
     """The problems with the shape of ``dataset``; ``_load_dataset`` checks its values."""
     if not isinstance(spec, dict) or ("synthetic" in spec) == ("path" in spec):
@@ -125,11 +134,8 @@ def _dataset_problems(spec):
     if "path" in spec:
         if not (isinstance(spec["path"], str) and spec["path"]):
             problems.append("'dataset.path' must be a non-empty string")
-        try:
-            check_choice("'dataset.format'", spec.get("format", "dense-csv"), TABLE_FORMATS)
-        except ValueError as exc:
-            problems.append(str(exc))
-        return problems
+        return problems + _choice_problems("'dataset.format'", spec.get("format", "dense-csv"),
+                                           TABLE_FORMATS)
     params = spec["synthetic"]
     if not isinstance(params, dict):
         return problems + ["'dataset.synthetic' must be an object"]
@@ -246,8 +252,7 @@ def _load_config(path):
             )
         al_configs.append(al)
     mode = cfg.get("normalize_stats", "full")
-    if mode not in ("full", "pool"):
-        problems.append("'normalize_stats' must be 'full' or 'pool'")
+    problems += _choice_problems("'normalize_stats'", mode, ("full", "pool"))
     runs = {}
     if not problems:  # the runs need the dataset, the split and every method
         for j, seed in enumerate(seeds):

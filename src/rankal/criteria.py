@@ -65,26 +65,26 @@ def score_diversity(
     k(x,x) = 0 contributes angle pi/2.  ``kernel`` is
     ``kernel_matrix(config, pool_features, labeled_features)``, computed
     here if not given.
+
+    Each pool row's cosines are reduced first (the minimum cosine for the
+    max angle, the maximum for the min angle), and only that one value per
+    row is clipped and ``arccos``-ed: ``clip`` is non-decreasing and
+    ``arccos`` non-increasing, so the reduced angle is the same float as
+    reducing every angle, without an angle per kernel entry.
     """
     check_choice("reduce", reduce, DIVERSITY_REDUCE)
     labeled = np.atleast_2d(np.asarray(labeled_features, dtype=float))
     pool = np.atleast_2d(np.asarray(pool_features, dtype=float))
     if len(labeled) == 0:
         raise ValueError("diversity needs at least one labeled sample")
-    cross = _cross_kernel(config, pool, labeled, kernel)
-    # one pool x labeled buffer turns into the cosines, then the angles
-    if config.kernel == "rbf":
-        # k(x, x) = 1 for every x, so the cosines are the kernel entries
-        angles = np.clip(cross, -1.0, 1.0)
-    else:
-        angles = np.sqrt(np.outer(np.sum(pool * pool, axis=1), np.sum(labeled * labeled, axis=1)))
-        positive = angles > 0
-        np.divide(cross, angles, out=angles, where=positive)
-        angles[~positive] = 0.0
-        np.clip(angles, -1.0, 1.0, out=angles)
-    np.arccos(angles, out=angles)
-    agg = angles.max(axis=1) if reduce == "max" else angles.min(axis=1)
-    return -agg
+    cosines = _cross_kernel(config, pool, labeled, kernel)
+    if config.kernel != "rbf":  # under RBF k(x, x) = 1, so the cosines are the kernel entries
+        norms = np.sqrt(np.outer(np.sum(pool * pool, axis=1), np.sum(labeled * labeled, axis=1)))
+        positive = norms > 0
+        cosines = np.divide(cosines, norms, out=norms, where=positive)
+        cosines[~positive] = 0.0
+    kept = cosines.min(axis=1) if reduce == "max" else cosines.max(axis=1)
+    return -np.arccos(np.clip(kept, -1.0, 1.0, out=kept), out=kept)
 
 
 def score_qbc(committee: Committee, pool_features, *, kernel=None) -> np.ndarray:

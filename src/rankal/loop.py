@@ -41,20 +41,22 @@ computes them once with ``pool_ted_scores`` and passes them in.  The solve itsel
 feature-space span of the pool (see ``criteria.solve_ted``).
 
 Each run keeps one ``WarmStart``: the kernel between every pool row and the
-labeled rows, and the latest fit on the labeled set.  The loop only appends
-labeled rows, so after each ``oracle_label`` the block gains the new rows'
-columns from one ``kernel_matrix`` call; the fits take their Gram matrix as
-the block's labeled rows, and the margin, diversity and qbc scorers take its
-unlabeled rows.  Every fit starts Newton from the latest fit's coefficients
-padded with 0 for the new rows.  When the criteria need the committee, its
-members (solved on the same labeled set, undrawn rows weighing 0) and the
-margin problem share one stacked Newton, and its margin model becomes the
-latest fit; otherwise the margin fit is ``WarmStart.fit``, which reuses a
-fit on an unchanged labeled set (a checkpoint fit, then the next margin fit)
-as it is.  The step functions take the state as ``warm``; a step called
-without it uses a throwaway one, so every fit in that step is cold.  The
-optimum of each fit is unchanged and the cached kernel entries differ from
-recomputed ones only by round-off, so picks move only at near-ties.
+labeled rows, and the latest fit on the labeled set.  The block is a view of
+a buffer whose column capacity doubles as the labeled set grows.  The loop
+only appends labeled rows, so after each ``oracle_label`` the new rows'
+columns come from one ``kernel_matrix`` call, written into the buffer in
+place; the fits take their Gram matrix as the block's labeled rows, and the
+margin, diversity and qbc scorers take its unlabeled rows.  Every fit starts
+Newton from the latest fit's coefficients padded with 0 for the new rows.
+When the criteria need the committee, its members (solved on the same
+labeled set, undrawn rows weighing 0) and the margin problem share one
+stacked Newton, and its margin model becomes the latest fit; otherwise the
+margin fit is ``WarmStart.fit``, which reuses a fit on an unchanged labeled
+set (a checkpoint fit, then the next margin fit) as it is.  The step
+functions take the state as ``warm``; a step called without it uses a
+throwaway one, so every fit in that step is cold.  The optimum of each fit
+is unchanged and the cached kernel entries differ from recomputed ones only
+by round-off, so picks move only at near-ties.
 """
 
 from __future__ import annotations
@@ -224,39 +226,45 @@ def pool_ted_scores(pool: PoolState, cfg: ALConfig):
 class WarmStart:
     """One run's kernel block and latest fit, kept up to date with its labeled set.
 
-    ``block`` is the n_pool x n_labeled kernel between every pool row and
-    the labeled rows, in ``labeled_idx`` order.  The loop only appends to
-    ``labeled_idx``, so bringing the block up to date costs one
-    ``kernel_matrix`` call for the rows labeled since, and the latest fit's
-    dual coefficients, padded with 0 for those rows, start the next fit's
-    Newton solve; a fit asked for on an unchanged labeled set (the
-    checkpoint fit, then the next margin fit) is returned as it is.  A
-    labeled set that does not extend the last one, another pool or another
-    learner config rebuilds the block and fits cold.  Holds no randomness,
-    so a seeded run stays deterministic.
+    The block is the n_pool x n_labeled kernel between every pool row and
+    the labeled rows, in ``labeled_idx`` order: the view ``buf[:, :n_labeled]``
+    of a buffer whose column capacity doubles whenever the labeled set
+    outgrows it.  The loop only appends to ``labeled_idx``, so bringing the
+    block up to date costs one ``kernel_matrix`` call for the rows labeled
+    since, written into the buffer in place, and the latest fit's dual
+    coefficients, padded with 0 for those rows, start the next fit's Newton
+    solve; a fit asked for on an unchanged labeled set (the checkpoint fit,
+    then the next margin fit) is returned as it is.  A labeled set that does
+    not extend the last one, another pool or another learner config starts a
+    new buffer and fits cold.  Holds no randomness, so a seeded run stays
+    deterministic.
     """
 
     def __init__(self):
         self.data = None
         self.config = None
         self.labeled_idx = np.empty(0, dtype=int)
-        self.block = None
+        self.buf = None
         self.model = None
 
     def kernel(self, pool: PoolState, config: LearnerConfig):
         """The kernel block between the pool and ``pool``'s labeled rows."""
-        idx, prev = pool.labeled_idx, self.labeled_idx
+        idx, m = pool.labeled_idx, len(self.labeled_idx)
         x = pool.data.features
         # learner.kernel_matrix, looked up per call, is the name a tracer wraps
         if not (pool.data is self.data and config == self.config
-                and np.array_equal(idx[:len(prev)], prev)):
+                and np.array_equal(idx[:m], self.labeled_idx)):
             self.data, self.config, self.model = pool.data, config, None
-            self.block = learner.kernel_matrix(config, x, x[idx])
-        elif len(idx) > len(prev):
-            new = learner.kernel_matrix(config, x, x[idx[len(prev):]])
-            self.block = np.concatenate([self.block, new], axis=1)
+            self.buf = learner.kernel_matrix(config, x, x[idx])
+        elif len(idx) > m:
+            new = learner.kernel_matrix(config, x, x[idx[m:]])
+            if len(idx) > self.buf.shape[1]:
+                grown = np.empty((len(x), max(len(idx), 2 * self.buf.shape[1])))
+                grown[:, :m] = self.buf[:, :m]
+                self.buf = grown
+            self.buf[:, m:len(idx)] = new
         self.labeled_idx = idx
-        return self.block
+        return self.buf[:, :len(idx)]
 
     def start(self, n):
         """The latest fit's (alpha, intercept) padded with 0 to ``n`` rows; None if none."""

@@ -57,7 +57,8 @@ def blend_weights(raw_weights, committee_flags) -> np.ndarray:
     Non-committee criteria share mass c1/L proportionally to their raw BVSB
     weights; committee criteria share c2/L proportionally to their duplicate
     weights.  A group whose raw weights are all zero splits its mass
-    uniformly.  Returns the weights, one per criterion, summing to 1.
+    uniformly; a NaN, infinite or negative raw weight is a ValueError.
+    Returns the weights, one per criterion, summing to 1.
     """
     raw = np.asarray(raw_weights, dtype=float)
     flags = np.asarray(committee_flags, dtype=bool)
@@ -66,8 +67,8 @@ def blend_weights(raw_weights, committee_flags) -> np.ndarray:
     total = len(raw)
     if total == 0:
         raise ValueError("need at least one criterion")
-    if np.any(raw < 0):
-        raise ValueError("raw weights must be non-negative")
+    if not np.all(np.isfinite(raw) & (raw >= 0)):
+        raise ValueError("raw weights must be finite and non-negative")
 
     weights = np.zeros(total)
     for members in (~flags, flags):

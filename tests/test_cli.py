@@ -450,6 +450,13 @@ class TestRun:
             ("output_dir", None, "'output_dir' must be a non-empty string"),
             ("output_dir", ["x"], "'output_dir' must be a non-empty string"),
             ("output_dir", "", "'output_dir' must be a non-empty string"),
+            ("normalize_stats", "x", "'normalize_stats' must be one of 'full', 'pool', got 'x'"),
+            ("seeds", [], "'seeds' must be a non-empty list"),
+            ("seeds", 3, "'seeds' must be a non-empty list"),
+            ("methods", [], "'methods' must list at least one method"),
+            ("methods", [5], "methods[0]: must be an object"),
+            ("methods", [{"name": "a/b", "strategy": "random", "budget": 0.4}],
+             "methods[0]: name 'a/b' must not contain a path separator"),
         ],
     )
     def test_mistyped_value_exits_2(self, tmp_path, capsys, key, value, message):
@@ -470,8 +477,9 @@ class TestRun:
             ({"bogus": 1}, "'dataset.synthetic' has unknown key 'bogus'"),
             ({"n": "x"}, "dataset.synthetic: n must be an integer >= 1"),
             ({"sigma": -1}, "dataset.synthetic: sigma must be a finite number >= 0"),
+            ({"kind": "moons"}, "'dataset.synthetic.kind' must be 'two-blobs'"),
         ],
-        ids=["unknown-key", "non-numeric", "out-of-range"],
+        ids=["unknown-key", "non-numeric", "out-of-range", "unknown-kind"],
     )
     def test_bad_synthetic_dataset_exits_2(self, tmp_path, capsys, params, message):
         out_dir = tmp_path / "r"
@@ -495,9 +503,13 @@ class TestRun:
             ({"path": SAMPLE_RANKS, "format": "bogus"},
              "'dataset.format' must be one of 'dense-csv', 'sparse-index-value'"),
             ({"path": SAMPLE_RANKS + ".missing"}, "dataset.path: [Errno 2] No such file"),
+            ({}, "'dataset' must hold exactly one of 'synthetic' and 'path'"),
+            ({"synthetic": {"n": 40}, "path": SAMPLE_RANKS},
+             "'dataset' must hold exactly one of 'synthetic' and 'path'"),
+            ({"synthetic": 5}, "'dataset.synthetic' must be an object"),
         ],
         ids=["path-list", "path-int", "unknown-path-key", "unknown-synthetic-key", "bad-format",
-             "missing-file"],
+             "missing-file", "neither", "both", "synthetic-not-object"],
     )
     def test_bad_dataset_exits_2(self, tmp_path, capsys, dataset, message):
         out_dir = tmp_path / "r"
@@ -542,6 +554,23 @@ class TestRun:
         assert code == 2
         assert "config errors" in err and message in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cfg: {k: v for k, v in cfg.items() if k != "output_dir"},
+             "config errors:\n  missing 'output_dir'"),
+            (lambda cfg: [cfg], "cfg.json: the config must be a JSON object"),
+        ],
+        ids=["no-output-dir", "not-an-object"],
+    )
+    def test_config_of_the_wrong_shape_exits_2(self, tmp_path, capsys, edit, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(edit(experiment_config(tmp_path, tmp_path / "r"))))
+        code, out, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert message in err
+        assert out == "" and os.listdir(tmp_path) == ["cfg.json"]
 
     def test_nan_reg_in_second_method_exits_2_before_writing(self, tmp_path, capsys):
         # Python's json reads NaN; the first method alone would run and write its files
@@ -636,14 +665,17 @@ class TestCompare:
              "row 3: accuracy 'nan' is not a finite number"),
             (CURVE_HEADER + "0,inf,4,0.9,0.9,0.9\n", "row 2: fraction 'inf' is not a finite number"),
             (CURVE_HEADER + "0,0.1,4\n", "row 2: expected 6 fields, got 3"),
+            (CURVE_HEADER + "0,0.1,4,0.9,0.9,0.9\n0,0.2,4,0.9,0.9,0.9\n1,0.1,4,0.9,0.9,0.9\n",
+             "inconsistent checkpoint grid"),
         ],
-        ids=["header-only", "no-metric-column", "nan", "inf", "short-row"],
+        ids=["header-only", "no-metric-column", "nan", "inf", "short-row", "seed-grids-differ"],
     )
     def test_bad_curve_file_exits_2(self, tmp_path, capsys, text, message):
         (tmp_path / "curve_m.csv").write_text(text, encoding="utf-8")
-        code, _, err = run_cli(capsys, "compare", str(tmp_path), str(tmp_path))
+        code, out, err = run_cli(capsys, "compare", str(tmp_path), str(tmp_path))
         assert code == 2
         assert f"{tmp_path / 'curve_m.csv'}: {message}" in err
+        assert out == "" and os.listdir(tmp_path) == ["curve_m.csv"]
 
     def test_metric_selects_curve_column(self, tmp_path, capsys):
         # equal accuracy everywhere; auc of "a" above "b" on every seed

@@ -104,20 +104,33 @@ class TestDiversity:
             rtol=0, atol=1e-12,
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         n_pool=st.integers(1, 40), n_labeled=st.integers(1, 10), d=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1), reduce=st.sampled_from(["max", "min"]),
+        kernel=st.sampled_from(["rbf", "linear"]), n_copies=st.integers(0, 3),
+        n_zero=st.integers(0, 3),
     )
     def test_rbf_cosines_are_the_kernel_entries_bit_for_bit(
-            self, n_pool, n_labeled, d, seed, reduce):
-        # k(x, x) = 1 under RBF: dividing by sqrt(k(x,x) k(a,a)) = 1.0 is exact
+            self, n_pool, n_labeled, d, seed, reduce, kernel, n_copies, n_zero):
+        # the scorer reduces the cosines before clip and arccos; the oracle takes
+        # the angle of every entry first.  Under RBF k(x, x) = 1, so dividing by
+        # sqrt(k(x,x) k(a,a)) = 1.0 is exact
         rng = np.random.default_rng(seed)
         labeled, pool = rng.normal(size=(n_labeled, d)), rng.normal(size=(n_pool, d))
-        cfg = LearnerConfig()
+        n_copies = min(n_copies, n_pool)
+        pool[:n_copies] = labeled[rng.integers(n_labeled, size=n_copies)]  # cosine 1
+        pool[n_copies:n_copies + n_zero] = 0.0  # zero norm: pi/2 under the linear kernel
+        cfg = LearnerConfig(kernel=kernel)
         cross = kernel_matrix(cfg, pool, labeled)
-        denominator = np.sqrt(np.outer(np.ones(n_pool), np.ones(n_labeled)))
-        angles = np.arccos(np.clip(cross / denominator, -1.0, 1.0))
+        if kernel == "rbf":
+            denominator = np.sqrt(np.outer(np.ones(n_pool), np.ones(n_labeled)))
+        else:
+            denominator = np.sqrt(np.outer(np.sum(pool * pool, axis=1),
+                                           np.sum(labeled * labeled, axis=1)))
+        positive = denominator > 0
+        cosines = np.where(positive, cross / np.where(positive, denominator, 1.0), 0.0)
+        angles = np.arccos(np.clip(cosines, -1.0, 1.0))
         want = -(angles.max(axis=1) if reduce == "max" else angles.min(axis=1))
         assert np.array_equal(score_diversity(labeled, pool, cfg, reduce=reduce), want)
 

@@ -605,6 +605,40 @@ class TestKernelBlock:
                     warm.fit(moved, cfg)
                     assert inits == [None]  # a cold fit
 
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_block_grows_in_place_across_capacity_doublings(self, kernel):
+        rng = np.random.default_rng(31)
+        n = 60
+        data = Dataset(rng.normal(size=(n, 3)), rng.choice([-1, 1], size=n), np.arange(n))
+        x, order = data.features, rng.permutation(n)
+        cfg = LearnerConfig(kernel=kernel)
+
+        def state(labeled):
+            return PoolState(data, labeled, np.setdiff1d(np.arange(n), labeled))
+
+        warm, batches, capacities = WarmStart(), [], []
+        m = 0
+        for k in (2, 1, 1, 3, 1, 5, 9, 2, 17):
+            buf = warm.buf
+            block = warm.kernel(state(order[:m + k]), cfg)
+            batches.append(kernel_matrix(cfg, x, x[order[m:m + k]]))
+            m += k
+            # the block holds each batch's one kernel_matrix call, bit for bit; one
+            # call over every labeled row differs from it by round-off only
+            assert np.array_equal(block, np.concatenate(batches, axis=1))
+            np.testing.assert_allclose(block, kernel_matrix(cfg, x, x[order[:m]]),
+                                       rtol=0, atol=1e-12)
+            assert block.base is warm.buf  # a view of the buffer
+            if buf is not None and buf.shape[1] >= m:
+                assert warm.buf is buf  # written in place
+            capacities.append(warm.buf.shape[1])
+        assert capacities == [2, 4, 4, 8, 8, 16, 32, 32, 64]
+        # a labeled set that does not extend the last one starts a new buffer
+        buf, other = warm.buf, order[1:10]
+        block = warm.kernel(state(other), cfg)
+        assert warm.buf is not buf
+        assert np.array_equal(block, kernel_matrix(cfg, x, x[other]))
+
     @settings(max_examples=25, deadline=None)
     @given(run=kernel_runs)
     def test_one_kernel_call_per_labeled_batch(self, run):

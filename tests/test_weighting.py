@@ -82,6 +82,12 @@ class TestBlend:
         with pytest.raises(ValueError):
             blend_weights([-0.1, 0.5], [False, False])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("flags", [[False, False], [True, False]])
+    def test_non_finite_rejected(self, bad, flags):
+        with pytest.raises(ValueError, match="raw weights must be finite and non-negative"):
+            blend_weights([bad, 0.5], flags)
+
     @given(
         st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=6),
         st.data(),
