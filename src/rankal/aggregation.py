@@ -144,6 +144,10 @@ def _preference(r, w, finish=None):
     lists; ``table[code]`` holds their running weight sums and equals the
     list-order sum bit for bit, since adding 0.0 is exact.  ``finish`` then
     maps the table, not the n x n result, unless later lists add in place.
+    Each list is compared into one reused n x n bool buffer, from the
+    eighth list (or the last) down to the first, and added in as
+    code = 2 * code + bit, so list k lands on bit k; the buffer is freed
+    before the gather unless a ninth or later list needs it again.
     Integer ranks below 2**15 compare as int16, about 8x faster than float.
     """
     n_lists, n = r.shape
@@ -152,17 +156,20 @@ def _preference(r, w, finish=None):
     if not (key == r).all():  # fractional ranks compare as they are
         key = r
     head = min(n_lists, 8)
-    bits = np.greater(key[:head, :, None], key[:head, None, :])
-    code = bits[-1].view(np.uint8)
-    for k in reversed(range(head - 1)):  # code = 2 * code + bit: list k lands on bit k
+    code = np.empty((n, n), dtype=np.uint8)
+    np.greater(key[head - 1][:, None], key[head - 1], out=code.view(bool))
+    bit = np.empty((n, n), dtype=bool) if n_lists > 1 else None
+    for k in reversed(range(head - 1)):
+        np.greater(key[k][:, None], key[k], out=bit)
         code += code
-        code += bits[k]
+        code += bit
     table = np.cumsum(_BITS[: 2**head, :head] * w[:head], axis=1)[:, -1]
     finish = finish or (lambda x: x)
     if head == n_lists:
+        del bit
         return finish(table)[code]
     pref = table[code]
-    bit = bits[0]  # free: list 0 is in the code
+    del code
     for k in range(head, n_lists):
         np.greater(key[k][:, None], key[k], out=bit)
         np.add(pref, w[k], out=pref, where=bit)

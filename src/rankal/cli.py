@@ -380,6 +380,8 @@ def _curves_from_dir(path, metric):
         if not points:
             raise UsageError(f"{where}: row {header_row}: header without data rows")
         seeds = sorted(points)
+        if len(seeds) < 2:  # win/tie/loss is a paired test over the seeds
+            raise UsageError(f"{where}: holds one seed; a comparison needs at least 2")
         fractions = tuple(f for f, _ in points[seeds[0]])
         values = []
         for seed in seeds:

@@ -31,6 +31,8 @@ from .learner import Committee, LearnerConfig, Model, _cross_kernel, kernel_matr
 
 ROUND_DECIMALS = 12
 DIVERSITY_REDUCE = ("max", "min")  # the angle over the labeled set that a sample keeps
+_TED_BLOCK = 2**20  # entries (8 MB) in one of score_ted's row blocks of Z
+_TED_ROWS = 192  # every row block but the last is a multiple of this many rows
 
 
 @dataclass(frozen=True)
@@ -99,13 +101,27 @@ def score_qbc(committee: Committee, pool_features, *, kernel=None) -> np.ndarray
 
 @dataclass(frozen=True)
 class TedSolution:
-    """Self-reconstruction solution: coefficients, objective trace, flags."""
+    """Self-reconstruction solution: the factors of Z, objective trace, flags.
 
-    Z: np.ndarray
+    Z = diag(row_scale) @ wt.T @ y, with ``wt`` (k, n) and ``y`` (k, n) for
+    k = min(d, n).  ``Z`` is formed only when read, since every caller in
+    the library needs only its row sums (see ``score_ted``).
+    """
+
+    wt: np.ndarray
+    y: np.ndarray
+    row_scale: np.ndarray
     lam: float
     residual: float
     objective_history: tuple
     converged: bool
+
+    @property
+    def Z(self):
+        """The n x n coefficient matrix, built anew on every read."""
+        z = self.wt.T @ self.y
+        z *= self.row_scale[:, None]
+        return z
 
 
 def solve_ted(pool_features, lam=0.1, max_iter=100, tol=1e-8) -> TedSolution:
@@ -122,8 +138,9 @@ def solve_ted(pool_features, lam=0.1, max_iter=100, tol=1e-8) -> TedSolution:
     diag(v)^-1/2 D'd_j lies in range(W), so every column solves exactly as
     Z = diag(v)^-1/2 W Y with Y[:, j] = S * (U'd_j) / (S^2 + c_j).  The
     residual D - DZ = D - U S Y and the row norms of Z follow from these
-    factors, so no n x n matrix is formed before the last sweep has run.
-    The true objective is non-increasing across sweeps.
+    factors, so no n x n matrix is formed at all: the solution keeps the
+    last sweep's factors, and ``TedSolution.Z`` multiplies them out when
+    read.  The true objective is non-increasing across sweeps.
     """
     x = np.atleast_2d(np.asarray(pool_features, dtype=float))
     n = len(x)
@@ -157,15 +174,33 @@ def solve_ted(pool_features, lam=0.1, max_iter=100, tol=1e-8) -> TedSolution:
             converged = True
             break
 
-    z = wt.T @ y
-    z *= row_scale[:, None]
     return TedSolution(
-        Z=z,
+        wt=wt,
+        y=y,
+        row_scale=row_scale,
         lam=lam,
         residual=history[-1],
         objective_history=tuple(history),
         converged=converged,
     )
+
+
+def _row_blocks(n):
+    """(start, stop) of each row block in which ``score_ted`` multiplies out
+    an n x n Z: about ``_TED_BLOCK`` entries each, every start a multiple
+    of ``_TED_ROWS`` rows, and the last block ending at n with the rest
+    (between one and two blocks' rows).  A pool of up to 1024 samples is
+    one block.
+
+    A BLAS kernel computes a product's rows in groups (4 to 64 rows, by
+    CPU) and the rows past its last full group by edge code that may round
+    differently.  Blocks that start on a group boundary, the last one
+    ending where the product over all rows ends, give every row the
+    arithmetic it gets in that one product, under one BLAS thread.
+    """
+    rows = _TED_ROWS * max(1, _TED_BLOCK // (_TED_ROWS * n))
+    starts = list(range(0, max(rows, n - rows + 1), rows))
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def score_ted(pool_features, lam=0.1) -> np.ndarray:
@@ -175,9 +210,24 @@ def score_ted(pool_features, lam=0.1) -> np.ndarray:
     that reconstruct many others score low (most valuable).  Computed once
     per pool: the query loop slices it per iteration, and ``rankal run``
     shares it between the methods run on one split.
+
+    Z is never formed.  Its rows are multiplied out from the solution's
+    factors one block of about 8 MB at a time (``_row_blocks``), then
+    scaled, made absolute in place and summed.  Under one BLAS thread each
+    score is the same float as ``-np.abs(solve_ted(...).Z).sum(axis=1)``,
+    and so is every score of a one-block pool under any thread count.  With
+    more threads the BLAS splits the one n x n product at rows of its own
+    choosing, so a larger pool's scores may differ from it in the last
+    bit.  At n = 8000 the traced peak is about 33 MB instead of 1 GB.
     """
     sol = solve_ted(pool_features, lam=lam)
-    return -np.abs(sol.Z).sum(axis=1)
+    scores = np.empty(len(sol.row_scale))
+    for start, stop in _row_blocks(len(scores)):
+        block = sol.wt[:, start:stop].T @ sol.y
+        block *= sol.row_scale[start:stop, None]
+        np.abs(block, out=block)
+        np.sum(block, axis=1, out=scores[start:stop])
+    return np.negative(scores, out=scores)
 
 
 def normalize_and_rank(scores):

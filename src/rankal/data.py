@@ -233,7 +233,7 @@ def load_dense_csv(path) -> Dataset:
 def load_sparse(path) -> Dataset:
     """Load sparse 'label idx:val ...' lines; indices are 1-based."""
     entries, labels = [], []
-    max_index = 0
+    max_index, max_row = 0, 0
     for row, line in enumerate(io.StringIO(_text(path), newline=None), start=1):
         tokens = line.split()
         if not tokens:
@@ -250,12 +250,19 @@ def load_sparse(path) -> Dataset:
             if idx < 1:
                 raise DataFormatError(f"{path}: row {row}: index {idx} < 1")
             pairs.append((idx, parse_number(path, row, val_s, "feature")))
-            max_index = max(max_index, idx)
+            if idx > max_index:
+                max_index, max_row = idx, row
         entries.append(pairs)
         labels.append((row, tokens[0]))
     if not entries:
         raise DataFormatError(f"{path}: empty file")
-    features = np.zeros((len(entries), max_index))
+    try:
+        features = np.zeros((len(entries), max_index))
+    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big", or past 2**63
+        raise DataFormatError(
+            f"{path}: row {max_row}: index {max_index} needs a {len(entries)} x {max_index} "
+            f"feature matrix, which cannot be allocated ({type(exc).__name__})"
+        ) from None
     for i, pairs in enumerate(entries):
         for idx, val in pairs:
             features[i, idx - 1] = val

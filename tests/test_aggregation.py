@@ -463,6 +463,19 @@ class TestMarkovAggregate:
             pi = stationary_distribution(build_transition(lists, np.ones(3), variant))
             np.testing.assert_array_equal(out.scores, pi[out.ids])
 
+    def test_memory_is_t_and_one_byte_buffer(self):
+        # T is 8 MB at n = 1000; the uint8 codes add 1 MB, and a bool plane
+        # per list would add 8 MB more
+        rng = np.random.default_rng(20)
+        lists = random_permutations(rng, 8, 1000)
+        tracemalloc.start()
+        try:
+            markov_aggregate(lists, np.full(8, 1 / 8), truncate=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.5e6
+
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(11)
         lists = random_permutations(rng, 3, 10)

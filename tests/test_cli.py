@@ -493,6 +493,20 @@ class TestRun:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize("index", [10**12, 2**61], ids=["memory-error", "too-big"])
+    def test_unallocatable_sparse_index_exits_2(self, tmp_path, capsys, index):
+        data = tmp_path / "s.txt"
+        data.write_text(f"1 1:0.5\n-1 {index}:0.2\n1 3:0.1\n-1 2:1\n")
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg["dataset"] = {"path": str(data), "format": "sparse-index-value"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert f"dataset.path: {data}: row 2: index {index} needs a 4 x {index}" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "dataset, message",
         [
@@ -638,6 +652,15 @@ class TestCompare:
             if line.startswith("IN ALL"):
                 wins, ties, losses = line.split()[-1].split("/")
                 assert int(wins) == int(losses) == 0 or int(ties) > 0
+
+    def test_one_seed_exits_2_naming_the_curve_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out_dir = tmp_path / "results"
+        cfg_path.write_text(json.dumps(dict(experiment_config(tmp_path, out_dir), seeds=[0])))
+        assert run_cli(capsys, "run", str(cfg_path))[0] == 0
+        code, _, err = run_cli(capsys, "compare", str(out_dir), str(out_dir))
+        assert code == 2
+        assert f"{out_dir / 'curve_fused-mc2.csv'}: holds one seed" in err
 
     def test_missing_dir_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "compare", str(tmp_path), str(tmp_path))

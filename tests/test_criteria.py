@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 import reference
 
 from rankal.criteria import (
+    _row_blocks,
     normalize_and_rank,
     score_diversity,
     score_margin,
@@ -284,6 +289,77 @@ class TestTed:
         if key == "lam":  # score_ted returned all-zero scores at lam = inf
             with pytest.raises(ValueError, match=message):
                 score_ted(x, lam=value)
+
+
+# Pools of 1 to 5 row blocks of score_ted, each with a duplicate row; the
+# first has d > n, and 961 rows would leave a one-row block (a matrix-vector
+# product) after 960 if the last block did not take the rest.  Prints, per pool, its block count, whether the scores
+# equal the dense row sums bit for bit, their largest relative gap, and
+# whether every block's product equals its rows of the dense Z bit for bit
+# (row sums can hide a last-bit difference in a small entry).
+_BLOCKS_SCRIPT = """
+import json
+import numpy as np
+from rankal.criteria import _row_blocks, score_ted, solve_ted
+out = []
+for n, d in ((40, 60), (961, 4), (1000, 3), (1536, 4), (1800, 5), (1900, 2), (2200, 6)):
+    x = np.random.default_rng(n).normal(size=(n, d))
+    x[n // 2] = x[1]
+    sol = solve_ted(x)
+    z = sol.Z
+    dense = -np.abs(z).sum(axis=1)
+    scores = score_ted(x)
+    blocks = _row_blocks(n)
+    rows_equal = all(np.array_equal((sol.wt[:, a:b].T @ sol.y) * sol.row_scale[a:b, None], z[a:b])
+                     for a, b in blocks)
+    out.append([len(blocks), bool(np.array_equal(scores, dense)),
+                float(np.abs(scores / dense - 1).max()), rows_equal])
+print(json.dumps(out))
+"""
+
+
+def _blocks_run(threads):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _BLOCKS_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestTedRowBlocks:
+    def test_blocks_tile_the_rows(self):
+        for n in (2, 1024, 1025, 1536, 1900, 8000, 30001):
+            blocks = _row_blocks(n)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert all(start % 192 == 0 for start, _ in blocks)
+            assert max(stop - start for start, stop in blocks) * n <= max(2 * 2**20, 2 * 192 * n)
+        assert len(_row_blocks(1024)) == 1
+
+    def test_scores_equal_dense_row_sums_under_one_thread(self):
+        pools = _blocks_run(1)
+        assert {blocks for blocks, _, _, _ in pools} == {1, 2, 3, 4, 5}
+        assert all(equal and rows_equal for _, equal, _, rows_equal in pools), pools
+
+    def test_scores_under_two_threads(self):
+        # one block is the same product as the dense Z; across blocks the
+        # BLAS splits the dense product among its threads at other rows
+        pools = _blocks_run(2)
+        assert all(equal for blocks, equal, _, _ in pools if blocks == 1), pools
+        assert max(gap for _, _, gap, _ in pools) <= 4 * np.finfo(float).eps, pools
+
+    def test_memory_stays_below_the_dense_matrix(self):
+        x = np.random.default_rng(8).normal(size=(8000, 2))
+        tracemalloc.start()
+        try:
+            score_ted(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300e6  # Z alone is 512 MB
 
 
 class TestNormalizeAndRank:

@@ -112,6 +112,16 @@ class TestLoadSparse:
                 f"{path}: row 3: label {value!r} is not a finite number")):
             load_table(path, "sparse-index-value")
 
+    @pytest.mark.parametrize("index", [10**12, 2**61, 10**20],
+                             ids=["memory-error", "too-big", "past-int64"])
+    def test_unallocatable_index_names_file_row_and_index(self, tmp_path, index):
+        # numpy raises MemoryError, "array is too big" and "Maximum allowed
+        # dimension exceeded"
+        path = write(tmp_path, "s.txt", f"1 1:0.5\n-1 2:1 {index}:0.2\n1 3:0.1\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{path}: row 2: index {index} needs a 3 x {index} feature matrix")):
+            load_table(path, "sparse-index-value")
+
     def test_unknown_format(self, tmp_path):
         path = write(tmp_path, "s.txt", "1 1:1\n")
         with pytest.raises(ValueError):

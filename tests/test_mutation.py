@@ -1,9 +1,11 @@
 """Byte mutations of every input file format that the library and the CLI read.
 
 The loaders raise only ValueError or OSError, and their message names the
-file; ``rankal aggregate`` and ``rankal compare`` exit 0 or 2 and never raise.
+file; ``rankal aggregate``, ``rankal compare`` and ``rankal run`` exit 0 or 2
+and never raise.
 """
 
+import json
 import os
 import tempfile
 
@@ -73,3 +75,47 @@ def test_mutated_file_is_read_or_rejected_by_name(tmp_path, name, edits, method)
                 assert path in str(exc), exc
         if argv is not None:
             assert main(argv(path, method)) in (0, 2)
+
+
+# a tiny run: 24 samples, two seeds (a comparison pairs them), a random and a
+# fused method
+RUN_CONFIG = json.dumps({
+    "dataset": {"synthetic": {"n": 24, "seed": 3}},
+    "split": {"test_fraction": 0.5, "seed": 1},
+    "seeds": [0, 1],
+    "checkpoints": [0.3, 0.6],
+    "output_dir": "out",
+    "methods": [
+        {"name": "r", "strategy": "random", "budget": 0.6},
+        {"name": "f", "strategy": "fused", "aggregator": "mc2", "budget": 0.6},
+    ],
+}).encode()
+# no edit writes a digit, an exponent or a slash: every number stays as short
+# as it was, so the run stays tiny, and output_dir stays a relative path
+CONFIG_EDIT = st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 1000),
+                        BYTE.filter(lambda b: chr(b) not in "0123456789eE/"))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(CONFIG_EDIT, max_size=4))
+def test_mutated_run_config_runs_or_exits_2(tmp_path, edits):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        os.chdir(work)
+        try:
+            with open("cfg.json", "wb") as fh:
+                fh.write(mutate(RUN_CONFIG, edits))
+            code = main(["run", "cfg.json"])
+            assert code in (0, 2)
+            if code == 0:
+                with open("cfg.json", encoding="utf-8") as fh:
+                    out = json.load(fh)["output_dir"]
+                with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+                    summary = json.load(fh)
+                curves = sorted(f[len("curve_"):-len(".csv")] for f in os.listdir(out)
+                                if f.startswith("curve_"))
+                assert sorted(summary["methods"]) == curves
+                assert main(["compare", out, out]) == (0 if len(summary["seeds"]) > 1 else 2)
+        finally:
+            os.chdir(cwd)
