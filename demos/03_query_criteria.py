@@ -41,7 +41,7 @@ for name, scores in [("margin", margin), ("diversity", diversity),
 
 # normalization and tie-aware ranking
 normalized, ranks = normalize_and_rank(margin)
-print("\nmargin normalized to [0,1]:", np.round(normalized.values, 3))
+print("\nmargin normalized to [0,1]:", np.round(normalized, 3))
 print("competition ranks:          ", ranks)
 
 tied, tied_ranks = normalize_and_rank([0.2, 0.5, 0.2])

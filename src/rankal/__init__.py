@@ -5,7 +5,6 @@ from .aggregation import (
     AggregatedRanking,
     BordaConfig,
     METHODS,
-    TransitionMatrix,
     aggregate,
     borda_aggregate,
     brute_force_aggregate,
@@ -19,7 +18,6 @@ from .aggregation import (
     truncate_candidates,
 )
 from .criteria import (
-    NormalizedScores,
     TedSolution,
     normalize_and_rank,
     score_diversity,

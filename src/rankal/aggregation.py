@@ -80,27 +80,6 @@ class BordaConfig:
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic, strictly positive transition matrix over candidates."""
-
-    entries: np.ndarray
-    tun1: float
-
-    def __post_init__(self):
-        check_options(tun1=self.tun1)
-        t = self.entries
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError(f"transition entries must be a square matrix, got shape {t.shape}")
-        low = t.min()
-        if low < 0:
-            raise ValueError("transition entries must be non-negative")
-        if not np.abs(t.sum(axis=1) - 1.0).max() <= 1e-12:
-            raise ValueError("transition rows must sum to 1")
-        if low < self.tun1 / len(t) - 1e-15:
-            raise ValueError("ergodic floor violated")
-
-
-@dataclass(frozen=True)
 class AggregatedRanking:
     """ids best-first, one aggregate score per id, and per-sample total ranks.
 
@@ -287,15 +266,16 @@ def truncate_candidates(rank_lists, committee_flags, n_select, tun2=5) -> np.nda
     return np.where(keep)[0]
 
 
-def build_transition(rank_lists, weights, variant="mc2", tun1=0.05) -> TransitionMatrix:
-    """Weighted pairwise-preference transition matrix over the candidates.
+def build_transition(rank_lists, weights, variant="mc2", tun1=0.05) -> np.ndarray:
+    """Weighted pairwise-preference transition matrix over the candidates,
+    as an (n, n) float64 array.
 
     The chain moves from i to j when lists prefer j (rank j strictly better):
     mc1 fires on any preferring weight, mc2 on a strict weighted majority
     (> 1/2), mc3 proportionally to the preferring weight.  Off-diagonal mass
     is spread by 1/|C|, the diagonal absorbs the remainder, and the matrix is
-    blended with the uniform matrix by tun1 so every entry is positive.
-    One candidate gives the one-state chain T = [[1]].
+    blended with the uniform matrix by tun1 so every entry is at least
+    tun1 / n.  One candidate gives the one-state chain T = [[1]].
     """
     check_choice("variant", variant, MARKOV_VARIANTS)
     check_options(tun1=tun1)
@@ -314,13 +294,17 @@ def build_transition(rank_lists, weights, variant="mc2", tun1=0.05) -> Transitio
     t.reshape(-1)[:: n + 1] = 1.0 - t.sum(axis=1)
     t *= 1.0 - tun1
     t += tun1 / n
-    return TransitionMatrix(entries=t, tun1=tun1)
+    return t
 
 
 def stationary_distribution(transition) -> np.ndarray:
     """Solve (T^T - I) pi = 0 with its last row replaced by sum(pi) = 1;
     never singular for a strictly positive T.  Raises at an L1 residual
-    |pi T - pi| of 1e-10 or more.
+    |pi T - pi| of 1e-10 or more, or a NaN one.
+
+    ``transition`` is T as an array: a ValueError unless it is a non-empty
+    square matrix of finite, non-negative entries whose rows sum to 1
+    within 1e-12 (an infinite entry fails the row sums).
 
     T - I with its last column set to 1, read as its F-ordered transpose, is
     the system matrix, so LAPACK gets it by one contiguous copy.  A writable
@@ -328,9 +312,15 @@ def stationary_distribution(transition) -> np.ndarray:
     check, also when the solve raises (a thread reading T meanwhile would see
     the change); any other T is copied once.
     """
-    t = transition.entries if isinstance(transition, TransitionMatrix) else np.asarray(transition)
+    t = np.asarray(transition)
     if not (t.dtype == np.float64 and t.flags.c_contiguous and t.flags.writeable):
         t = np.array(t, dtype=float, order="C")
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
+        raise ValueError(f"transition must be a non-empty square matrix, got shape {t.shape}")
+    if not t.min() >= 0:
+        raise ValueError("transition entries must be finite and non-negative")
+    if not np.abs(t.sum(axis=1) - 1.0).max() <= 1e-12:
+        raise ValueError("transition rows must sum to 1")
     n = len(t)
     diag = t.reshape(-1)[:: n + 1]  # a view, as t is C-ordered
     saved_diag, saved_last = diag.copy(), t[:, -1].copy()
@@ -344,7 +334,7 @@ def stationary_distribution(transition) -> np.ndarray:
         t[:, -1] = saved_last
         diag[:] = saved_diag
     residual = np.abs(pi @ t - pi).sum()
-    if residual >= 1e-10:
+    if not residual < 1e-10:
         raise RuntimeError(f"stationary solve is inaccurate (residual {residual:.2e})")
     return pi
 
@@ -439,10 +429,15 @@ def kendall_distance(a, b) -> int:
     return count
 
 
-def spearman_distance(a, b) -> int:
-    """Footrule distance: total absolute rank displacement."""
+def spearman_distance(a, b) -> int | float:
+    """Footrule distance: total absolute rank displacement, exact.
+
+    An int when the sum is whole (as it is for integer ranks), else the
+    float sum of the fractional ranks' displacements.
+    """
     a, b = _rank_pair(a, b)
-    return int(np.abs(a - b).sum())
+    total = float(np.abs(a - b).sum())
+    return int(total) if total.is_integer() else total
 
 
 def ranking_distances(agg_ranks, rank_lists):

@@ -85,9 +85,10 @@ def cmd_aggregate(args):
     for k in range(len(ranks)):
         dk = agg.kendall_distance(ranking.ranks, ranks[k])
         ds = agg.spearman_distance(ranking.ranks, ranks[k])
-        print(f"distance to list {k + 1}: kendall={dk} spearman={ds}")
+        # 15 digits: a whole footrule prints as an integer, and 1.1 - 1 as 0.1
+        print(f"distance to list {k + 1}: kendall={dk} spearman={ds:.15g}")
         total_k, total_s = total_k + dk, total_s + ds
-    print(f"summed distances: kendall={total_k} spearman={total_s}")
+    print(f"summed distances: kendall={total_k} spearman={total_s:.15g}")
     return 0
 
 
@@ -338,8 +339,9 @@ def cmd_run(args):
             curve = LearningCurve.from_traces(traces, metric)
             entry[f"{metric}_mean"] = curve.mean.tolist()
             entry[f"{metric}_sd"] = curve.sd.tolist()
+            if metric == "accuracy":  # the curve win_tie_loss compares
+                curves[label] = curve
         summary["methods"][label] = entry
-        curves[label] = LearningCurve.from_traces(traces)
     names = list(curves)
     if len(names) > 1 and len(cfg["seeds"]) > 1:  # the paired test needs two seeds
         table = win_tie_loss(curves[names[0]], [curves[n] for n in names[1:]])

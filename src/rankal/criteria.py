@@ -35,18 +35,6 @@ _TED_BLOCK = 2**20  # entries (8 MB) in one of score_ted's row blocks of Z
 _TED_ROWS = 192  # every row block but the last is a multiple of this many rows
 
 
-@dataclass(frozen=True)
-class NormalizedScores:
-    """Scores scaled to [0, 1] plus the permutation sorting them ascending."""
-
-    values: np.ndarray
-    sort_order: np.ndarray
-
-    @property
-    def sorted_values(self):
-        return self.values[self.sort_order]
-
-
 def score_margin(model: Model, pool_features, *, kernel=None) -> np.ndarray:
     """Top-posterior confidence; minimal at the decision boundary (no flip).
 
@@ -233,7 +221,8 @@ def score_ted(pool_features, lam=0.1) -> np.ndarray:
 def normalize_and_rank(scores):
     """Min-max normalize to [0, 1] and rank competition-style.
 
-    Returns (NormalizedScores, ranks).  A constant list maps to all 0.5, and
+    Returns (values, ranks), two arrays aligned with ``scores``: the
+    normalized values and their ranks.  A constant list maps to all 0.5, and
     so does a list whose span is at most 1e-12: the scores are O(1), so such
     a span is round-off (a committee whose members agree up to round-off
     gives qbc scores of 0 and -5.6e-17), which min-max scaling would
@@ -251,9 +240,9 @@ def normalize_and_rank(scores):
     else:
         values = np.full_like(s, 0.5)
     values = np.round(values, ROUND_DECIMALS)
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)  # any order of ties gives the same ranks
     ordered = values[order]
     ranks = np.empty_like(order)
     # searching the sorted values keeps the keys in order: twice as fast at n = 300
     ranks[order] = np.searchsorted(ordered, ordered, side="left") + 1
-    return NormalizedScores(values=values, sort_order=order), ranks
+    return values, ranks

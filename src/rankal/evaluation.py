@@ -31,12 +31,13 @@ def accuracy(pred, true) -> float:
     return float(np.mean(pred == true))
 
 
-def f1(pred, true, positive_class=1) -> float:
-    """Harmonic mean of precision and recall; degenerate cases return 0."""
+def f1(pred, true) -> float:
+    """Harmonic mean of precision and recall for the class +1; degenerate
+    cases return 0."""
     pred, true = _paired(pred, true)
-    tp = np.sum((pred == positive_class) & (true == positive_class))
-    fp = np.sum((pred == positive_class) & (true != positive_class))
-    fn = np.sum((pred != positive_class) & (true == positive_class))
+    tp = np.sum((pred == 1) & (true == 1))
+    fp = np.sum((pred == 1) & (true != 1))
+    fn = np.sum((pred != 1) & (true == 1))
     if tp + fp == 0 or tp + fn == 0:
         return 0.0
     precision = tp / (tp + fp)
@@ -46,13 +47,13 @@ def f1(pred, true, positive_class=1) -> float:
     return float(2.0 * precision * recall / (precision + recall))
 
 
-def auc(scores, true, positive_class=1) -> float:
-    """Rank-based (Mann-Whitney) AUC; tied scores contribute 1/2.
+def auc(scores, true) -> float:
+    """Rank-based (Mann-Whitney) AUC of the class +1; tied scores contribute 1/2.
 
     ``scores`` and ``true`` are checked as ``accuracy`` checks its pair.
     """
     scores, true = _paired(np.asarray(scores, dtype=float), true)
-    pos = true == positive_class
+    pos = true == 1
     n_pos = int(pos.sum())
     n_neg = len(true) - n_pos
     if n_pos == 0 or n_neg == 0:

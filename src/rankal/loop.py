@@ -336,10 +336,10 @@ def _fuse(pool: PoolState, cfg: ALConfig, scores):
     flags = [CRITERIA[name].committee for name in cfg.criteria]
     rank_rows, raw_weights = [], []
     for s, committee_based in zip(scores, flags):
-        normalized, ranks = normalize_and_rank(s)
+        values, ranks = normalize_and_rank(s)
         weight = duplicate_weight if committee_based else bvsb_weight
         rank_rows.append(ranks)
-        raw_weights.append(weight(normalized.sorted_values, cfg.n_select))
+        raw_weights.append(weight(values, cfg.n_select))
 
     weights = blend_weights(raw_weights, flags)
     rank_lists = np.array(rank_rows, dtype=float)
@@ -397,7 +397,7 @@ def parallel_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
     w = np.asarray(cfg.fixed_weights, dtype=float)
     total = np.zeros(pool.n_unlabeled)
     for scores, wk in zip(criterion_scores(pool, cfg, ted_scores, warm), w):
-        total += wk * normalize_and_rank(scores)[0].values
+        total += wk * normalize_and_rank(scores)[0]
     return pool.unlabeled_idx[top_positions(total, cfg.n_select)], {}
 
 

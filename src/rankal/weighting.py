@@ -1,15 +1,17 @@
 """Self-adaptive per-criterion weights computed fresh each query iteration.
 
 Non-committee criteria are weighted by the best-versus-second-best gap of
-their sorted score list: the sharper the drop right after the would-be
-selected batch, the stronger the criterion's opinion.  Committee criteria,
-whose score lists are ladder-like with many duplicates, are weighted by how
+their score list: the sharper the drop right after the would-be selected
+batch, the stronger the criterion's opinion.  Committee criteria, whose
+score lists are ladder-like with many duplicates, are weighted by how
 rarely the remaining samples tie with the last selected score.  The two
 groups then share the total mass proportionally to their head counts.
 
-The query loop computes the raw weights and blends them once per fused step,
-only while more than N samples remain unlabeled (the last, draining batch
-ranks nothing); the blended array becomes the step's ``{criterion: weight}``
+Both raw weights take the normalized scores in any order and read order
+statistics of them (one ``np.partition``), not a sorted copy.  The query
+loop computes the raw weights and blends them once per fused step, only
+while more than N samples remain unlabeled (the last, draining batch ranks
+nothing); the blended array becomes the step's ``{criterion: weight}``
 record.
 """
 
@@ -17,25 +19,31 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import check_int
+
 _EPS = 1e-12
 
 
-def _sorted_scores(sorted_scores, n_select):
-    """``sorted_scores`` as a float array, or ValueError unless it is longer than N."""
-    s = np.asarray(sorted_scores, dtype=float)
+def _order_statistics(scores, n_select):
+    """``scores`` as a float array partitioned so that positions 0, N - 1, N
+    and -1 hold the smallest, N-th smallest, (N+1)-th smallest and largest
+    score.  ValueError unless N is an integer >= 1 below the score count."""
+    check_int("n_select", n_select, 1)
+    s = np.asarray(scores, dtype=float)
     if len(s) <= n_select:
         raise ValueError(f"need more than N={n_select} scores, got {len(s)}")
-    return s
+    return np.partition(s, (0, n_select - 1, n_select, len(s) - 1))
 
 
-def bvsb_weight(sorted_scores, n_select) -> float:
+def bvsb_weight(scores, n_select) -> float:
     """Gap between the last selected and first rejected score, range-scaled.
 
-    ``sorted_scores`` is the ascending normalized score list; ``n_select`` is
-    the batch size N.  Returns (S*(N) - S*(N+1)) / (S*(1) - S*(end)), which
-    is 1 for an ideal step list and 0 for a constant list (0/0 -> 0).
+    ``scores`` are the normalized scores, in any order; ``n_select`` is the
+    batch size N.  With S*(k) the k-th smallest score, returns
+    (S*(N) - S*(N+1)) / (S*(1) - S*(end)), which is 1 for an ideal step
+    list and 0 for a constant list (0/0 -> 0).
     """
-    s = _sorted_scores(sorted_scores, n_select)
+    s = _order_statistics(scores, n_select)
     denom = s[0] - s[-1]
     if abs(denom) < _EPS:
         return 0.0
@@ -43,12 +51,12 @@ def bvsb_weight(sorted_scores, n_select) -> float:
     return float(np.clip(w, 0.0, 1.0))
 
 
-def duplicate_weight(sorted_scores, n_select) -> float:
-    """Fraction of post-batch scores that differ from the last selected score."""
-    s = _sorted_scores(sorted_scores, n_select)
-    pivot = s[n_select - 1]
-    count = int(np.sum(s[n_select:] != pivot))
-    return count / len(s)
+def duplicate_weight(scores, n_select) -> float:
+    """Fraction of scores above the N-th smallest, #{s > S*(N)} / n: on the
+    sorted list, the post-batch scores that differ from the last selected
+    one.  ``scores`` may come in any order."""
+    s = _order_statistics(scores, n_select)
+    return int(np.count_nonzero(s > s[n_select - 1])) / len(s)
 
 
 def blend_weights(raw_weights, committee_flags) -> np.ndarray:

@@ -45,7 +45,7 @@ def _aggregate_key(cfg, ranking, rank_lists, weights):
 
 def _tied(state, cfg, scores, p, q):
     """Whether unlabeled positions p and q tie under one path's scores."""
-    normalized = [normalize_and_rank(s)[0].values for s in scores]
+    normalized = [normalize_and_rank(s)[0] for s in scores]
     if all(abs(v[p] - v[q]) <= SCORE_TOL for v in normalized):
         return True
     ranking, weights, rank_lists = _fuse(state, cfg, scores)

@@ -131,9 +131,9 @@ def test_acceptance_4_stochastic_matrix_suite():
         weights = rng.uniform(0.05, 1.0, size=n_lists)
         t = build_transition(lists, weights, variant=variant, tun1=tun1)
         pi = stationary_distribution(t)
-        ok &= np.max(np.abs(t.entries.sum(axis=1) - 1.0)) <= 1e-12
-        ok &= t.entries.min() >= tun1 / n - 1e-15
-        ok &= np.abs(pi @ t.entries - pi).sum() < 1e-8
+        ok &= np.max(np.abs(t.sum(axis=1) - 1.0)) <= 1e-12
+        ok &= t.min() >= tun1 / n - 1e-15
+        ok &= np.abs(pi @ t - pi).sum() < 1e-8
         ok &= abs(pi.sum() - 1.0) <= 1e-12
     elapsed = time.perf_counter() - t0
     report(4, ok and elapsed < 5.0, f"200 instances checked in {elapsed:.2f} s")

@@ -11,7 +11,6 @@ from rankal.aggregation import (
     METHODS,
     AggregatedRanking,
     BordaConfig,
-    TransitionMatrix,
     aggregate,
     borda_aggregate,
     brute_force_aggregate,
@@ -227,8 +226,8 @@ class TestTransition:
         # single list ranks candidate 0 worse than candidate 1
         lists = np.array([[2.0, 1.0]])
         t = build_transition(lists, np.array([1.0]), "mc3", tun1=0.05)
-        assert t.entries[0, 1] == pytest.approx(0.5 * 0.95 + 0.025)
-        assert t.entries[1, 0] == pytest.approx(0.025)
+        assert t[0, 1] == pytest.approx(0.5 * 0.95 + 0.025)
+        assert t[1, 0] == pytest.approx(0.025)
 
     def test_mc1_equals_mc2_under_unanimity(self):
         rng = np.random.default_rng(6)
@@ -236,15 +235,15 @@ class TestTransition:
         lists = np.array([base] * 3)
         t1 = build_transition(lists, np.ones(3), "mc1")
         t2 = build_transition(lists, np.ones(3), "mc2")
-        np.testing.assert_allclose(t1.entries, t2.entries)
+        np.testing.assert_allclose(t1, t2)
 
     def test_stochastic_invariants(self):
         rng = np.random.default_rng(7)
         for variant in ("mc1", "mc2", "mc3"):
             lists = random_permutations(rng, 4, 12)
             t = build_transition(lists, rng.uniform(0.1, 1, 4), variant, tun1=0.07)
-            assert np.max(np.abs(t.entries.sum(axis=1) - 1.0)) < 1e-12
-            assert t.entries.min() >= 0.07 / 12 - 1e-15
+            assert np.max(np.abs(t.sum(axis=1) - 1.0)) < 1e-12
+            assert t.min() >= 0.07 / 12 - 1e-15
 
     def test_too_few_candidates(self):
         with pytest.raises(ValueError, match="at least one sample"):
@@ -253,7 +252,7 @@ class TestTransition:
     @pytest.mark.parametrize("variant", ["mc1", "mc2", "mc3"])
     def test_one_candidate_is_the_one_state_chain(self, variant):
         t = build_transition(np.array([[3.0], [1.0]]), np.array([0.4, 0.6]), variant)
-        assert t.entries.tolist() == [[1.0]]
+        assert t.tolist() == [[1.0]]
         assert stationary_distribution(t).tolist() == [1.0]
 
 
@@ -281,11 +280,11 @@ class TestStationary:
     def test_argument_left_unchanged(self):
         rng = np.random.default_rng(17)
         t = build_transition(random_permutations(rng, 3, 30), np.ones(3), "mc3")
-        before = t.entries.copy()
+        before = t.copy()
         pi = stationary_distribution(t)
-        np.testing.assert_array_equal(t.entries, before)
+        np.testing.assert_array_equal(t, before)
         np.testing.assert_array_equal(stationary_distribution(before), pi)
-        np.testing.assert_array_equal(before, t.entries)
+        np.testing.assert_array_equal(before, t)
 
     def test_argument_restored_when_the_solve_raises(self):
         t = np.eye(3)  # T - I is 0: singular with its last column set to 1
@@ -295,7 +294,7 @@ class TestStationary:
 
     def test_read_only_argument_accepted(self):
         rng = np.random.default_rng(18)
-        t = build_transition(random_permutations(rng, 2, 9), np.ones(2), "mc2").entries
+        t = build_transition(random_permutations(rng, 2, 9), np.ones(2), "mc2")
         pi = stationary_distribution(t)
         t.flags.writeable = False
         np.testing.assert_array_equal(stationary_distribution(t), pi)
@@ -303,17 +302,24 @@ class TestStationary:
 
 
 class TestTransitionMatrixChecks:
+    """``stationary_distribution`` is the one place that checks T."""
+
     @pytest.mark.parametrize("entries, message", [
-        ([[1.1, -0.1], [0.5, 0.5]], "non-negative"),
-        ([[0.9, 0.2], [0.5, 0.5]], "sum to 1"),
-        ([[np.nan, np.nan], [0.5, 0.5]], "sum to 1"),
-        ([[1.0, 0.0], [0.5, 0.5]], "ergodic floor"),
-        (np.full((2, 3), 1 / 3), "square matrix, got shape \\(2, 3\\)"),
-        ([1.0], "square matrix"),
-    ], ids=["negative", "row-sum", "nan", "floor", "not-square", "1-D"])
+        ([[1.1, -0.1], [0.5, 0.5]], "entries must be finite and non-negative"),
+        ([[0.9, 0.2], [0.5, 0.5]], "rows must sum to 1"),
+        ([[np.nan, np.nan], [0.5, 0.5]], "entries must be finite and non-negative"),
+        ([[-np.inf, np.inf], [0.5, 0.5]], "entries must be finite and non-negative"),
+        ([[np.inf, 0.0], [0.5, 0.5]], "rows must sum to 1"),
+        (np.full((2, 3), 1 / 3), "must be a non-empty square matrix, got shape \\(2, 3\\)"),
+        ([1.0], "must be a non-empty square matrix"),
+        (np.zeros((0, 0)), "must be a non-empty square matrix"),
+    ], ids=["negative", "row-sum", "nan", "minus-inf", "inf", "not-square", "1-D", "empty"])
     def test_rejects(self, entries, message):
-        with pytest.raises(ValueError, match=message):
-            TransitionMatrix(np.array(entries), tun1=0.05)
+        t = np.array(entries)
+        before = t.copy()
+        with pytest.raises(ValueError, match="^transition " + message):
+            stationary_distribution(t)
+        np.testing.assert_array_equal(t, before)
 
 
 @st.composite
@@ -359,7 +365,7 @@ class TestMarkovPathMatchesReference:
         lists, w, _ = instance
         t = build_transition(lists, w, variant, tun1=tun1)
         expected = reference.build_transition(lists, w, variant, tun1=tun1)
-        np.testing.assert_array_equal(t.entries, expected)
+        np.testing.assert_array_equal(t, expected)
         np.testing.assert_array_equal(stationary_distribution(t),
                                       reference.stationary_distribution(expected))
 
@@ -400,7 +406,7 @@ class TestStationaryReference:
         lists = random_permutations(rng, n_lists, n)
         t = build_transition(lists, rng.uniform(0.05, 1.0, n_lists), variant, tun1=tun1)
         pi = stationary_distribution(t)
-        assert np.abs(pi - reference.power_iteration(t.entries)).sum() < 1e-10
+        assert np.abs(pi - reference.power_iteration(t)).sum() < 1e-10
 
 
 class TestMarkovAggregate:

@@ -16,7 +16,6 @@ import pytest
 
 from rankal.aggregation import (
     BordaConfig,
-    TransitionMatrix,
     aggregate,
     borda_aggregate,
     brute_force_aggregate,
@@ -175,9 +174,9 @@ class TestReal:
         with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0$"):
             solve_ted(x, tol=bad)
 
-    def test_transition_matrix_tun1(self):
+    def test_build_transition_tun1(self):
         with pytest.raises(ValueError, match=r"^tun1 must lie in \(0, 1\)$"):
-            TransitionMatrix(np.full((2, 2), 0.5), tun1=-3.0)
+            build_transition(LISTS, np.ones(3), tun1=-3.0)
 
     def test_same_rule_text_at_every_site(self):
         verdicts = {
@@ -229,6 +228,16 @@ def test_code_line_counter(tmp_path):
         "    return y\n",
         encoding="utf-8",
     )
-    out = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "code_lines.py"), str(path)],
-                         capture_output=True, text=True, check=True).stdout
+
+    def count(arg):
+        return subprocess.run([sys.executable, os.path.join(ROOT, "tools", "code_lines.py"), str(arg)],
+                              capture_output=True, text=True, check=True).stdout
+
+    out = count(path)
     assert re.fullmatch(r"\s*5\s+\S+\n\s*5\s+total\n", out), out
+    # a directory stands for its *.py files, in sorted order
+    (tmp_path / "a.py").write_text("x = 1\n", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("not python\n", encoding="utf-8")
+    out = count(tmp_path)
+    rows = [line.split() for line in out.splitlines()]
+    assert rows == [["1", str(tmp_path / "a.py")], ["5", str(path)], ["6", "total"]], out

@@ -185,6 +185,23 @@ class TestAggregate:
         assert "order (best first): 1 2" in out
         assert "\n2,3,2\n" in out  # id 2 confirmed at depth 3 = ceil(2.5)
 
+    def test_fractional_footrule_reported_exactly(self, tmp_path, capsys):
+        path = tmp_path / "half.csv"
+        path.write_text("id,a,b\n1,1.5,1\n2,1,2\n3,1,3\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "aggregate", str(path), "--method", "mc2", "--no-truncate")
+        assert code == 0
+        assert "distance to list 1: kendall=2 spearman=3.5\n" in out, out
+        assert "distance to list 2: kendall=0 spearman=0\n" in out, out
+        assert "summed distances: kendall=2 spearman=3.5\n" in out, out
+        path.write_text("id,a,b\n1,1.5,1\n2,1,2.5\n3,1,3\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "aggregate", str(path), "--method", "mc2", "--no-truncate")
+        assert code == 0
+        assert "distance to list 2: kendall=0 spearman=0.5\n" in out, out
+        assert "summed distances: kendall=2 spearman=4\n" in out, out
+        path.write_text("id,a\n1,1.1\n2,2\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "aggregate", str(path), "--method", "mc2", "--no-truncate")
+        assert "distance to list 1: kendall=0 spearman=0.1\n" in out, out
+
     def test_unknown_method_rejected(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("id,l1\n1,1\n2,2\n", encoding="utf-8")

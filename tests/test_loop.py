@@ -164,10 +164,10 @@ class TestStrategiesAgainstDirectComputation:
         batch, _ = parallel_step(state, cfg, pool_ted_scores(state, cfg))
         model = fit(LearnerConfig(), state.labeled_features, state.labeled_labels)
         total = (
-            0.5 * normalize_and_rank(score_margin(model, state.unlabeled_features))[0].values
+            0.5 * normalize_and_rank(score_margin(model, state.unlabeled_features))[0]
             + 0.5 * normalize_and_rank(
                 score_diversity(state.labeled_features, state.unlabeled_features, LearnerConfig())
-            )[0].values
+            )[0]
         )
         assert batch[0] == state.unlabeled_idx[int(np.argmin(total))]
 

@@ -26,8 +26,8 @@ class TestBvsb:
         rng = np.random.default_rng(0)
         for _ in range(20):
             scores = rng.normal(size=12)
-            a = normalize_and_rank(scores)[0].sorted_values
-            b = normalize_and_rank(3.7 * scores + 11.0)[0].sorted_values
+            a = normalize_and_rank(scores)[0]
+            b = normalize_and_rank(3.7 * scores + 11.0)[0]
             assert bvsb_weight(a, 2) == pytest.approx(bvsb_weight(b, 2), abs=1e-9)
 
     def test_gap_monotonicity(self):
@@ -52,6 +52,39 @@ class TestDuplicate:
     def test_pool_too_small(self):
         with pytest.raises(ValueError):
             duplicate_weight(np.zeros(3), 3)
+
+
+def _sorted_bvsb(s, n):
+    """The BVSB weight read off the ascending list ``s``, as it is defined."""
+    denom = s[0] - s[-1]
+    return 0.0 if abs(denom) < 1e-12 else float(np.clip((s[n - 1] - s[n]) / denom, 0.0, 1.0))
+
+
+def _sorted_duplicate(s, n):
+    """The duplicate weight read off the ascending list ``s``, as it is defined."""
+    return int(np.sum(s[n:] != s[n - 1])) / len(s)
+
+
+class TestOrderStatistics:
+    @given(
+        st.lists(st.integers(0, 4), min_size=2, max_size=40),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_order_matches_the_sorted_formula_under_heavy_ties(self, levels, scale, data):
+        values = normalize_and_rank([scale * v for v in levels])[0]
+        n = data.draw(st.integers(1, len(values) - 1))
+        shuffled = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(values)
+        ordered = np.sort(values)
+        assert bvsb_weight(shuffled, n) == _sorted_bvsb(ordered, n)
+        assert duplicate_weight(shuffled, n) == _sorted_duplicate(ordered, n)
+
+    @pytest.mark.parametrize("n_select", [0, -2, 1.5, True])
+    @pytest.mark.parametrize("weight", [bvsb_weight, duplicate_weight])
+    def test_n_select_must_be_a_positive_integer(self, weight, n_select):
+        with pytest.raises(ValueError, match=r"^n_select must be an integer >= 1$"):
+            weight(np.array([0.0, 0.5, 1.0]), n_select)
 
 
 class TestBlend:

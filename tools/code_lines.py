@@ -2,8 +2,10 @@
 a comment or a docstring.
 
     python tools/code_lines.py src/rankal/*.py
+    python tools/code_lines.py src/rankal
 
-prints one ``<lines>  <path>`` row per file and a ``total`` row.  Blank
+prints one ``<lines>  <path>`` row per file and a ``total`` row; a
+directory stands for its ``*.py`` files, in sorted order.  Blank
 lines, comment lines and the lines of a docstring (a string literal that
 makes up a statement of its own) do not count; a line holding code and a
 trailing comment does.  Uses only the standard library.
@@ -11,6 +13,8 @@ trailing comment does.  Uses only the standard library.
 
 from __future__ import annotations
 
+import glob
+import os
 import sys
 import tokenize
 
@@ -35,7 +39,10 @@ def code_lines(path):
     return len(lines)
 
 
-def main(paths):
+def main(args):
+    paths = []
+    for arg in args:
+        paths += sorted(glob.glob(os.path.join(arg, "*.py"))) if os.path.isdir(arg) else [arg]
     total = 0
     for path in paths:
         n = code_lines(path)
