@@ -1,8 +1,8 @@
 """Weighted rank aggregation backends and the built-in benchmark.
 
 Shows the three aggregation families on hand-made lists, the candidate
-truncation that keeps the Markov chain small, the factorial brute-force
-oracle, and the frozen 10-sample benchmark reproduction.
+truncation that keeps the Markov chain small, and the frozen 10-sample
+benchmark reproduction.
 """
 
 import numpy as np
@@ -10,14 +10,12 @@ import numpy as np
 from rankal import (
     BordaConfig,
     borda_aggregate,
-    brute_force_aggregate,
     bucklin_aggregate,
     kendall_distance,
     markov_aggregate,
     spearman_distance,
     truncate_candidates,
 )
-from rankal.aggregation import weighted_kendall_objective
 from rankal.toy import format_toy_report, run_toy_benchmark
 
 # --- three lists that mostly agree, one dissenter ------------------------
@@ -39,13 +37,6 @@ for name, ranking in [
 a, b = lists[0], lists[2]
 print(f"\nkendall([1..5], dissenter) = {kendall_distance(a, b)}, "
       f"spearman = {spearman_distance(a, b)}")
-
-# --- the factorial oracle gives the exact optimum on small instances ------
-best, objective = brute_force_aggregate(lists, weights)
-mc2 = markov_aggregate(lists, weights, variant="mc2", truncate=False)
-print(f"\nbrute-force optimum order {best.ids.tolist()} "
-      f"(objective {objective:.3f}); mc2 achieves "
-      f"{weighted_kendall_objective(mc2.ranks, lists, weights):.3f}")
 
 # --- truncation keeps the chain tiny even for huge pools ------------------
 rng = np.random.default_rng(0)

@@ -7,7 +7,6 @@ from .aggregation import (
     METHODS,
     aggregate,
     borda_aggregate,
-    brute_force_aggregate,
     bucklin_aggregate,
     build_transition,
     kendall_distance,

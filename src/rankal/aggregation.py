@@ -27,14 +27,11 @@ checks all four, each backend the ones it takes.  The other rules come from
 ``check_weights``, and the method, fusion and variant names by
 ``check_choice``.
 
-A factorial brute-force minimizer of the weighted Kendall objective serves
-as an oracle for small instances, and Kendall / Spearman-footrule distances
-measure agreement between rankings.
+Kendall / Spearman-footrule distances measure agreement between rankings.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -115,9 +112,10 @@ def _norm_weights(weights, n_lists):
 _BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(float)
 
 
-def _preference(r, w, finish=None):
+def _preference(r, w, finish):
     """pref[i, j]: total weight of the lists ranking j strictly before i,
-    summed in list order, then mapped by ``finish`` (elementwise, in place).
+    summed in list order, then mapped by ``finish`` (elementwise, in place):
+    ``build_transition``, the one caller, applies its variant and 1/n there.
 
     Bit k of a uint8 code matrix is list k's preference, for the first eight
     lists; ``table[code]`` holds their running weight sums and equals the
@@ -143,7 +141,6 @@ def _preference(r, w, finish=None):
         code += code
         code += bit
     table = np.cumsum(_BITS[: 2**head, :head] * w[:head], axis=1)[:, -1]
-    finish = finish or (lambda x: x)
     if head == n_lists:
         del bit
         return finish(table)[code]
@@ -446,43 +443,3 @@ def ranking_distances(agg_ranks, rank_lists):
     k = sum(kendall_distance(agg_ranks, r[j]) for j in range(len(r)))
     s = sum(spearman_distance(agg_ranks, r[j]) for j in range(len(r)))
     return k, s
-
-
-def weighted_kendall_objective(agg_ranks, rank_lists, weights) -> float:
-    """(1/L) sum_k w_k * Kendall(R, R_k) -- the quantity aggregation minimizes."""
-    r = _as_rank_matrix(rank_lists)
-    w = check_weights("weights", weights, len(r), "list")
-    total = sum(
-        w[k] * kendall_distance(agg_ranks, r[k]) for k in range(len(r))
-    )
-    return float(total / len(r))
-
-
-def brute_force_aggregate(rank_lists, weights, ids=None):
-    """Exact minimizer of the weighted Kendall objective by factorial search.
-
-    Refuses instances with more than 8 samples.  Equal-objective permutations
-    resolve to the lexicographically smallest order.  Returns
-    (AggregatedRanking, objective value).
-    """
-    r = _as_rank_matrix(rank_lists)
-    n_lists, n = r.shape
-    if n > 8:
-        raise ValueError("brute force search is limited to 8 samples")
-    # pair_cost[i, j]: weighted discordance mass incurred by placing i before j
-    pair_cost = _preference(r, check_weights("weights", weights, n_lists, "list"))
-    best_order = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(n)):
-        cost = 0.0
-        for a_pos in range(n):
-            i = perm[a_pos]
-            for b_pos in range(a_pos + 1, n):
-                cost += pair_cost[i, perm[b_pos]]
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best_order = perm
-    ranking = _ranking(
-        np.array(best_order, dtype=int), np.arange(1, n + 1, dtype=float), ids
-    )
-    return ranking, float(best_cost / n_lists)

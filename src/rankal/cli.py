@@ -358,7 +358,8 @@ def cmd_run(args):
 
 
 def _curves_from_dir(path, metric):
-    """Each ``curve_<method>.csv`` in ``path`` (``_write_curve``'s format) as a LearningCurve."""
+    """Each ``curve_<method>.csv`` in ``path`` (``_write_curve``'s format) as
+    (its file, its seeds in ascending order, a LearningCurve)."""
     columns = ("seed", "fraction", metric)
     curves = {}
     for fname in sorted(os.listdir(path)):
@@ -390,7 +391,8 @@ def _curves_from_dir(path, metric):
             if tuple(f for f, _ in points[seed]) != fractions:
                 raise UsageError(f"{where}: inconsistent checkpoint grid")
             values.append([v for _, v in points[seed]])
-        curves[method] = LearningCurve(method, fractions, np.array(values))
+        curves[method] = (where, [int(s) for s in seeds],
+                          LearningCurve(method, fractions, np.array(values)))
     if not curves:
         raise UsageError(f"{path}: no curve_*.csv files found")
     return curves
@@ -399,9 +401,15 @@ def _curves_from_dir(path, metric):
 def cmd_compare(args):
     curves_a = _curves_from_dir(args.dir_a, args.metric)
     curves_b = _curves_from_dir(args.dir_b, args.metric)
-    for target in curves_a.values():
-        # win_tie_loss rejects differing checkpoint grids and seed sets
-        print(win_tie_loss(target, list(curves_b.values())).format())
+    for where_a, seeds_a, _ in curves_a.values():
+        for where_b, seeds_b, _ in curves_b.values():
+            if seeds_a != seeds_b:  # the t-tests pair the curves seed by seed
+                raise UsageError(f"{where_a} holds seeds {seeds_a} but {where_b} holds seeds "
+                                 f"{seeds_b}; a paired comparison needs the same seeds")
+    baselines = [curve for _, _, curve in curves_b.values()]
+    for _, _, target in curves_a.values():
+        # win_tie_loss rejects differing checkpoint grids
+        print(win_tie_loss(target, baselines).format())
         print()
     return 0
 

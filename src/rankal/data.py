@@ -217,9 +217,11 @@ def _coerce_labels(path, labels):
 
 
 def load_dense_csv(path) -> Dataset:
-    """Load a dense CSV with header row and the label in the last column."""
+    """Load a dense CSV with header row, feature columns, and the label last."""
     rows = csv_rows(path)
-    next(rows, None)  # the header
+    header_row, header = next(rows, (1, ()))
+    if len(header) == 1:  # every row is as wide as the header
+        raise DataFormatError(f"{path}: row {header_row}: no feature column before the label")
     features, labels = [], []
     for row, fields in rows:
         features.append([parse_number(path, row, v, "feature") for v in fields[:-1]])
@@ -231,7 +233,8 @@ def load_dense_csv(path) -> Dataset:
 
 
 def load_sparse(path) -> Dataset:
-    """Load sparse 'label idx:val ...' lines; indices are 1-based."""
+    """Load sparse 'label idx:val ...' lines; indices are 1-based, and at
+    least one line holds one."""
     entries, labels = [], []
     max_index, max_row = 0, 0
     for row, line in enumerate(io.StringIO(_text(path), newline=None), start=1):
@@ -256,6 +259,8 @@ def load_sparse(path) -> Dataset:
         labels.append((row, tokens[0]))
     if not entries:
         raise DataFormatError(f"{path}: empty file")
+    if not max_index:
+        raise DataFormatError(f"{path}: no row holds an index:value feature")
     try:
         features = np.zeros((len(entries), max_index))
     except (MemoryError, ValueError) as exc:  # ValueError: "array is too big", or past 2**63

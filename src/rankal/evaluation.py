@@ -99,12 +99,14 @@ def paired_t_test(a, b, alpha=0.05) -> PairedTestResult:
 
     'win' means a is significantly larger, 'loss' significantly smaller.
     Zero-variance differences short-circuit: equal means tie, otherwise the
-    sign decides.
+    sign decides.  ``a`` and ``b`` are equal-length finite vectors, n >= 2.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
         raise ValueError("need two equal-length vectors with n >= 2")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("a and b must be finite")
     d = a - b
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
@@ -200,7 +202,7 @@ def win_tie_loss(target: LearningCurve, baselines, alpha=0.05) -> WinTieLossTabl
         if base.fractions != target.fractions:
             raise ValueError("checkpoint grids must match")
         if base.values.shape[0] != target.values.shape[0]:
-            raise ValueError("seed sets must match")
+            raise ValueError("seed counts must match")
         verdicts.append(
             [
                 paired_t_test(target.values[:, j], base.values[:, j], alpha).verdict

@@ -83,8 +83,6 @@ coefficient matrix over the shared labeled support with exact zeros at each
 member's undrawn rows (their optimum), the intercepts, and the class of each
 member whose draws hold a single class (it predicts that class at 0.99), so
 all member posteriors are one kernel and one matrix product.
-``Committee.members`` derives each member as a ``Model`` on its distinct
-draws.
 
 Arguments are checked by the rules of ``rankal.checks``: ``LearnerConfig``
 its kernel name with ``check_choice`` and ``gamma``, ``reg`` and ``tol``
@@ -428,15 +426,6 @@ class Committee:
         """
         return _proba(self.config, x, self.support, kernel, self.coeffs, self.intercepts,
                       self.degenerate_label)
-
-    @property
-    def members(self):
-        """Each member as a ``Model`` on its distinct draws."""
-        return tuple(
-            _model(self.config, self.support[d], self.coeffs[j, d], self.intercepts[j],
-                   self.n_iter[j], self.converged[j], self.degenerate_label[j])
-            for j, d in enumerate(self.drawn)
-        )
 
 
 def _bootstrap_counts(n, g, seed):

@@ -14,14 +14,19 @@
   of full pool x pool and labeled x labeled kernel matrices.
 * ``power_iteration``: the stationary distribution of a transition matrix by
   power iteration from the uniform vector to an L1 change of 1e-12.
-* ``preference``, ``build_transition``, ``stationary_distribution``,
-  ``markov_aggregate`` and ``brute_force_aggregate``: the Markov chain path
-  as it was before preferences were coded as bits and T was solved in place:
-  one float64 n x n temporary per list, the variant applied to the n x n
-  sums, and the solve on a transposed copy of T.  The library's version must
-  return bit-identical matrices, distributions and rankings.
+* ``preference``, ``build_transition``, ``stationary_distribution`` and
+  ``markov_aggregate``: the Markov chain path as it was before preferences
+  were coded as bits and T was solved in place: one float64 n x n temporary
+  per list, the variant applied to the n x n sums, and the solve on a
+  transposed copy of T.  The library's version must return bit-identical
+  matrices, distributions and rankings.
 * ``kendall_distance``: the discordant-pair count from the dense n x n sign
   matrices of both rank lists.
+* ``weighted_kendall_objective`` and ``brute_force_aggregate``: the
+  objective (1/L) sum_k w_k Kendall(R, R_k) that aggregation approximates,
+  and its exact minimizer by factorial search, the oracle for small
+  instances: (sample positions best-first, objective), ties resolved to the
+  lexicographically smallest order.  The library has no copy of either.
 * ``bucklin_aggregate``: weighted majority voting that deepens one integer
   depth at a time from 1 to max(rank); it raises where no integer depth up
   to int(max(rank)) confirms every sample (a fractional largest rank).
@@ -325,3 +330,10 @@ def kendall_distance(a, b) -> int:
     da = a[:, None] - a[None, :]
     db = b[:, None] - b[None, :]
     return int(((da * db) < 0).sum() // 2)
+
+
+def weighted_kendall_objective(agg_ranks, rank_lists, weights) -> float:
+    r = np.asarray(rank_lists, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    total = sum(w[k] * kendall_distance(agg_ranks, r[k]) for k in range(len(r)))
+    return float(total / len(r))

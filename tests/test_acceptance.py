@@ -8,14 +8,13 @@ import time
 
 import numpy as np
 import pytest
+from reference import brute_force_aggregate, weighted_kendall_objective
 
 from rankal.aggregation import (
-    brute_force_aggregate,
     build_transition,
     markov_aggregate,
     stationary_distribution,
     truncate_candidates,
-    weighted_kendall_objective,
 )
 from rankal.data import SplitSpec, benchmark_blobs, load_table, normalize_features, split_pool
 from rankal.evaluation import LearningCurve, win_tie_loss

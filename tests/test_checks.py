@@ -18,10 +18,8 @@ from rankal.aggregation import (
     BordaConfig,
     aggregate,
     borda_aggregate,
-    brute_force_aggregate,
     build_transition,
     spearman_distance,
-    weighted_kendall_objective,
 )
 from rankal.checks import check_real, check_weights
 from rankal.criteria import score_diversity, solve_ted
@@ -55,8 +53,6 @@ class TestWeights:
         "aggregate-bucklin": LIST_RULE,
         "aggregate-mc2": LIST_RULE,
         "borda_aggregate": LIST_RULE,
-        "brute_force_aggregate": LIST_RULE,
-        "weighted_kendall_objective": LIST_RULE,
         "ALConfig": "fixed_weights must be finite, non-negative, not all zero, one per criterion",
         "fit": "counts must be finite, non-negative, not all zero, one per sample",
     }
@@ -68,9 +64,6 @@ class TestWeights:
             "aggregate-bucklin": lambda: aggregate("bucklin", LISTS, w),
             "aggregate-mc2": lambda: aggregate("mc2", LISTS, w),
             "borda_aggregate": lambda: borda_aggregate(LISTS, w),
-            "brute_force_aggregate": lambda: brute_force_aggregate(LISTS, w),
-            "weighted_kendall_objective": lambda: weighted_kendall_objective(
-                [1, 2, 3, 4], LISTS, w),
             "ALConfig": lambda: ALConfig(strategy="parallel", criteria=("diversity", "margin", "qbc"),
                                          fixed_weights=tuple(w)),
             "fit": lambda: fit(LearnerConfig(), X, Y, counts=w),

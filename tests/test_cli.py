@@ -525,6 +525,27 @@ class TestRun:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "text, fmt, message",
+        [
+            ("label\n1\n-1\n1\n-1\n", "dense-csv", "row 1: no feature column before the label"),
+            ("1\n-1\n\n1\n-1\n", "sparse-index-value", "no row holds an index:value feature"),
+        ],
+        ids=["dense-csv", "sparse"],
+    )
+    def test_dataset_without_features_exits_2(self, tmp_path, capsys, text, fmt, message):
+        data = tmp_path / "labels-only.txt"
+        data.write_text(text)
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg["dataset"] = {"path": str(data), "format": fmt}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert f"dataset.path: {data}: {message}" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "dataset, message",
         [
             ({"path": ["a"]}, "'dataset.path' must be a non-empty string"),
@@ -693,6 +714,18 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", str(tmp_path / "a"), str(tmp_path / "b"))
         assert code == 2
         assert "checkpoint grids" in err
+
+    def test_differing_seed_lists_exit_2(self, tmp_path, capsys):
+        # equal seed counts, so win_tie_loss alone would pair seed 0 with seed 7
+        header = "seed,fraction,n_labeled,accuracy,f1,auc\n"
+        for name, seeds in (("a", (0, 1, 2)), ("b", (7, 8, 9))):
+            (tmp_path / name).mkdir()
+            rows = "".join(f"{s},0.1,4,0.{s},0.9,0.9\n" for s in seeds)
+            (tmp_path / name / "curve_m.csv").write_text(header + rows, encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", str(tmp_path / "a"), str(tmp_path / "b"))
+        assert code == 2 and out == ""
+        assert (f"{tmp_path / 'a' / 'curve_m.csv'} holds seeds [0, 1, 2] but "
+                f"{tmp_path / 'b' / 'curve_m.csv'} holds seeds [7, 8, 9]") in err
 
     CURVE_HEADER = "seed,fraction,n_labeled,accuracy,f1,auc\n"
 

@@ -144,6 +144,24 @@ class TestPairedT:
         with pytest.raises(ValueError):
             paired_t_test([1.0], [0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for a, b in (([bad, 1.0, 2.0], [0.0, 0.0, 0.0]), ([0.0, 0.0, 0.0], [bad, 1.0, 2.0])):
+            with pytest.raises(ValueError, match="a and b must be finite"):
+                paired_t_test(a, b)
+
+    @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")  # scipy's note
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                    min_size=2, max_size=30))
+    def test_matches_scipy(self, pairs):
+        a, b = np.array(pairs).T
+        assume(np.std(a - b) > 0)  # scipy has no verdict for constant differences
+        got = paired_t_test(a, b)
+        want = stats.ttest_rel(a, b)
+        assert got.t_stat == pytest.approx(want.statistic, rel=1e-9)
+        assert got.p_value == pytest.approx(want.pvalue, rel=1e-6, abs=1e-12)
+
 
 def curve(name, values):
     return LearningCurve(name, (0.1, 0.2, 0.3), np.array(values, dtype=float))

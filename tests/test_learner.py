@@ -162,8 +162,8 @@ class TestCommittee:
         single = fit(LearnerConfig(), train.features, train.labels)
         single_acc = np.mean(single.predict(test.features) == test.labels)
         committee = fit_committee(LearnerConfig(), train.features, train.labels, g=5, seed=0)
-        for member in committee.members:
-            acc = np.mean(member.predict(test.features) == test.labels)
+        for p in committee.member_proba(test.features):
+            acc = np.mean(np.where(p >= 0.5, 1, -1) == test.labels)
             assert abs(acc - single_acc) <= 0.1
 
     def test_degenerate_members_agree(self):
@@ -208,8 +208,12 @@ def test_member_views_match_the_stacked_posteriors(n, d, seed, n_pos, kernel):
     grid = np.concatenate([x, rng.normal(size=(20, d))])
     stacked = committee.member_proba(grid)
     assert stacked.shape == (5, len(grid))
-    for j, member in enumerate(committee.members):
-        assert member.degenerate == committee.degenerate[j]
+    for j, drawn in enumerate(committee.drawn):
+        # member j alone: a Model on its distinct draws
+        member = learner._model(cfg, x[drawn], committee.coeffs[j, drawn], committee.intercepts[j],
+                                committee.n_iter[j], committee.converged[j],
+                                committee.degenerate_label[j])
+        assert member.degenerate == (np.ptp(y[drawn]) == 0)
         np.testing.assert_allclose(member.predict_proba(grid), stacked[j], rtol=0, atol=1e-12)
     assert np.all(committee.coeffs[~committee.drawn] == 0.0)
 
@@ -217,9 +221,9 @@ def test_member_views_match_the_stacked_posteriors(n, d, seed, n_pos, kernel):
 def test_members_fit_their_unique_draws():
     d = make_two_blobs(n=40, seed=13)
     committee = fit_committee(LearnerConfig(), d.features, d.labels, g=3, seed=(5, 2))
-    for j, member in enumerate(committee.members):
+    for j, drawn in enumerate(committee.drawn):
         idx = np.random.default_rng((5, 2, j)).integers(0, 40, size=40)
-        np.testing.assert_array_equal(member.support, d.features[np.unique(idx)])
+        np.testing.assert_array_equal(committee.support[drawn], d.features[np.unique(idx)])
 
 
 def _pool(n, d, seed):
@@ -279,13 +283,13 @@ class TestOptimality:
         cfg = LearnerConfig(kernel=kernel)
         got = fit_committee(cfg, x, y, g=3, seed=seed)
         want = reference.fit_committee(cfg, x, y, g=3, seed=seed)
-        for member, ref in zip(got.members, want):
+        for j, ref in enumerate(want):
             # posteriors on the rows the member was fitted on, duplicates
             # included; off them, the frozen reference, whose Newton system
             # has a condition number of about cond(K)^2, ends up to 1e-4 off
             # the optimum at d <= 2
             np.testing.assert_allclose(
-                member.predict_proba(ref.support), ref.predict_proba(ref.support),
+                got.member_proba(ref.support)[j], ref.predict_proba(ref.support),
                 rtol=0, atol=1e-6,
             )
 
@@ -318,10 +322,10 @@ class TestWarmStart:
         margin = fit(cfg, x, y)
         got = fit_committee(cfg, x, y, g=3, seed=seed, init=(margin.dual_coeffs, margin.intercept))
         want = reference.fit_committee(cfg, x, y, g=3, seed=seed)
-        for member, ref in zip(got.members, want):
-            assert member.degenerate == ref.degenerate
+        for j, ref in enumerate(want):
+            assert got.degenerate[j] == ref.degenerate
             np.testing.assert_allclose(
-                member.predict_proba(ref.support), ref.predict_proba(ref.support),
+                got.member_proba(ref.support)[j], ref.predict_proba(ref.support),
                 rtol=0, atol=1e-6,
             )
 
@@ -376,12 +380,13 @@ class TestWarmStart:
         # predict its class at 0.99 as before
         x, y = np.array([[0.0], [2.0]]), np.array([-1, 1])
         committee = fit_committee(CFG, x, y, g=8, seed=3, init=(np.zeros(2), 0.0))
-        degenerate = [m for m in committee.members if m.degenerate]
-        assert degenerate and len(degenerate) < 8
-        for m in degenerate:
-            expected = 0.99 if m.degenerate_label == 1 else 0.01
-            assert m.n_iter == 0 and len(m.support) == 1
-            np.testing.assert_array_equal(m.predict_proba(x), expected)
+        degenerate = np.flatnonzero(committee.degenerate)
+        assert 0 < len(degenerate) < 8
+        probs = committee.member_proba(x)
+        for j in degenerate:
+            expected = 0.99 if committee.degenerate_label[j] == 1 else 0.01
+            assert committee.n_iter[j] == 0 and committee.drawn[j].sum() == 1
+            np.testing.assert_array_equal(probs[j], expected)
 
 
 def _newton_both(cfg, g, n, seed, start, spread=1.0):

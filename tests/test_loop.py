@@ -684,7 +684,7 @@ NATURAL = {
     "diversity": lambda i: _max_kernel_angle(
         i.cfg, i.pool.unlabeled_features, i.pool.labeled_features),
     "qbc": lambda i: np.array([
-        np.std([m.predict_proba(x[None, :])[0] for m in i.committee.members])
+        np.std(i.committee.member_proba(x[None, :])[:, 0])
         for x in i.pool.unlabeled_features
     ]),
     "ted": lambda i: np.abs(solve_ted(i.pool.data.features, lam=i.cfg.ted_lambda).Z)

@@ -10,8 +10,10 @@ Each output is a list of named text records:
   for every method, with default flags and with ``--no-truncate --n 3
   --tun2 1 --p 2``;
 * ``run-grid``: the files of a ``rankal run`` output directory, one record per
-  file, and its stdout with the output path masked.  The config runs five
-  methods over seeds 0-2 on the 600-sample blobs;
+  file, its stdout with the output path masked, and ``compare``: the stdout
+  of ``rankal compare`` on that directory against itself, with and without
+  ``--metric auc``.  The config runs five methods over seeds 0-2 on the
+  600-sample blobs;
 * ``acceptance-7``: the 20 traces of acceptance 7 (seeds 0-9, fused mc2 and
   random): picks and checkpoint records exact, weights written as the trace
   CSV writes them (``.10g``).
@@ -97,7 +99,8 @@ def run_records():
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), encoding="utf-8") as fh:
                 records.append((name, fh.read()))
-    return records + [("stdout", stdout)]
+        compare = "".join(_cli("compare", out, out, *flags) for flags in ([], ["--metric", "auc"]))
+    return records + [("stdout", stdout), ("compare", compare)]
 
 
 def trace_text(trace):
