@@ -99,7 +99,9 @@ def paired_t_test(a, b, alpha=0.05) -> PairedTestResult:
 
     'win' means a is significantly larger, 'loss' significantly smaller.
     Zero-variance differences short-circuit: equal means tie, otherwise the
-    sign decides.  ``a`` and ``b`` are equal-length finite vectors, n >= 2.
+    sign decides.  ``a`` and ``b`` are equal-length finite vectors, n >= 2,
+    whose differences a - b have a finite mean and standard deviation in
+    float64 (else ValueError: an overflowed statistic gives no verdict).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -107,9 +109,12 @@ def paired_t_test(a, b, alpha=0.05) -> PairedTestResult:
         raise ValueError("need two equal-length vectors with n >= 2")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("a and b must be finite")
-    d = a - b
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        d = a - b
+        mean = float(d.mean())
+        sd = float(d.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError("a - b overflows: its mean or standard deviation is not finite")
     n = len(d)
     if sd == 0.0:
         if mean == 0.0:

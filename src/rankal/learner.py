@@ -57,8 +57,10 @@ column per labeled sample (see ``rankal.loop``).
 ``fit`` and ``fit_committee`` share one solve, ``_fit_rows``, over a count
 matrix with one row per problem.  Its one one-class rule: a row whose
 samples with a positive count hold a single class is that class's
-degenerate model (``degenerate_label``), predicting it at 0.99, and stays
-out of the stack that goes to ``_newton``, which has no other caller.
+degenerate model (``degenerate_label``), predicting it at 0.99, and a row
+with no positive count (only a committee member draws one) is the zero
+model, predicting 0.5; both stay out of the stack that goes to
+``_newton``, which has no other caller.
 
 Posteriors have one rule too, ``_proba`` over stacked fitted rows: kernel,
 sigmoid, clamp to [PROB_CLAMP, 1 - PROB_CLAMP], and 0.99 for a degenerate
@@ -67,22 +69,30 @@ row's class.  ``Model.predict_proba`` is its one-row case and
 is +1) is made only in ``posterior``, which ``Model.predict`` and the
 query loop's checkpoint evaluation call.
 
-Committees are built by bootstrap bagging with per-member RNG streams
-derived from (seed, member).  Every member is solved on the whole labeled
-set with its draw counts as weights (0 for undrawn rows), so all members
-share one K and one starting point, and they are solved together: one Newton
-on a stack of (n+1, n+1) systems, each row with its own line search, leaving
-the running set when its own stop rule fires.  Row 0 is the margin problem,
-count 1 on every row, and comes back as ``Committee.model``, so a query step
-that needs both the margin fit and the committee makes one Newton call;
-every row starts from the same ``init`` (in the query loop, the previous fit
-padded with 0).  Warm-started on the bundled blobs at 10-90 labels (2 vCPUs,
-one BLAS thread), five members solve 1.5-2.5x faster in one stack than one
-by one.  The ``Committee`` keeps the members stacked: one (g, n_labeled)
-coefficient matrix over the shared labeled support with exact zeros at each
-member's undrawn rows (their optimum), the intercepts, and the class of each
-member whose draws hold a single class (it predicts that class at 0.99), so
-all member posteriors are one kernel and one matrix product.
+Committees are built by online bagging (Oza & Russell, "Online Bagging and
+Boosting", AISTATS 2001): each labeled row gets one Poisson(1) draw count
+per member, read in row order from one stream, so a row's counts depend only
+on the seed and its position in the labeled order.  For large n this
+matches Breiman's bootstrap, and a labeled set that grows by appending keeps
+every earlier row's counts: a member's last fit, padded with 0 for the new
+rows, is a start one row away from its next problem.  A member that drew no
+row (probability e^-n) is the zero model, which predicts 0.5.  Every member
+is solved on the whole labeled set with its draw counts as weights (0 for
+undrawn rows), so all members share one K, and they are solved together:
+one Newton on a stack of (n+1, n+1) systems, each row with its own line
+search, leaving the running set when its own stop rule fires.  Row 0 is the
+margin problem, count 1 on every row, and comes back as
+``Committee.model``, so a query step that needs both the margin fit and the
+committee makes one Newton call.  ``init`` is one start for every row or
+one per row; the query loop starts row 0 from its latest fit and each
+member from its own last fit, padded with 0.  Warm-started on the bundled
+blobs at 10-90 labels (2 vCPUs, one BLAS thread), five members solve
+1.5-2.5x faster in one stack than one by one.  The ``Committee`` keeps the
+members stacked: one (g, n_labeled) coefficient matrix over the shared
+labeled support with exact zeros at each member's undrawn rows (their
+optimum), the intercepts, and the class of each member whose draws hold a
+single class (it predicts that class at 0.99), so all member posteriors are
+one kernel and one matrix product.
 
 Arguments are checked by the rules of ``rankal.checks``: ``LearnerConfig``
 its kernel name with ``check_choice`` and ``gamma``, ``reg`` and ``tol``
@@ -325,23 +335,32 @@ def _newton(config, k, target, counts, alpha, intercept):
     return alpha, intercept, n_iter, converged
 
 
-def _start(init, g, n):
-    """(g, n) starting alphas and (g,) intercepts: zero, or ``init`` repeated."""
+def _start(init, m, n):
+    """(m, n) starting alphas and (m,) intercepts: zero, ``init`` repeated, or ``init``.
+
+    ``init`` is one start for every row, an (n,) alpha and a scalar
+    intercept, or one start per row, an (m, n) alpha and (m,) intercepts.
+    """
     if init is None:
-        return np.zeros((g, n)), np.zeros(g)
-    alpha = np.asarray(init[0], dtype=float)
-    if alpha.shape != (n,):
-        raise ValueError(f"init alpha must have shape ({n},), got {alpha.shape}")
-    return np.tile(alpha, (g, 1)), np.full(g, float(init[1]))
+        return np.zeros((m, n)), np.zeros(m)
+    alpha, intercept = np.asarray(init[0], dtype=float), np.asarray(init[1], dtype=float)
+    if alpha.shape == (n,) and intercept.shape == ():
+        return np.tile(alpha, (m, 1)), np.full(m, float(intercept))
+    if alpha.shape == (m, n) and intercept.shape == (m,):
+        return alpha, intercept
+    raise ValueError(f"init alpha must have shape ({n},) with one intercept, or ({m}, {n}) "
+                     f"with {m} intercepts; got {alpha.shape} and {intercept.shape}")
 
 
 def _fit_rows(config, features, labels, counts, init, gram):
     """Fit one problem per row of the (m, n) ``counts`` over one labeled set.
 
     A row whose samples with a positive count hold one class is that class's
-    degenerate model (alpha and intercept 0); one ``_newton`` stack solves the
-    others from ``init`` on K = ``gram``.  Returns x and, per row, alpha,
-    intercept, Newton steps, converged flag and label (0 for a solved row).
+    degenerate model, and a row with no positive count the zero model (both
+    alpha and intercept 0, no Newton step); one ``_newton`` stack solves the
+    others from ``init`` (see ``_start``) on K = ``gram``.  Returns x and,
+    per row, alpha, intercept, Newton steps, converged flag and label (0 for
+    a solved row and for the zero model).
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=int)
@@ -353,14 +372,14 @@ def _fit_rows(config, features, labels, counts, init, gram):
     seen = counts > 0
     hi, lo = np.where(seen, y, -1).max(axis=1), np.where(seen, y, 1).min(axis=1)
     label = np.where(hi == lo, hi, 0)  # labels are -1 and +1
-    live = np.flatnonzero(label == 0)
-    start = _start(init, len(live), n)
+    live = np.flatnonzero((label == 0) & seen.any(axis=1))
+    start_alpha, start_intercept = _start(init, m, n)
     alpha, intercept = np.zeros((m, n)), np.zeros(m)
     n_iter, converged = np.zeros(m, dtype=int), np.ones(m, dtype=bool)
     if len(live):
         k = _cross_kernel(config, x, x, gram)
         alpha[live], intercept[live], n_iter[live], converged[live] = _newton(
-            config, k, (y + 1) / 2.0, counts[live], *start)
+            config, k, (y + 1) / 2.0, counts[live], start_alpha[live], start_intercept[live])
     return x, alpha, intercept, n_iter, converged, label
 
 
@@ -401,7 +420,8 @@ class Committee:
     ``intercepts`` and ``degenerate_label``: a nonzero ``degenerate_label[j]``
     means its draws held that one class.  ``coeffs[j]`` is 0 at the rows
     member j did not draw (``drawn[j]`` is False) and everywhere for a
-    degenerate member.
+    degenerate member and for a member that drew no row, whose intercept is
+    0 too: it predicts 0.5 everywhere.
     """
 
     config: LearnerConfig
@@ -428,34 +448,42 @@ class Committee:
                       self.degenerate_label)
 
 
-def _bootstrap_counts(n, g, seed):
-    """(g, n) draw counts: member j resamples n rows with the stream (*seed, j)."""
-    base = (seed,) if np.isscalar(seed) else tuple(seed)
-    return np.array([
-        np.bincount(np.random.default_rng(base + (j,)).integers(0, n, size=n), minlength=n)
-        for j in range(g)
-    ], dtype=float)
+def _draw_counts(n, g, seed):
+    """(g, n) online-bagging counts: Poisson(1) draws from the one stream ``seed``.
+
+    Row i of the labeled set takes the stream's i-th g draws, one per
+    member, so the counts of the first n rows are the same for every longer
+    labeled set.
+    """
+    return np.random.default_rng(seed).poisson(1.0, size=(n, g)).T.astype(float)
 
 
 def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0, *,
                   init=None, gram=None) -> Committee:
-    """Train g models on size-n bootstrap resamples of the labeled set.
+    """Train g models on online-bagging draws of the labeled set.
 
-    ``seed`` may be an int or a sequence; member j resamples with the stream
-    seeded by (*seed, j), so committees are reproducible per member.  Every
-    member is solved on the whole labeled set with its draw counts as
-    weights (0 for undrawn rows).  The same stacked Newton solves, as its
-    row 0, the problem with count 1 on every row: ``fit``'s problem, whose
-    solution is ``Committee.model``.  All rows share K (``gram``, if the
-    caller already has it) and start from ``init`` = (alpha, intercept) over
-    the labeled set, if given.  The undrawn rows' coefficients, zero at the
-    optimum, are set to exactly 0.  A member whose draws hold one class is
-    the degenerate model of that class, and so is ``model`` for a one-class
-    labeled set; their rows stay out of the stack.
+    Each labeled row gets one Poisson(1) count per member from the one
+    stream seeded by ``seed`` (an int or a sequence of ints), row i taking
+    the stream's i-th g draws: the counts of a row depend only on the seed
+    and its position, so a labeled set that grows by appending keeps every
+    earlier row's counts (Oza & Russell, 2001).  Every member is solved on
+    the whole labeled set with its counts as weights (0 for undrawn rows).
+    The same stacked Newton solves, as its row 0, the problem with count 1
+    on every row: ``fit``'s problem, whose solution is ``Committee.model``.
+    All rows share K (``gram``, if the caller already has it).  ``init``
+    starts Newton at one (alpha, intercept) over the labeled set for every
+    row, or at one start per stacked row: (g + 1, n) alphas and (g + 1,)
+    intercepts, row 0 the margin problem's.  The undrawn rows'
+    coefficients, zero at the optimum, are set to exactly 0.  A member whose
+    draws hold one class is the degenerate model of that class, and so is
+    ``model`` for a one-class labeled set; a member that drew no row (each
+    does with probability e^-n) is the zero model, alpha and intercept 0,
+    which predicts 0.5 everywhere: with every count 0 its objective is the
+    penalty alone.  Neither kind of row goes into the stack.
     """
     check_int("g", g, 2)
     n = len(labels)
-    counts = _bootstrap_counts(n, g, seed)
+    counts = _draw_counts(n, g, seed)
     x, alpha, intercept, n_iter, converged, label = _fit_rows(
         config, features, labels, np.concatenate([np.ones((1, n)), counts]), init, gram)
     drawn = counts > 0

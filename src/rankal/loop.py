@@ -50,7 +50,10 @@ margin, diversity and qbc scorers take its unlabeled rows.  Every fit starts
 Newton from the latest fit's coefficients padded with 0 for the new rows.
 When the criteria need the committee, its members (solved on the same
 labeled set, undrawn rows weighing 0) and the margin problem share one
-stacked Newton, and its margin model becomes the latest fit; otherwise the
+stacked Newton, and its margin model becomes the latest fit.  The members'
+draw counts come from one stream per run, ``(seed, 3)``, so a labeled row
+keeps its counts as the set grows (online bagging, see ``rankal.learner``),
+and each member starts from its own last fit, padded with 0.  Otherwise the
 margin fit is ``WarmStart.fit``, which reuses a fit on an unchanged labeled
 set (a checkpoint fit, then the next margin fit) as it is.  The step
 functions take the state as ``warm``; a step called without it uses a
@@ -224,7 +227,7 @@ def pool_ted_scores(pool: PoolState, cfg: ALConfig):
 
 
 class WarmStart:
-    """One run's kernel block and latest fit, kept up to date with its labeled set.
+    """One run's kernel block, latest fit and latest committee, kept up to date.
 
     The block is the n_pool x n_labeled kernel between every pool row and
     the labeled rows, in ``labeled_idx`` order: the view ``buf[:, :n_labeled]``
@@ -233,11 +236,12 @@ class WarmStart:
     block up to date costs one ``kernel_matrix`` call for the rows labeled
     since, written into the buffer in place, and the latest fit's dual
     coefficients, padded with 0 for those rows, start the next fit's Newton
-    solve; a fit asked for on an unchanged labeled set (the checkpoint fit,
-    then the next margin fit) is returned as it is.  A labeled set that does
-    not extend the last one, another pool or another learner config starts a
-    new buffer and fits cold.  Holds no randomness, so a seeded run stays
-    deterministic.
+    solve, and the latest committee's members start the next committee's
+    (``committee_start``); a fit asked for on an unchanged labeled set (the
+    checkpoint fit, then the next margin fit) is returned as it is.  A
+    labeled set that does not extend the last one, another pool or another
+    learner config starts a new buffer and fits cold.  Holds no randomness,
+    so a seeded run stays deterministic.
     """
 
     def __init__(self):
@@ -246,6 +250,7 @@ class WarmStart:
         self.labeled_idx = np.empty(0, dtype=int)
         self.buf = None
         self.model = None
+        self.committee = None
 
     def kernel(self, pool: PoolState, config: LearnerConfig):
         """The kernel block between the pool and ``pool``'s labeled rows."""
@@ -254,7 +259,7 @@ class WarmStart:
         # learner.kernel_matrix, looked up per call, is the name a tracer wraps
         if not (pool.data is self.data and config == self.config
                 and np.array_equal(idx[:m], self.labeled_idx)):
-            self.data, self.config, self.model = pool.data, config, None
+            self.data, self.config, self.model, self.committee = pool.data, config, None, None
             self.buf = learner.kernel_matrix(config, x, x[idx])
         elif len(idx) > m:
             new = learner.kernel_matrix(config, x, x[idx[m:]])
@@ -274,6 +279,21 @@ class WarmStart:
         alpha = np.zeros(n)
         alpha[:len(model.dual_coeffs)] = model.dual_coeffs
         return alpha, model.intercept
+
+    def committee_start(self, n, g):
+        """Per-row starts for a g-member committee stack on ``n`` rows; None if no fit.
+
+        Row 0, the margin problem, starts from the latest fit and member j
+        from member j of the latest committee, each padded with 0; without a
+        committee of g members every row starts from the latest fit.
+        """
+        start, committee = self.start(n), self.committee
+        if start is None or committee is None or len(committee.coeffs) != g:
+            return start
+        alpha = np.zeros((g + 1, n))
+        alpha[0] = start[0]
+        alpha[1:, :committee.coeffs.shape[1]] = committee.coeffs
+        return alpha, np.concatenate([[start[1]], committee.intercepts])
 
     def fit(self, pool: PoolState, cfg: ALConfig):
         """The model fitted on ``pool``'s labeled set."""
@@ -303,9 +323,10 @@ def _inputs(pool, cfg, ted_scores, warm=None):
         block = warm.kernel(pool, cfg.learner)
         kernel = block[pool.unlabeled_idx]
     if "committee" in needs:
-        committee = fit_committee(
-            cfg.learner, pool.labeled_features, pool.labeled_labels,
-            g=cfg.g, seed=(cfg.seed, pool.iteration), init=warm.start(pool.n_labeled),
+        # one draw stream per run: a labeled row keeps its counts as the set grows
+        committee = warm.committee = fit_committee(
+            cfg.learner, pool.labeled_features, pool.labeled_labels, g=cfg.g,
+            seed=(cfg.seed, 3), init=warm.committee_start(pool.n_labeled, cfg.g),
             gram=block[pool.labeled_idx],
         )
         model = warm.model = committee.model

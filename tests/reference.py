@@ -3,9 +3,11 @@
 * ``fit``: kernel logistic regression by damped Newton that stops only when
   ``max|step|`` on the dual coefficients falls below ``config.tol``, capped
   at 50 steps, with every sample weighted equally.
-* ``fit_committee``: each bagged member fits its bootstrap resample with the
-  duplicate rows kept, from the same (seed, member) streams as the library;
-  returns the tuple of member models.
+* ``fit_committee``: each bagged member fits the labeled set with row i
+  repeated ``counts[j, i]`` times, the counts being the library's
+  online-bagging draws (row i takes the i-th g Poisson(1) draws of the one
+  stream ``seed``); a member that drew no row is the zero model (alpha and
+  intercept 0) on an empty support.  Returns the tuple of member models.
 * ``newton``: the stacked damped Newton of ``rankal.learner._newton`` as it
   was before its running rows were kept compact: every iteration gathers the
   active rows from the (g, n) arrays and scatters each trial point back.
@@ -107,11 +109,12 @@ def fit(config: LearnerConfig, features, labels) -> Model:
 def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0) -> tuple:
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=int)
-    base = (seed,) if np.isscalar(seed) else tuple(seed)
+    counts = np.random.default_rng(seed).poisson(1.0, size=(len(x), g)).T
     members = []
-    for j in range(g):
-        idx = np.random.default_rng(base + (j,)).integers(0, len(x), size=len(x))
-        members.append(fit(config, x[idx], y[idx]))
+    for c in counts:
+        idx = np.repeat(np.arange(len(x)), c)
+        members.append(fit(config, x[idx], y[idx]) if len(idx) else Model(
+            config=config, support=x[idx], dual_coeffs=np.zeros(0), intercept=0.0))
     return tuple(members)
 
 

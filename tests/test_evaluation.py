@@ -150,6 +150,15 @@ class TestPairedT:
             with pytest.raises(ValueError, match="a and b must be finite"):
                 paired_t_test(a, b)
 
+    @pytest.mark.parametrize("a, b", [
+        ([1.5e308, 1e308, 0.0], [0.0, 0.0, 0.0]),  # the mean of a - b overflows
+        ([1e308, 1e308, 0.0], [-1e308, 0.0, 0.0]),  # a - b itself overflows
+        ([1e308, -1e308, 0.0], [0.0, 0.0, 0.0]),  # finite mean, overflowing spread
+    ])
+    def test_overflowing_differences_rejected(self, a, b):
+        with pytest.raises(ValueError, match="a - b overflows"):
+            paired_t_test(a, b)
+
     @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")  # scipy's note
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),

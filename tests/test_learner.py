@@ -219,11 +219,16 @@ def test_member_views_match_the_stacked_posteriors(n, d, seed, n_pos, kernel):
 
 
 def test_members_fit_their_unique_draws():
+    # member j weighs row i by entry j of the i-th g Poisson(1) draws of one stream
     d = make_two_blobs(n=40, seed=13)
-    committee = fit_committee(LearnerConfig(), d.features, d.labels, g=3, seed=(5, 2))
-    for j, drawn in enumerate(committee.drawn):
-        idx = np.random.default_rng((5, 2, j)).integers(0, 40, size=40)
-        np.testing.assert_array_equal(committee.support[drawn], d.features[np.unique(idx)])
+    cfg = LearnerConfig()
+    committee = fit_committee(cfg, d.features, d.labels, g=3, seed=(5, 2))
+    counts = np.random.default_rng((5, 2)).poisson(1.0, size=(40, 3)).T
+    np.testing.assert_array_equal(committee.drawn, counts > 0)
+    probs = committee.member_proba(d.features)
+    for j, c in enumerate(counts):
+        np.testing.assert_allclose(probs[j], fit(cfg, d.features, d.labels, c).predict_proba(
+            d.features), rtol=0, atol=1e-10)
 
 
 def _pool(n, d, seed):
@@ -337,8 +342,8 @@ class TestWarmStart:
         x, y, _ = _pool(n, d, seed)
         cfg = LearnerConfig(kernel=kernel)
         margin = fit(cfg, x, y)
-        counts = learner._bootstrap_counts(n, 5, seed)
-        two_class = [np.ptp(y[row > 0]) > 0 for row in counts]
+        counts = learner._draw_counts(n, 5, seed)
+        two_class = [len(np.unique(y[row > 0])) == 2 for row in counts]
         counts = counts[two_class]
         alpha, _, _, converged = learner._newton(
             cfg, kernel_matrix(cfg, x, x), (y + 1) / 2.0, counts,
@@ -374,9 +379,13 @@ class TestWarmStart:
             fit(CFG, x, y, init=(np.zeros(3), 0.0))
         with pytest.raises(ValueError, match="init alpha"):
             fit_committee(CFG, x, y, g=2, init=(np.zeros(1), 0.0))
+        # one start per stacked row: g + 1 rows, one intercept each
+        for alpha, intercepts in ((np.zeros((2, 2)), np.zeros(2)), (np.zeros((3, 2)), np.zeros(2))):
+            with pytest.raises(ValueError, match="init alpha"):
+                fit_committee(CFG, x, y, g=2, init=(alpha, intercepts))
 
     def test_one_class_draws_keep_the_degenerate_model(self):
-        # two labels, so some of 8 size-2 draws repeat one row: those members
+        # two labels, so some of 8 members draw only one of the rows: those
         # predict its class at 0.99 as before
         x, y = np.array([[0.0], [2.0]]), np.array([-1, 1])
         committee = fit_committee(CFG, x, y, g=8, seed=3, init=(np.zeros(2), 0.0))
@@ -387,6 +396,55 @@ class TestWarmStart:
             expected = 0.99 if committee.degenerate_label[j] == 1 else 0.01
             assert committee.n_iter[j] == 0 and committee.drawn[j].sum() == 1
             np.testing.assert_array_equal(probs[j], expected)
+
+    def test_member_without_draws_is_the_zero_model(self):
+        # each member draws nothing with probability e^-n; at n = 2 the first
+        # seed with such a member is small
+        x, y = np.array([[0.0], [2.0]]), np.array([-1, 1])
+        seed = next(s for s in range(1000) if (learner._draw_counts(2, 8, s).sum(axis=1) == 0).any())
+        committee = fit_committee(CFG, x, y, g=8, seed=seed, init=(np.zeros(2), 0.0))
+        empty = ~committee.drawn.any(axis=1)
+        assert 0 < empty.sum() < 8
+        assert np.all(committee.coeffs[empty] == 0.0) and np.all(committee.intercepts[empty] == 0.0)
+        assert np.all(committee.degenerate_label[empty] == 0)
+        assert np.all(committee.n_iter[empty] == 0) and committee.converged[empty].all()
+        grid = np.linspace(-3.0, 5.0, 9)[:, None]
+        np.testing.assert_array_equal(committee.member_proba(grid)[empty], 0.5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**pools)
+    def test_committee_started_per_row_matches_cold(self, n, d, seed, kernel):
+        x, y, _ = _pool(n, d, seed)
+        cfg = LearnerConfig(kernel=kernel)
+        cold = fit_committee(cfg, x, y, g=3, seed=seed)
+        # the committee on all rows but the last few, padded with 0, as the loop does
+        head = fit_committee(cfg, x[: n - 3], y[: n - 3], g=3, seed=seed)
+        alpha = np.zeros((4, n))
+        alpha[0, : n - 3], alpha[1:, : n - 3] = head.model.dual_coeffs, head.coeffs
+        intercepts = np.concatenate([[head.model.intercept], head.intercepts])
+        warm = fit_committee(cfg, x, y, g=3, seed=seed, init=(alpha, intercepts))
+        np.testing.assert_array_equal(warm.drawn[:, : n - 3], head.drawn)
+        assert warm.converged.all() and warm.n_iter.max() <= 15
+        grid = np.random.default_rng(seed).normal(size=(20, d))
+        for points in (x, grid):
+            np.testing.assert_allclose(
+                warm.member_proba(points), cold.member_proba(points), rtol=0, atol=1e-6
+            )
+            np.testing.assert_allclose(
+                warm.model.predict_proba(points), cold.model.predict_proba(points),
+                rtol=0, atol=1e-6,
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 60), extra=st.integers(1, 60), g=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), run=st.integers(0, 2**16))
+def test_draw_counts_are_prefix_stable(n, extra, g, seed, run):
+    # a labeled row keeps its counts however many rows are labeled after it
+    short = learner._draw_counts(n, g, (seed, run))
+    longer = learner._draw_counts(n + extra, g, (seed, run))
+    assert short.shape == (g, n) and longer.shape == (g, n + extra)
+    np.testing.assert_array_equal(longer[:, :n], short)
 
 
 def _newton_both(cfg, g, n, seed, start, spread=1.0):
