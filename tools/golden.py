@@ -16,7 +16,10 @@ Each output is a list of named text records:
   600-sample blobs;
 * ``acceptance-7``: the 20 traces of acceptance 7 (seeds 0-9, fused mc2 and
   random): picks and checkpoint records exact, weights written as the trace
-  CSV writes them (``.10g``).
+  CSV writes them (``.10g``); then, per trace, ``seed<k> <arm> fits``: one
+  line per fit of that run, its labeled count and the Newton steps of each
+  stacked row (the margin row, then each member), logged by wrapping
+  ``rankal.loop.fit`` and ``rankal.loop.fit_committee`` during the run.
 
 A record's digest is the sha256 of its text; an output's digest is the
 sha256 of its records' names and digests, in order.  ``tests/golden.json``
@@ -116,13 +119,42 @@ def trace_text(trace):
     return "\n".join(lines) + "\n"
 
 
+def fit_line(name, fitted):
+    """``<name> n=<labeled> steps=<margin row> [<member> ...]`` for one fit's result."""
+    rows = [fitted.n_iter] if name == "fit" else [fitted.model.n_iter, *fitted.n_iter]
+    return f"{name} n={len(fitted.support)} steps={' '.join(str(int(r)) for r in rows)}"
+
+
+@contextlib.contextmanager
+def logged_fits():
+    """Logs ``fit_line`` of every ``rankal.loop.fit`` and ``fit_committee`` call, in order."""
+    from rankal import loop
+
+    lines, saved = [], {name: loop.__dict__[name] for name in ("fit", "fit_committee")}
+
+    def logging(name, real):
+        def call(*args, **kwargs):
+            fitted = real(*args, **kwargs)
+            lines.append(fit_line(name, fitted))
+            return fitted
+        return call
+
+    for name, real in saved.items():
+        setattr(loop, name, logging(name, real))
+    try:
+        yield lines
+    finally:
+        for name, real in saved.items():
+            setattr(loop, name, real)
+
+
 def acceptance7_records():
     from rankal.data import SplitSpec, benchmark_blobs, normalize_features, split_pool
     from rankal.loop import ALConfig, run_active_learning
 
     dataset = normalize_features(benchmark_blobs(seed=0))
     checkpoints = (0.1, 0.2, 0.3)
-    records = []
+    records, fits = [], []
     for seed in range(10):
         test, pool = split_pool(dataset, SplitSpec(0.5, 1000 + seed))
         arms = {
@@ -132,9 +164,11 @@ def acceptance7_records():
                                checkpoints=checkpoints, seed=seed),
         }
         for arm, cfg in arms.items():
-            records.append((f"seed{seed} {arm}",
-                            trace_text(run_active_learning(pool, test, cfg))))
-    return records
+            with logged_fits() as lines:
+                records.append((f"seed{seed} {arm}",
+                                trace_text(run_active_learning(pool, test, cfg))))
+            fits.append((f"seed{seed} {arm} fits", "\n".join(lines) + "\n"))
+    return records + fits
 
 
 OUTPUTS = {
