@@ -153,11 +153,13 @@ def _preference(r, w, finish):
 
 
 def _ranking(order, scores, ids):
-    """AggregatedRanking for sample positions ``order`` (best first)."""
+    """AggregatedRanking for sample positions ``order`` (best first); one id per sample."""
     n = len(order)
     ranks = np.empty(n, dtype=int)
     ranks[order] = np.arange(1, n + 1)
     sample_ids = np.arange(n) if ids is None else np.asarray(ids)
+    if len(sample_ids) != n:
+        raise ValueError(f"ids must give one id per sample: {n} samples, {len(sample_ids)} ids")
     return AggregatedRanking(ids=sample_ids[order], scores=scores, ranks=ranks)
 
 

@@ -341,13 +341,15 @@ def normalize_features(d: Dataset, stats_from: Dataset | None = None) -> Dataset
 
 
 def split_pool(d: Dataset, spec: SplitSpec):
-    """Split into a held-out test set and an all-unlabeled pool."""
+    """Split into a held-out test set and an all-unlabeled pool, neither empty."""
     n = len(d)
-    if n < 2:
-        raise ValueError("need at least 2 samples to split")
+    n_test = int(round(spec.test_fraction * n))
+    if n_test in (0, n):
+        side = "test set" if n_test == 0 else "pool"
+        raise ValueError(f"test_fraction {spec.test_fraction:g} of n={n} samples "
+                         f"leaves the {side} empty")
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
-    n_test = int(round(spec.test_fraction * n))
     test_idx = np.sort(perm[:n_test])
     pool_idx = np.sort(perm[n_test:])
     test = d.take(test_idx)

@@ -360,14 +360,18 @@ def _fit_rows(config, features, labels, counts, init, gram):
     alpha and intercept 0, no Newton step); one ``_newton`` stack solves the
     others from ``init`` (see ``_start``) on K = ``gram``.  Returns x and,
     per row, alpha, intercept, Newton steps, converged flag and label (0 for
-    a solved row and for the zero model).
+    a solved row and for the zero model).  A label other than -1 or +1 is a
+    ValueError.
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(labels, dtype=int)
+    y = np.asarray(labels)
     if len(y) == 0:
         raise ValueError("cannot fit on an empty labeled set")
     if len(x) != len(y):
         raise ValueError(f"features has {len(x)} rows but labels has {len(y)}")
+    if (np.abs(y) != 1).any():
+        raise ValueError("labels must each be -1 or +1")
+    y = y.astype(int, copy=False)
     m, n = counts.shape
     seen = counts > 0
     hi, lo = np.where(seen, y, -1).max(axis=1), np.where(seen, y, 1).min(axis=1)
@@ -391,7 +395,7 @@ def _model(config, x, alpha, intercept, n_iter, converged, label):
 
 def fit(config: LearnerConfig, features, labels, counts=None, *, init=None,
         gram=None) -> Model:
-    """Train kernel logistic regression on labels in {-1,+1}.
+    """Train kernel logistic regression on labels in {-1,+1}; any other label is a ValueError.
 
     ``counts`` (default all ones) weights each sample's loss term: one
     finite, non-negative count per row, not all zero, else ValueError.

@@ -41,25 +41,26 @@ computes them once with ``pool_ted_scores`` and passes them in.  The solve itsel
 feature-space span of the pool (see ``criteria.solve_ted``).
 
 Each run keeps one ``WarmStart``: the kernel between every pool row and the
-labeled rows, and the latest fit on the labeled set.  The block is a view of
-a buffer whose column capacity doubles as the labeled set grows.  The loop
-only appends labeled rows, so after each ``oracle_label`` the new rows'
-columns come from one ``kernel_matrix`` call, written into the buffer in
-place; the fits take their Gram matrix as the block's labeled rows, and the
-margin, diversity and qbc scorers take its unlabeled rows.  Every fit starts
-Newton from the latest fit's coefficients padded with 0 for the new rows.
-When the criteria need the committee, its members (solved on the same
-labeled set, undrawn rows weighing 0) and the margin problem share one
-stacked Newton, and its margin model becomes the latest fit.  The members'
-draw counts come from one stream per run, ``(seed, 3)``, so a labeled row
-keeps its counts as the set grows (online bagging, see ``rankal.learner``),
-and each member starts from its own last fit, padded with 0.  Otherwise the
-margin fit is ``WarmStart.fit``, which reuses a fit on an unchanged labeled
-set (a checkpoint fit, then the next margin fit) as it is.  The step
-functions take the state as ``warm``; a step called without it uses a
-throwaway one, so every fit in that step is cold.  The optimum of each fit
-is unchanged and the cached kernel entries differ from recomputed ones only
-by round-off, so picks move only at near-ties.
+labeled rows, and the latest fit and committee on the labeled set.  The
+block is a view of a buffer whose column capacity doubles as the labeled set
+grows.  The loop only appends labeled rows, so after each ``oracle_label``
+the new rows' columns come from one ``kernel_matrix`` call, written into the
+buffer in place; the fits take their Gram matrix as the block's labeled rows,
+and the margin, diversity and qbc scorers take its unlabeled rows.  Every fit
+of a run, margin, committee or checkpoint, is one call of ``WarmStart.fit``,
+which alone decides reuse and builds each Newton start.  When the criteria
+need the committee, its members (solved on the same labeled set, undrawn
+rows weighing 0) and the margin problem share one stacked Newton, and its
+margin model becomes the latest fit.  The members' draw counts come from one
+stream per run, ``(seed, 3)``, so a labeled row keeps its counts as the set
+grows (online bagging, see ``rankal.learner``).  The margin row starts from
+the latest fit and each member from its own last fit, padded with 0 for the
+new rows; a margin-only fit on an unchanged labeled set (a checkpoint fit,
+then the next margin fit) is reused as it is.  The step functions take the
+state as ``warm``; a step called without it uses a throwaway one, so every
+fit in that step is cold.  The optimum of each fit is unchanged and the
+cached kernel entries differ from recomputed ones only by round-off, so
+picks move only at near-ties.
 """
 
 from __future__ import annotations
@@ -234,14 +235,11 @@ class WarmStart:
     of a buffer whose column capacity doubles whenever the labeled set
     outgrows it.  The loop only appends to ``labeled_idx``, so bringing the
     block up to date costs one ``kernel_matrix`` call for the rows labeled
-    since, written into the buffer in place, and the latest fit's dual
-    coefficients, padded with 0 for those rows, start the next fit's Newton
-    solve, and the latest committee's members start the next committee's
-    (``committee_start``); a fit asked for on an unchanged labeled set (the
-    checkpoint fit, then the next margin fit) is returned as it is.  A
-    labeled set that does not extend the last one, another pool or another
-    learner config starts a new buffer and fits cold.  Holds no randomness,
-    so a seeded run stays deterministic.
+    since, written into the buffer in place.  ``fit`` makes every fit of the
+    run from the block's labeled rows, warm-started from the latest fit and
+    committee.  A labeled set that does not extend the last one, another
+    pool or another learner config starts a new buffer and fits cold.  Holds
+    no randomness, so a seeded run stays deterministic.
     """
 
     def __init__(self):
@@ -271,38 +269,37 @@ class WarmStart:
         self.labeled_idx = idx
         return self.buf[:, :len(idx)]
 
-    def start(self, n):
-        """The latest fit's (alpha, intercept) padded with 0 to ``n`` rows; None if none."""
-        model = self.model
-        if model is None:
-            return None
-        alpha = np.zeros(n)
-        alpha[:len(model.dual_coeffs)] = model.dual_coeffs
-        return alpha, model.intercept
+    def fit(self, pool: PoolState, cfg: ALConfig, g=0):
+        """The model fitted on ``pool``'s labeled set; with ``g``, also a g-member committee.
 
-    def committee_start(self, n, g):
-        """Per-row starts for a g-member committee stack on ``n`` rows; None if no fit.
-
-        Row 0, the margin problem, starts from the latest fit and member j
-        from member j of the latest committee, each padded with 0; without a
-        committee of g members every row starts from the latest fit.
+        With ``g`` one stacked Newton solves the margin problem and the
+        committee (``fit_committee``, draws from the run's one stream
+        ``(cfg.seed, 3)``), kept as ``self.committee``; its margin model
+        is returned.  Without, a fit on an unchanged labeled set is returned
+        as it is.  Row 0 starts from the latest fit, member j from member j
+        of the latest g-member committee (else from the latest fit), each
+        padded with 0; with no fit yet every row starts cold.
         """
-        start, committee = self.start(n), self.committee
-        if start is None or committee is None or len(committee.coeffs) != g:
-            return start
-        alpha = np.zeros((g + 1, n))
-        alpha[0] = start[0]
-        alpha[1:, :committee.coeffs.shape[1]] = committee.coeffs
-        return alpha, np.concatenate([[start[1]], committee.intercepts])
-
-    def fit(self, pool: PoolState, cfg: ALConfig):
-        """The model fitted on ``pool``'s labeled set."""
         block = self.kernel(pool, cfg.learner)
-        n, model = pool.n_labeled, self.model
-        if model is not None and len(model.dual_coeffs) == n:
+        n, model, committee = pool.n_labeled, self.model, self.committee
+        if not g and model is not None and len(model.dual_coeffs) == n:
             return model
-        self.model = fit(cfg.learner, pool.labeled_features, pool.labeled_labels,
-                         init=self.start(n), gram=block[pool.labeled_idx])
+        init = None
+        if model is not None:
+            alpha, intercept = np.zeros((g + 1, n)), np.full(g + 1, model.intercept)
+            own = g and committee is not None and len(committee.coeffs) == g
+            alpha[:1 if own else None, :len(model.dual_coeffs)] = model.dual_coeffs
+            if own:
+                alpha[1:, :committee.coeffs.shape[1]] = committee.coeffs
+                intercept[1:] = committee.intercepts
+            init = alpha, intercept
+        args = cfg.learner, pool.labeled_features, pool.labeled_labels
+        if g:
+            self.committee = fit_committee(*args, g=g, seed=(cfg.seed, 3), init=init,
+                                           gram=block[pool.labeled_idx])
+            self.model = self.committee.model
+        else:
+            self.model = fit(*args, init=init, gram=block[pool.labeled_idx])
         return self.model
 
 
@@ -310,28 +307,18 @@ def _inputs(pool, cfg, ted_scores, warm=None):
     """The scorers' inputs: the fits and the kernel that the configured criteria need.
 
     ``warm`` is the run's ``WarmStart``; without one a throwaway one is
-    used.  When a criterion needs the committee, one stacked Newton solves
-    its members and the margin problem (``Committee.model``), which becomes
-    the run's latest fit; otherwise the margin model, if a criterion needs
-    it, is ``WarmStart.fit``.  ``kernel`` is the block's unlabeled rows, or
-    None when no criterion reads the kernel or a fit.
+    used.  The fits are one ``WarmStart.fit``, with the committee when a
+    criterion needs it.  ``kernel`` is the block's unlabeled rows, or None
+    when no criterion reads the kernel or a fit.
     """
     warm = WarmStart() if warm is None else warm
     needs = {CRITERIA[name].needs for name in cfg.criteria}
     model = committee = kernel = None
     if needs & {"model", "committee", "kernel"}:
-        block = warm.kernel(pool, cfg.learner)
-        kernel = block[pool.unlabeled_idx]
-    if "committee" in needs:
-        # one draw stream per run: a labeled row keeps its counts as the set grows
-        committee = warm.committee = fit_committee(
-            cfg.learner, pool.labeled_features, pool.labeled_labels, g=cfg.g,
-            seed=(cfg.seed, 3), init=warm.committee_start(pool.n_labeled, cfg.g),
-            gram=block[pool.labeled_idx],
-        )
-        model = warm.model = committee.model
-    elif "model" in needs:
-        model = warm.fit(pool, cfg)
+        kernel = warm.kernel(pool, cfg.learner)[pool.unlabeled_idx]
+    if needs & {"model", "committee"}:
+        model = warm.fit(pool, cfg, cfg.g if "committee" in needs else 0)
+        committee = warm.committee if "committee" in needs else None
     return SimpleNamespace(pool=pool, cfg=cfg, model=model, committee=committee,
                            kernel=kernel, ted=ted_scores)
 
@@ -458,15 +445,6 @@ def initial_batch(pool: PoolState, cfg: ALConfig, ted_scores) -> PoolState:
     return state
 
 
-def _evaluate(pool: PoolState, test: Dataset, cfg: ALConfig, warm: WarmStart):
-    p_pos, preds, _ = posterior(warm.fit(pool, cfg), test.features)
-    return (
-        accuracy(preds, test.labels),
-        f1(preds, test.labels),
-        auc(p_pos, test.labels),
-    )
-
-
 def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
                         ted_scores=None) -> RunTrace:
     """Run one seeded query loop to the budget; returns the full trace.
@@ -478,34 +456,25 @@ def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
         ted_scores = pool_ted_scores(pool, cfg)
     n_pool = len(pool.data)
     target = math.ceil(cfg.budget * n_pool)
+    cp_counts = [math.ceil(f * n_pool) for f in cfg.checkpoints]
     state = initial_batch(pool, cfg, ted_scores)
     warm = WarmStart()
-
-    iterations = []
-    cp_records = []
-    next_cp = 0
-
-    def note_checkpoints(state):
-        nonlocal next_cp
-        while next_cp < len(cfg.checkpoints) and state.n_labeled >= math.ceil(
-            cfg.checkpoints[next_cp] * n_pool
-        ):
-            acc, f1v, aucv = _evaluate(state, test, cfg, warm)
-            cp_records.append(
-                CheckpointRecord(
-                    fraction=cfg.checkpoints[next_cp],
-                    n_labeled=state.n_labeled,
-                    accuracy=acc, f1=f1v, auc=aucv,
-                )
-            )
-            next_cp += 1
-
-    note_checkpoints(state)
+    iterations, cp_records = [], []
     # looked up once per run, through the module's names, so that a wrapper
     # installed on one of them (as the benchmark's tracer does) takes effect
     step = {"fused": fused_step, "serial": serial_step, "parallel": parallel_step,
             "random": random_step}[cfg.strategy]
-    while state.n_labeled < target and state.n_unlabeled > 0:
+    while True:
+        # evaluate every checkpoint the labeled count has reached
+        while len(cp_records) < len(cp_counts) and state.n_labeled >= cp_counts[len(cp_records)]:
+            p_pos, preds, _ = posterior(warm.fit(state, cfg), test.features)
+            cp_records.append(CheckpointRecord(
+                fraction=cfg.checkpoints[len(cp_records)], n_labeled=state.n_labeled,
+                accuracy=accuracy(preds, test.labels), f1=f1(preds, test.labels),
+                auc=auc(p_pos, test.labels),
+            ))
+        if state.n_labeled >= target or state.n_unlabeled == 0:
+            break
         if state.n_unlabeled <= cfg.n_select:
             batch, weights = state.unlabeled_idx, {}  # drain the pool; nothing to rank
         else:
@@ -518,7 +487,6 @@ def run_active_learning(pool: PoolState, test: Dataset, cfg: ALConfig,
                 weights=weights,
             )
         )
-        note_checkpoints(state)
 
     return RunTrace(
         method=cfg.label, seed=cfg.seed,

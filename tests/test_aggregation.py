@@ -635,6 +635,14 @@ class TestAggregateDispatch:
         with pytest.raises(ValueError, match="finite"):
             aggregate(method, lists, weights, committee_flags=self.FLAGS)
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n_ids", [2, 11])
+    def test_ids_of_the_wrong_length_rejected(self, method, n_ids):
+        with pytest.raises(ValueError, match=f"ids must give one id per sample: 10 samples, "
+                                             f"{n_ids} ids"):
+            aggregate(method, self.LISTS, self.WEIGHTS, ids=np.arange(n_ids),
+                      committee_flags=self.FLAGS)
+
     @pytest.mark.parametrize("method", ["mc1", "mc2", "mc3"])
     @pytest.mark.parametrize("key, value, message", [
         ("n_select", -3, "n_select must be an integer >= 1"),

@@ -648,6 +648,20 @@ class TestRun:
         assert "seeds[0]: the pool split holds one class" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("fraction, side", [(0.01, "test set"), (0.99, "pool")])
+    def test_split_that_leaves_a_side_empty_exits_2(self, tmp_path, capsys, fraction, side):
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg["dataset"]["synthetic"]["n"] = 10
+        cfg["split"]["test_fraction"] = fraction
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert f"seeds[0]: test_fraction {fraction:g} of n=10 samples leaves the {side} empty" in err
+        assert "holds one class" not in err
+        assert not out_dir.exists()
+
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=run_configs())

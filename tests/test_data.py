@@ -192,6 +192,12 @@ class TestSplit:
                 differing += 1
         assert differing >= 19
 
+    @pytest.mark.parametrize("fraction, side", [(0.01, "test set"), (0.99, "pool")])
+    def test_split_that_leaves_a_side_empty_rejected(self, fraction, side):
+        with pytest.raises(ValueError, match=f"test_fraction {fraction:g} of n=10 samples "
+                                             f"leaves the {side} empty"):
+            split_pool(make_two_blobs(n=10), SplitSpec(fraction, 0))
+
     def test_exhaustive_disjoint(self):
         d = make_two_blobs(n=31, seed=2)
         test, pool = split_pool(d, SplitSpec(0.4, 3))

@@ -567,3 +567,22 @@ class TestFitLengths:
     def test_fit_committee_names_both_lengths(self):
         with pytest.raises(ValueError, match="features has 5 rows but labels has 4"):
             fit_committee(CFG, self.x, self.y, g=3, seed=0)
+
+
+class TestFitLabels:
+    """``fit`` and ``fit_committee`` accept labels in {-1, +1} only."""
+
+    x = np.arange(4.0)[:, None]
+
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 1], [2, 2, 2, 2], [-1, 1, 1, 1.5],
+                                        [-1, 1, np.nan, 1]])
+    def test_other_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must each be -1 or \\+1"):
+            fit(CFG, self.x, labels)
+        with pytest.raises(ValueError, match="labels must each be -1 or \\+1"):
+            fit_committee(CFG, self.x, labels, g=3, seed=0)
+
+    def test_float_labels_fit_as_ints(self):
+        y = np.array([-1, -1, 1, 1])
+        np.testing.assert_array_equal(fit(CFG, self.x, y.astype(float)).dual_coeffs,
+                                      fit(CFG, self.x, y).dual_coeffs)
