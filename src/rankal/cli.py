@@ -49,6 +49,7 @@ from .data import (
     normalize_features,
     parse_number,
     split_pool,
+    held_out_size,
 )
 from .evaluation import LearningCurve, win_tie_loss
 from .learner import LearnerConfig
@@ -186,7 +187,8 @@ def _load_config(path):
     one problem, ``<key>: <message>``.  Checks only the runner can make (key
     names, the shape of ``dataset``, ``output_dir``, ``seeds``, ``split`` and
     ``checkpoints``, labels, and what the data leaves each run) are made
-    here; those that need the splits run once everything else is valid.
+    here; those that need the splits run once everything else is valid,
+    the split's sizes (the same for every seed) once for all seeds.
     UsageError lists every problem, before anything is written.
     """
     with open(path, encoding="utf-8") as fh:
@@ -255,13 +257,17 @@ def _load_config(path):
     mode = cfg.get("normalize_stats", "full")
     problems += _choice_problems("'normalize_stats'", mode, ("full", "pool"))
     runs = {}
-    if not problems:  # the runs need the dataset, the split and every method
+    # the runs need the dataset, the split and every method; the split's sizes
+    # do not depend on the seed, so they are checked once, as the first seed's
+    n_test = None if problems else build(
+        "seeds[0]", held_out_size, len(dataset), split.test_fraction)
+    if n_test is not None:
         for j, seed in enumerate(seeds):
             run = build(f"seeds[{j}]", _seed_run, dataset, split, mode, al_configs, seed)
             if run is not None:
                 runs[seed] = run
         if runs:
-            n_pool = len(next(iter(runs.values()))[2].data)  # the same for every seed
+            n_pool = len(dataset) - n_test
             problems += [
                 f"methods[{i}]: n_initial {al.n_initial} exceeds the pool's {n_pool} samples"
                 for i, al in enumerate(al_configs) if al.n_initial > n_pool

@@ -20,6 +20,7 @@ competition-style ranks: equal scores share the smallest applicable rank
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,14 +233,15 @@ def normalize_and_rank(scores):
     of s_i.
     """
     s = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
     lo, hi = s.min(), s.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN and +-inf reach an extreme
+        raise ValueError("scores must be finite")
     if hi - lo > 10.0 ** -ROUND_DECIMALS:
-        values = (s - lo) / (hi - lo)
+        values = s - lo
+        values /= hi - lo
     else:
         values = np.full_like(s, 0.5)
-    values = np.round(values, ROUND_DECIMALS)
+    np.round(values, ROUND_DECIMALS, out=values)
     order = np.argsort(values)  # any order of ties gives the same ranks
     ordered = values[order]
     ranks = np.empty_like(order)

@@ -340,14 +340,24 @@ def normalize_features(d: Dataset, stats_from: Dataset | None = None) -> Dataset
     return replace(d, features=scaled)
 
 
+def held_out_size(n, test_fraction):
+    """The test set's size in a split of n samples: ``round(test_fraction * n)``.
+
+    It depends on n and the fraction alone, not on the split's seed.
+    ValueError when the test set or the pool would be empty.
+    """
+    n_test = int(round(test_fraction * n))
+    if n_test in (0, n):
+        side = "test set" if n_test == 0 else "pool"
+        raise ValueError(f"test_fraction {test_fraction:g} of n={n} samples "
+                         f"leaves the {side} empty")
+    return n_test
+
+
 def split_pool(d: Dataset, spec: SplitSpec):
     """Split into a held-out test set and an all-unlabeled pool, neither empty."""
     n = len(d)
-    n_test = int(round(spec.test_fraction * n))
-    if n_test in (0, n):
-        side = "test set" if n_test == 0 else "pool"
-        raise ValueError(f"test_fraction {spec.test_fraction:g} of n={n} samples "
-                         f"leaves the {side} empty")
+    n_test = held_out_size(n, spec.test_fraction)
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
     test_idx = np.sort(perm[:n_test])

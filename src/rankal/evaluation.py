@@ -50,7 +50,8 @@ def f1(pred, true) -> float:
 def auc(scores, true) -> float:
     """Rank-based (Mann-Whitney) AUC of the class +1; tied scores contribute 1/2.
 
-    ``scores`` and ``true`` are checked as ``accuracy`` checks its pair.
+    ``scores`` and ``true`` are checked as ``accuracy`` checks its pair, and
+    a NaN score is a ValueError: it has no rank.
     """
     scores, true = _paired(np.asarray(scores, dtype=float), true)
     pos = true == 1
@@ -58,7 +59,9 @@ def auc(scores, true) -> float:
     n_neg = len(true) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes in the true labels")
-    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    values, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    if np.isnan(values[-1]):  # np.unique sorts NaN last
+        raise ValueError("scores must not be NaN")
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]  # average rank for ties
     rank_sum = ranks[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))

@@ -75,14 +75,16 @@ per member, read in row order from one stream, so a row's counts depend only
 on the seed and its position in the labeled order.  For large n this
 matches Breiman's bootstrap, and a labeled set that grows by appending keeps
 every earlier row's counts: a member's last fit, padded with 0 for the new
-rows, is a start one row away from its next problem.  A member that drew no
-row (probability e^-n) is the zero model, which predicts 0.5.  Every member
-is solved on the whole labeled set with its draw counts as weights (0 for
-undrawn rows), so all members share one K, and they are solved together:
-one Newton on a stack of (n+1, n+1) systems, each row with its own line
-search, leaving the running set when its own stop rule fires.  Row 0 is the
-margin problem, count 1 on every row, and comes back as
-``Committee.model``, so a query step that needs both the margin fit and the
+rows, is a start one row away from its next problem.  A caller that keeps
+the stream (the query loop) draws only the new rows, with ``draw_rows``,
+and passes the counts as ``fit_committee(..., counts=...)``.  A member that
+drew no row (probability e^-n) is the zero model, which predicts 0.5.
+Every member is solved on the whole labeled set with its draw counts as
+weights (0 for undrawn rows), so all members share one K, and they are
+solved together: one Newton on a stack of (n+1, n+1) systems, each row
+with its own line search, leaving the running set when its own stop rule
+fires.  Row 0 is the margin problem, count 1 on every row, and comes back
+as ``Committee.model``, so a query step that needs both the margin fit and the
 committee makes one Newton call.  ``init`` is one start for every row or
 one per row; the query loop starts row 0 from its latest fit and each
 member from its own last fit, padded with 0.  Warm-started on the bundled
@@ -343,7 +345,8 @@ def _start(init, m, n):
     """
     if init is None:
         return np.zeros((m, n)), np.zeros(m)
-    alpha, intercept = np.asarray(init[0], dtype=float), np.asarray(init[1], dtype=float)
+    # copies: _newton updates its start in place
+    alpha, intercept = np.array(init[0], dtype=float), np.array(init[1], dtype=float)
     if alpha.shape == (n,) and intercept.shape == ():
         return np.tile(alpha, (m, 1)), np.full(m, float(intercept))
     if alpha.shape == (m, n) and intercept.shape == (m,):
@@ -378,6 +381,9 @@ def _fit_rows(config, features, labels, counts, init, gram):
     label = np.where(hi == lo, hi, 0)  # labels are -1 and +1
     live = np.flatnonzero((label == 0) & seen.any(axis=1))
     start_alpha, start_intercept = _start(init, m, n)
+    if len(live) == m:  # every row is solved: no gathers or scatters
+        return x, *_newton(config, _cross_kernel(config, x, x, gram), (y + 1) / 2.0, counts,
+                           start_alpha, start_intercept), label
     alpha, intercept = np.zeros((m, n)), np.zeros(m)
     n_iter, converged = np.zeros(m, dtype=int), np.ones(m, dtype=bool)
     if len(live):
@@ -452,26 +458,39 @@ class Committee:
                       self.degenerate_label)
 
 
+def draw_rows(rng, n, g):
+    """(g, n) online-bagging counts for the next n labeled rows of the stream ``rng``.
+
+    Each row takes the stream's next g Poisson(1) draws, one per member.
+    The generator draws one value after another, so the rows drawn in any
+    number of calls are the rows of one call.
+    """
+    return rng.poisson(1.0, size=(n, g)).T.astype(float)
+
+
 def _draw_counts(n, g, seed):
-    """(g, n) online-bagging counts: Poisson(1) draws from the one stream ``seed``.
+    """(g, n) online-bagging counts: the first n rows of the one stream ``seed``.
 
     Row i of the labeled set takes the stream's i-th g draws, one per
     member, so the counts of the first n rows are the same for every longer
     labeled set.
     """
-    return np.random.default_rng(seed).poisson(1.0, size=(n, g)).T.astype(float)
+    return draw_rows(np.random.default_rng(seed), n, g)
 
 
 def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0, *,
-                  init=None, gram=None) -> Committee:
+                  init=None, gram=None, counts=None) -> Committee:
     """Train g models on online-bagging draws of the labeled set.
 
     Each labeled row gets one Poisson(1) count per member from the one
     stream seeded by ``seed`` (an int or a sequence of ints), row i taking
     the stream's i-th g draws: the counts of a row depend only on the seed
     and its position, so a labeled set that grows by appending keeps every
-    earlier row's counts (Oza & Russell, 2001).  Every member is solved on
-    the whole labeled set with its counts as weights (0 for undrawn rows).
+    earlier row's counts (Oza & Russell, 2001).  ``counts`` are those (g,
+    n) counts if the caller already has them, as the query loop does: it
+    keeps the stream and draws only the rows labeled since its last
+    committee.  Every member is solved on the whole labeled set with its
+    counts as weights (0 for undrawn rows).
     The same stacked Newton solves, as its row 0, the problem with count 1
     on every row: ``fit``'s problem, whose solution is ``Committee.model``.
     All rows share K (``gram``, if the caller already has it).  ``init``
@@ -487,7 +506,10 @@ def fit_committee(config: LearnerConfig, features, labels, g=5, seed=0, *,
     """
     check_int("g", g, 2)
     n = len(labels)
-    counts = _draw_counts(n, g, seed)
+    if counts is None:
+        counts = _draw_counts(n, g, seed)
+    elif np.shape(counts) != (g, n):
+        raise ValueError(f"counts must have shape ({g}, {n}), got {np.shape(counts)}")
     x, alpha, intercept, n_iter, converged, label = _fit_rows(
         config, features, labels, np.concatenate([np.ones((1, n)), counts]), init, gram)
     drawn = counts > 0

@@ -45,22 +45,24 @@ labeled rows, and the latest fit and committee on the labeled set.  The
 block is a view of a buffer whose column capacity doubles as the labeled set
 grows.  The loop only appends labeled rows, so after each ``oracle_label``
 the new rows' columns come from one ``kernel_matrix`` call, written into the
-buffer in place; the fits take their Gram matrix as the block's labeled rows,
-and the margin, diversity and qbc scorers take its unlabeled rows.  Every fit
-of a run, margin, committee or checkpoint, is one call of ``WarmStart.fit``,
-which alone decides reuse and builds each Newton start.  When the criteria
-need the committee, its members (solved on the same labeled set, undrawn
-rows weighing 0) and the margin problem share one stacked Newton, and its
-margin model becomes the latest fit.  The members' draw counts come from one
-stream per run, ``(seed, 3)``, so a labeled row keeps its counts as the set
-grows (online bagging, see ``rankal.learner``).  The margin row starts from
-the latest fit and each member from its own last fit, padded with 0 for the
-new rows; a margin-only fit on an unchanged labeled set (a checkpoint fit,
-then the next margin fit) is reused as it is.  The step functions take the
-state as ``warm``; a step called without it uses a throwaway one, so every
-fit in that step is cold.  The optimum of each fit is unchanged and the
-cached kernel entries differ from recomputed ones only by round-off, so
-picks move only at near-ties.
+buffer in place, once per labeled set; the fits take their Gram matrix as
+the block's labeled rows, and the margin, diversity and qbc scorers take its
+unlabeled rows.  Every fit of a run, margin, committee or checkpoint, is one
+call of ``WarmStart.fit``, which alone decides reuse and builds each Newton
+start.  When the criteria need the committee, its members (solved on the
+same labeled set, undrawn rows weighing 0) and the margin problem share one
+stacked Newton, and its margin model becomes the latest fit.  The members'
+draw counts come from one stream per run, ``(seed, 3)``, so a labeled row
+keeps its counts as the set grows (online bagging, see ``rankal.learner``);
+the ``WarmStart`` keeps the stream's generator and the counts drawn so far,
+so a committee fit draws only the rows labeled since the last one.  The
+margin row starts from the latest fit and each member from its own last fit,
+padded with 0 for the new rows; a margin-only fit on an unchanged labeled
+set (a checkpoint fit, then the next margin fit) is reused as it is.  The
+step functions take the state as ``warm``; a step called without it uses a
+throwaway one, so every fit in that step is cold.  The optimum of each fit
+is unchanged and the cached kernel entries differ from recomputed ones only
+by round-off, so picks move only at near-ties.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ class Criterion:
     labeled rows, which every fit reads too), ``"ted"`` (the pool's
     self-reconstruction scores) or None.  ``score`` maps one iteration's
     inputs (``pool``, ``cfg``, ``model``, ``committee``, ``kernel``,
-    ``ted``) to one score per unlabeled sample, the most valuable sample
-    scoring lowest.
+    ``unlabeled``, the unlabeled rows' features, and ``ted``) to one score
+    per unlabeled sample, the most valuable sample scoring lowest.
     """
 
     committee: bool
@@ -108,12 +110,12 @@ class Criterion:
 
 CRITERIA = {
     "margin": Criterion(False, "model", lambda i: score_margin(
-        i.model, i.pool.unlabeled_features, kernel=i.kernel)),
+        i.model, i.unlabeled, kernel=i.kernel)),
     "diversity": Criterion(False, "kernel", lambda i: score_diversity(
-        i.pool.labeled_features, i.pool.unlabeled_features, i.cfg.learner,
+        i.pool.labeled_features, i.unlabeled, i.cfg.learner,
         reduce=i.cfg.diversity_reduce, kernel=i.kernel)),
     "qbc": Criterion(True, "committee", lambda i: score_qbc(
-        i.committee, i.pool.unlabeled_features, kernel=i.kernel)),
+        i.committee, i.unlabeled, kernel=i.kernel)),
     "ted": Criterion(False, "ted", lambda i: i.ted[i.pool.unlabeled_idx]),
     "random": Criterion(False, None, lambda i: _rng(i.cfg, 910, i.pool.iteration).random(
         i.pool.n_unlabeled)),
@@ -235,11 +237,19 @@ class WarmStart:
     of a buffer whose column capacity doubles whenever the labeled set
     outgrows it.  The loop only appends to ``labeled_idx``, so bringing the
     block up to date costs one ``kernel_matrix`` call for the rows labeled
-    since, written into the buffer in place.  ``fit`` makes every fit of the
-    run from the block's labeled rows, warm-started from the latest fit and
-    committee.  A labeled set that does not extend the last one, another
-    pool or another learner config starts a new buffer and fits cold.  Holds
-    no randomness, so a seeded run stays deterministic.
+    since, written into the buffer in place; a second request for the same
+    ``labeled_idx`` array returns the block as it is, since a ``PoolState``
+    is immutable and ``oracle_label`` makes a new index array.  ``fit``
+    makes every fit of the run from the block's labeled rows, warm-started
+    from the latest fit and committee.  A labeled set that does not extend the last one, another
+    pool or another learner config starts a new buffer and fits cold.
+
+    It also keeps the run's bagging stream: the generator seeded ``(seed,
+    3)`` and the (g, n) draw counts of the rows it has drawn so far, so a
+    committee fit draws only the rows labeled since the last one.  A row's
+    counts depend only on the seed and its position (see ``draw_counts``),
+    so the stream outlives a new buffer and a seeded run stays
+    deterministic.
     """
 
     def __init__(self):
@@ -249,14 +259,30 @@ class WarmStart:
         self.buf = None
         self.model = None
         self.committee = None
+        self.stream = self.rng = self.counts = None  # bagging stream: (seed, g), generator, draws
+
+    def draw_counts(self, n, seed, g):
+        """(g, n) bagging counts of the first n labeled rows: ``learner._draw_counts(n, g, seed)``.
+
+        Draws from the stream only the rows past those drawn so far.
+        """
+        if self.stream != (seed, g):
+            self.stream, self.rng = (seed, g), np.random.default_rng(seed)
+            self.counts = np.empty((g, 0))
+        m = self.counts.shape[1]
+        if n > m:
+            self.counts = np.concatenate([self.counts, learner.draw_rows(self.rng, n - m, g)], 1)
+        return self.counts[:, :n]
 
     def kernel(self, pool: PoolState, config: LearnerConfig):
         """The kernel block between the pool and ``pool``'s labeled rows."""
         idx, m = pool.labeled_idx, len(self.labeled_idx)
+        same = pool.data is self.data and config == self.config
+        if same and idx is self.labeled_idx:
+            return self.buf[:, :m]  # already up to date: a PoolState is immutable
         x = pool.data.features
         # learner.kernel_matrix, looked up per call, is the name a tracer wraps
-        if not (pool.data is self.data and config == self.config
-                and np.array_equal(idx[:m], self.labeled_idx)):
+        if not (same and np.array_equal(idx[:m], self.labeled_idx)):
             self.data, self.config, self.model, self.committee = pool.data, config, None, None
             self.buf = learner.kernel_matrix(config, x, x[idx])
         elif len(idx) > m:
@@ -273,8 +299,8 @@ class WarmStart:
         """The model fitted on ``pool``'s labeled set; with ``g``, also a g-member committee.
 
         With ``g`` one stacked Newton solves the margin problem and the
-        committee (``fit_committee``, draws from the run's one stream
-        ``(cfg.seed, 3)``), kept as ``self.committee``; its margin model
+        committee (``fit_committee``, on the draw counts of the run's one
+        stream ``(cfg.seed, 3)``), kept as ``self.committee``; its margin model
         is returned.  Without, a fit on an unchanged labeled set is returned
         as it is.  Row 0 starts from the latest fit, member j from member j
         of the latest g-member committee (else from the latest fit), each
@@ -295,8 +321,8 @@ class WarmStart:
             init = alpha, intercept
         args = cfg.learner, pool.labeled_features, pool.labeled_labels
         if g:
-            self.committee = fit_committee(*args, g=g, seed=(cfg.seed, 3), init=init,
-                                           gram=block[pool.labeled_idx])
+            self.committee = fit_committee(*args, g=g, init=init, gram=block[pool.labeled_idx],
+                                           counts=self.draw_counts(n, (cfg.seed, 3), g))
             self.model = self.committee.model
         else:
             self.model = fit(*args, init=init, gram=block[pool.labeled_idx])
@@ -308,19 +334,21 @@ def _inputs(pool, cfg, ted_scores, warm=None):
 
     ``warm`` is the run's ``WarmStart``; without one a throwaway one is
     used.  The fits are one ``WarmStart.fit``, with the committee when a
-    criterion needs it.  ``kernel`` is the block's unlabeled rows, or None
-    when no criterion reads the kernel or a fit.
+    criterion needs it.  ``kernel`` is the block's unlabeled rows and
+    ``unlabeled`` their features, gathered once for every scorer; both are
+    None when no criterion reads the kernel or a fit.
     """
     warm = WarmStart() if warm is None else warm
     needs = {CRITERIA[name].needs for name in cfg.criteria}
-    model = committee = kernel = None
+    model = committee = kernel = unlabeled = None
     if needs & {"model", "committee", "kernel"}:
         kernel = warm.kernel(pool, cfg.learner)[pool.unlabeled_idx]
+        unlabeled = pool.unlabeled_features
     if needs & {"model", "committee"}:
         model = warm.fit(pool, cfg, cfg.g if "committee" in needs else 0)
         committee = warm.committee if "committee" in needs else None
     return SimpleNamespace(pool=pool, cfg=cfg, model=model, committee=committee,
-                           kernel=kernel, ted=ted_scores)
+                           kernel=kernel, unlabeled=unlabeled, ted=ted_scores)
 
 
 def criterion_scores(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):

@@ -75,18 +75,17 @@ def blend_weights(raw_weights, committee_flags) -> np.ndarray:
     total = len(raw)
     if total == 0:
         raise ValueError("need at least one criterion")
-    if not np.all(np.isfinite(raw) & (raw >= 0)):
+    # NaN reaches both extremes, a negative or infinite weight one of them
+    if not (raw.min() >= 0 and raw.max() < np.inf):
         raise ValueError("raw weights must be finite and non-negative")
 
-    weights = np.zeros(total)
+    weights = np.empty(total)  # every criterion is in one of the two groups
     for members in (~flags, flags):
-        count = int(members.sum())
+        group = raw[members]
+        count = len(group)
         if count == 0:
             continue
         mass = count / total
-        group = raw[members]
-        if group.sum() > _EPS:
-            weights[members] = mass * group / group.sum()
-        else:
-            weights[members] = mass / count
+        group_sum = group.sum()
+        weights[members] = mass * group / group_sum if group_sum > _EPS else mass / count
     return weights

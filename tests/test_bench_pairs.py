@@ -77,3 +77,57 @@ def test_pairs_alternate_and_every_run_is_saved(tmp_path, monkeypatch):
 def test_directions_come_from_the_benchmark_spec():
     better = bench_pairs.directions(os.path.join(ROOT, "BENCHMARK.json"))
     assert better["peak_rss_mb"] == "lower" and better["quality"] == "higher"
+
+
+def series(parent_run_s, change_run_s, parent_quality=None, change_quality=None):
+    """Records of len(parent_run_s) pairs of one workload "w"."""
+    n = len(parent_run_s)
+    pq, cq = parent_quality or [0.5] * n, change_quality or [0.5] * n
+    return [rec for i in range(n) for rec in (record(i, "parent", parent_run_s[i], pq[i]),
+                                              record(i, "change", change_run_s[i], cq[i]))]
+
+
+PARENT = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, IQR 0.045
+
+
+@pytest.mark.parametrize("change, gain", [
+    ([p - 0.1 for p in PARENT], True),  # 10 of 10 wins, gap 0.1 > IQR
+    ([p - 0.1 for p in PARENT[:9]] + [PARENT[9] + 1], True),  # 9 of 10 is enough
+    ([p - 0.1 for p in PARENT[:8]] + [p + 1 for p in PARENT[8:]], False),  # 8 of 10
+    ([p - 0.01 for p in PARENT], False),  # 10 of 10, but the gap is inside the IQR
+    ([p + 0.1 for p in PARENT], False),  # worse
+])
+def test_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_iqr(change, gain):
+    metric = bench_pairs.summarize(series(PARENT, change), BETTER)["w"]["metrics"]["run_s"]
+    assert metric["gain"] is gain
+    assert metric["worse_beyond_bound"] is None  # no bounds given
+
+
+@pytest.mark.parametrize("factor, worse", [(1.2, False), (1.3, True), (0.5, False)])
+def test_worse_beyond_bound_is_relative_to_the_parent_median(factor, worse):
+    change = [factor * p for p in PARENT]
+    entry = bench_pairs.summarize(series(PARENT, change), BETTER, {"run_s": 0.25})["w"]
+    assert entry["metrics"]["run_s"]["worse_beyond_bound"] is worse
+    assert entry["metrics"]["quality"]["worse_beyond_bound"] is None
+
+
+@pytest.mark.parametrize("change_quality, gain, worse", [
+    ([0.9] * 10, True, False), ([0.48] * 10, False, False), ([0.45] * 10, False, True)])
+def test_verdicts_follow_a_higher_is_better_metric(change_quality, gain, worse):
+    records = series(PARENT, PARENT, [0.5] * 10, change_quality)
+    metric = bench_pairs.summarize(records, BETTER, {"quality": 0.05})["w"]["metrics"]["quality"]
+    assert (metric["gain"], metric["worse_beyond_bound"]) == (gain, worse)
+
+
+def test_format_prints_the_verdicts():
+    records = series(PARENT, [p - 0.1 for p in PARENT], [0.5] * 10, [0.4] * 10)
+    text = bench_pairs.format_summary(
+        bench_pairs.summarize(records, BETTER, {"run_s": 0.25, "quality": 0.05}))
+    run_s, quality = text.splitlines()[1:]
+    assert run_s.endswith("change wins 10/10  gain")
+    assert quality.endswith("change wins 0/10  no gain, WORSE BEYOND BOUND")
+
+
+def test_bounds_come_from_the_benchmark_spec():
+    bounds = bench_pairs.directions(os.path.join(ROOT, "BENCHMARK.json"), "bound")
+    assert bounds["request_ms_mean"] == 0.25 and bounds["quality"] == 0.05

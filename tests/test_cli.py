@@ -662,6 +662,23 @@ class TestRun:
         assert "holds one class" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("fraction, side", [(0.01, "test set"), (0.99, "pool")])
+    def test_split_that_leaves_a_side_empty_is_listed_once(self, tmp_path, capsys, fraction,
+                                                          side):
+        # the split's sizes depend on n and the fraction, not on the seed
+        out_dir = tmp_path / "r"
+        cfg = experiment_config(tmp_path, out_dir)
+        cfg["dataset"]["synthetic"]["n"] = 10
+        cfg["split"]["test_fraction"] = fraction
+        cfg["seeds"] = [0, 1, 2]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", str(cfg_path))
+        assert code == 2
+        assert err.count(f"leaves the {side} empty") == 1
+        assert "seeds[1]" not in err and "seeds[2]" not in err
+        assert not out_dir.exists()
+
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=run_configs())

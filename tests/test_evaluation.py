@@ -61,6 +61,16 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("scores", [[math.nan, 0.5, 0.2], [math.nan, math.nan, 0.2],
+                                        [0.3, 0.5, math.nan]])
+    def test_nan_score_rejected(self, scores):
+        # np.unique ranks NaN above every score, which read 0.5 and 0.25 here
+        with pytest.raises(ValueError, match="scores must not be NaN"):
+            auc(scores, [1, -1, 1])
+
+    def test_infinite_scores_rank_at_the_ends(self):
+        assert auc([-math.inf, 0.5, math.inf], [-1, -1, 1]) == 1.0
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
         scores = rng.normal(size=30)

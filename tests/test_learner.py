@@ -436,6 +436,21 @@ class TestWarmStart:
             )
 
 
+def test_committee_on_given_counts_is_the_seeded_committee():
+    # a caller that keeps the stream hands over the counts the seed would draw
+    x, y, _ = _pool(30, 2, 4)
+    counts = learner._draw_counts(30, 3, 9)
+    alpha, intercepts = np.zeros((4, 30)), np.zeros(4)
+    seeded = fit_committee(CFG, x, y, g=3, seed=9, init=(alpha, intercepts))
+    given_counts = fit_committee(CFG, x, y, g=3, init=(alpha, intercepts), counts=counts)
+    assert not seeded.degenerate.any()  # every row solved, so no row is gathered
+    for name in ("drawn", "coeffs", "intercepts", "n_iter", "converged"):
+        np.testing.assert_array_equal(getattr(given_counts, name), getattr(seeded, name))
+    assert not alpha.any() and not intercepts.any()  # Newton updates a copy of the start
+    with pytest.raises(ValueError, match=r"counts must have shape \(3, 30\), got \(2, 30\)"):
+        fit_committee(CFG, x, y, g=3, counts=counts[:2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(0, 60), extra=st.integers(1, 60), g=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1), run=st.integers(0, 2**16))

@@ -531,6 +531,36 @@ def test_one_newton_call_per_query_step(monkeypatch, criteria):
         state = oracle_label(state, batch)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 6),
+       growth=st.lists(st.integers(0, 7), min_size=1, max_size=10),
+       restart_at=st.integers(0, 10), restart_labels=st.integers(2, 30))
+def test_committee_counts_are_the_run_stream(seed, g, growth, restart_at, restart_labels):
+    # each committee fit's counts are the stream's first n rows, drawn only as far
+    # as needed; a labeled set that does not extend the last one (a restart) resets
+    # the kernel block but reads the same stream
+    handed = []
+    real = rankal.loop.fit_committee
+
+    def spy(*args, **kwargs):
+        handed.append((len(args[2]), kwargs["counts"].copy()))
+        return real(*args, **kwargs)
+
+    cfg = ALConfig(seed=seed % 997, g=g)
+    state = TestWarmStart.pool(40, 2, 2, seed)
+    warm = WarmStart()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rankal.loop, "fit_committee", spy)
+        for step, k in enumerate(growth):
+            if step == restart_at:
+                state = TestWarmStart.pool(40, 2, restart_labels, seed + 1)
+            state = oracle_label(state, state.unlabeled_idx[:k])
+            warm.fit(state, cfg, g)
+    assert len(handed) == len(growth)
+    for n, counts in handed:
+        np.testing.assert_array_equal(counts, rankal.learner._draw_counts(n, g, (cfg.seed, 3)))
+
+
 kernel_runs = st.fixed_dictionaries(dict(
     n=st.integers(20, 80), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
     labeled_frac=st.floats(0.0, 1.0), n_select=st.integers(1, 3),

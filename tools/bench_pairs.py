@@ -19,8 +19,16 @@ prints, per workload and end-to-end metric, the parent's and the change's
 medians, the parent's interquartile range (``statistics.quantiles``,
 inclusive method), the change's relative gap and its wins: the pairs in
 which the change is better, in the direction that ``BENCHMARK.json`` gives
-(read from the current directory, or ``--spec``).  ``run`` prints the same
-summary at the end.  Uses only the standard library.
+(read from the current directory, or ``--spec``).  It also prints two
+verdicts per metric:
+
+* ``gain``: the change wins at least 9 in 10 of the pairs, and its median
+  is better than the parent's by more than the parent's IQR;
+* ``worse_beyond_bound``: the change's median is worse than the parent's
+  by more than the metric's ``bound`` in ``BENCHMARK.json``, relative to
+  the parent's median.
+
+``run`` prints the same summary at the end.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -72,13 +80,16 @@ def read_records(path):
         return [json.loads(line) for line in fh if line.strip()]
 
 
-def summarize(records, better):
+def summarize(records, better, bounds=None):
     """Per workload: pair count, failed and correct per side, and per metric in
     ``better`` (name -> "lower" or "higher") the medians, the parent's IQR,
-    the relative gap of the medians and the change's wins.
+    the relative gap of the medians, the change's wins and the two verdicts
+    (see the module docstring).  ``bounds`` maps a metric to its relative
+    bound; ``worse_beyond_bound`` is None for a metric without one.
 
     Only pairs with both sides recorded count.
     """
+    bounds = bounds or {}
     runs = {}
     for rec in records:
         runs.setdefault(rec["workload"], {}).setdefault(rec["pair"], {})[rec["side"]] = rec["result"]
@@ -103,6 +114,9 @@ def summarize(records, better):
                 q1, _, q3 = statistics.quantiles(values["parent"], n=4, method="inclusive")
             else:
                 q1 = q3 = values["parent"][0]
+            # how much better the change's median is, in the metric's direction
+            gap = sign * (median["parent"] - median["change"])
+            bound = bounds.get(name)
             entry["metrics"][name] = {
                 "parent": values["parent"],
                 "change": values["change"],
@@ -112,6 +126,9 @@ def summarize(records, better):
                                       if median["parent"] else None),
                 "parent_iqr": q3 - q1,
                 "change_wins": wins,
+                "gain": 10 * wins >= 9 * len(pairs) and gap > q3 - q1,
+                "worse_beyond_bound": (None if bound is None
+                                       else -gap > bound * abs(median["parent"])),
             }
         summary[workload] = entry
     return summary
@@ -126,16 +143,20 @@ def format_summary(summary):
                      f"change {entry['correct']['change']}")
         for name, m in entry["metrics"].items():
             pct = "n/a" if m["median_change_pct"] is None else f"{m['median_change_pct']:+.2f}%"
+            verdict = "gain" if m["gain"] else "no gain"
+            if m["worse_beyond_bound"]:
+                verdict += ", WORSE BEYOND BOUND"
             lines.append(f"  {name:16s} parent {m['median_parent']:.6g}  change "
                          f"{m['median_change']:.6g}  ({pct})  parent IQR {m['parent_iqr']:.3g}  "
-                         f"change wins {m['change_wins']}/{entry['pairs']}")
+                         f"change wins {m['change_wins']}/{entry['pairs']}  {verdict}")
     return "\n".join(lines)
 
 
-def directions(spec_path):
-    """Metric name -> "lower" or "higher", for BENCHMARK.json's end-to-end metrics."""
+def directions(spec_path, field="better"):
+    """Metric name -> its ``field`` in BENCHMARK.json's end-to-end metrics: by
+    default "lower" or "higher", with ``field="bound"`` the relative bound."""
     with open(spec_path, encoding="utf-8") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: m[field] for m in json.load(fh)["end_to_end"]}
 
 
 def main(argv=None):
@@ -156,13 +177,13 @@ def main(argv=None):
     p.add_argument("--json", action="store_true", help="print the summary as JSON")
     args = parser.parse_args(argv)
 
-    better = directions(args.spec)
+    better, bounds = directions(args.spec), directions(args.spec, "bound")
     if args.command == "run":
         checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
         records = run_pairs(checkouts, args.workloads, args.pairs, args.seconds, args.seed, args.raw)
-        print(format_summary(summarize(records, better)))
+        print(format_summary(summarize(records, better, bounds)))
     else:
-        summary = summarize(read_records(args.raw), better)
+        summary = summarize(read_records(args.raw), better, bounds)
         print(json.dumps(summary, indent=1) if args.json else format_summary(summary))
     return 0
 
