@@ -17,12 +17,19 @@ Three families are provided:
   to samples appearing near the top of at least one non-committee list.
   T is gathered from bit-coded preferences and a table of weight sums, and
   solved in its own buffer: one LU plus a fixed number of n x n passes.
+  One transition kernel (``_transition``) and one stationary kernel
+  (``_stationary``, which keeps the residual check) serve two entries:
+  ``markov_aggregate``, on checked rank lists through the public
+  ``truncate_candidates``, ``build_transition`` and
+  ``stationary_distribution``, and ``markov_from_values``, the query loop's
+  unchecked entry, on normalized score lists.
 
 ``aggregate(method, ...)`` is the one entry point that maps the names in
-``METHODS`` to these backends; ``MARKOV_VARIANTS`` is the one table of the
-Markov variants and their thresholds.  ``check_options`` holds the one range
-rule per option (``n_select``, ``tun1``, ``tun2``, ``p``); ``aggregate``
-checks all four, each backend the ones it takes.  The other rules come from
+``METHODS`` to these backends (the query loop's Markov steps excepted);
+``MARKOV_VARIANTS`` is the one table of the Markov variants and their
+thresholds.  ``check_options`` holds the one range rule per option
+(``n_select``, ``tun1``, ``tun2``, ``p``); ``aggregate`` checks all four,
+each backend the ones it takes.  The other rules come from
 ``rankal.checks``: every weight vector (one per list) is checked by
 ``check_weights``, and the method, fusion and variant names by
 ``check_choice``.
@@ -49,6 +56,7 @@ _BORDA_FUSIONS = {
 # majority, mc3 none (it moves in proportion to the weight)
 MARKOV_VARIANTS = {"mc1": 0.0, "mc2": 0.5, "mc3": None}
 METHODS = (*_BORDA_FUSIONS, "bucklin", *MARKOV_VARIANTS)
+_ALL_COMMITTEE = "all rank lists are committee-based; skipping truncation"
 
 
 def check_options(n_select=1, tun1=0.05, tun2=5, p=1.0):
@@ -112,10 +120,19 @@ def _norm_weights(weights, n_lists):
 _BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(float)
 
 
-def _preference(r, w, finish):
-    """pref[i, j]: total weight of the lists ranking j strictly before i,
-    summed in list order, then mapped by ``finish`` (elementwise, in place):
-    ``build_transition``, the one caller, applies its variant and 1/n there.
+def _rank_key(r):
+    """The ranks ``r`` as the array ``_preference`` compares: integer ranks
+    below 2**15 as int16, about 8x faster to compare than float; fractional
+    or larger ranks as they are."""
+    key = r.astype(np.int16) if r.max() < 2**15 else r
+    return key if (key == r).all() else r
+
+
+def _preference(key, w, finish):
+    """pref[i, j]: total weight of the lists ordering j strictly before i
+    (``key[k, j] < key[k, i]``), summed in list order, then mapped by
+    ``finish`` (elementwise, in place): ``_transition``, the one caller,
+    applies its variant and 1/n there.
 
     Bit k of a uint8 code matrix is list k's preference, for the first eight
     lists; ``table[code]`` holds their running weight sums and equals the
@@ -125,13 +142,9 @@ def _preference(r, w, finish):
     eighth list (or the last) down to the first, and added in as
     code = 2 * code + bit, so list k lands on bit k; the buffer is freed
     before the gather unless a ninth or later list needs it again.
-    Integer ranks below 2**15 compare as int16, about 8x faster than float.
     """
-    n_lists, n = r.shape
-    r = np.ascontiguousarray(r)  # a column selection r[:, cand] is F-ordered
-    key = r.astype(np.int16) if r.max() < 2**15 else r
-    if not (key == r).all():  # fractional ranks compare as they are
-        key = r
+    n_lists, n = key.shape
+    key = np.ascontiguousarray(key)  # a column selection key[:, cand] is F-ordered
     head = min(n_lists, 8)
     code = np.empty((n, n), dtype=np.uint8)
     np.greater(key[head - 1][:, None], key[head - 1], out=code.view(bool))
@@ -161,6 +174,22 @@ def _ranking(order, scores, ids):
     if len(sample_ids) != n:
         raise ValueError(f"ids must give one id per sample: {n} samples, {len(sample_ids)} ids")
     return AggregatedRanking(ids=sample_ids[order], scores=scores, ranks=ranks)
+
+
+def _markov_ranking(cand, pi, n, ids):
+    """The Markov chains' ranking of n samples from the stationary ``pi`` of
+    the candidates ``cand`` (ascending positions): candidates by descending
+    pi, where neighbours within 1e-12 form one tier ordered by ascending
+    position, then the rest in ascending position with score 0."""
+    desc = np.argsort(-pi, kind="stable")  # tiers absorb round-off between tied pi
+    tier = np.concatenate(([0], np.cumsum(np.diff(pi[desc]) < -1e-12)))
+    best = desc[np.lexsort((desc, tier))]
+    rest = np.ones(n, dtype=bool)
+    rest[cand] = False
+    order = np.concatenate([cand[best], np.flatnonzero(rest)]).astype(int)
+    scores = np.zeros(n)
+    scores[: len(cand)] = pi[best]
+    return _ranking(order, scores, ids)
 
 
 def ordinalize(rank_lists):
@@ -255,7 +284,7 @@ def truncate_candidates(rank_lists, committee_flags, n_select, tun2=5) -> np.nda
     if flags.shape != (r.shape[0],):
         raise ValueError("need one committee flag per list")
     if flags.all():
-        warnings.warn("all rank lists are committee-based; skipping truncation")
+        warnings.warn(_ALL_COMMITTEE)
         return np.arange(r.shape[1])
     n_star = n_select + tun2
     keep = (r[~flags] <= n_star).any(axis=0)
@@ -263,6 +292,27 @@ def truncate_candidates(rank_lists, committee_flags, n_select, tun2=5) -> np.nda
         raise ValueError(f"truncation keeps no candidate: no non-committee list ranks "
                          f"a sample within the top N* = n_select + tun2 = {n_star}")
     return np.where(keep)[0]
+
+
+def _transition(key, w, variant, tun1):
+    """The transition kernel: T over the columns of ``key`` for normalized
+    weights ``w``, a list preferring j to i when ``key[k, j] < key[k, i]``.
+    Checks nothing; ``build_transition`` and ``markov_from_values`` call it."""
+    n = key.shape[1]
+    threshold = MARKOV_VARIANTS[variant]
+
+    def finish(x):
+        if threshold is not None:
+            np.greater(x, threshold, out=x)
+        x /= n
+        return x
+
+    t = _preference(key, w, finish)
+    # the diagonal is 0.0 until here: no list ranks a sample before itself
+    t.reshape(-1)[:: n + 1] = 1.0 - t.sum(axis=1)
+    t *= 1.0 - tun1
+    t += tun1 / n
+    return t
 
 
 def build_transition(rank_lists, weights, variant="mc2", tun1=0.05) -> np.ndarray:
@@ -279,21 +329,7 @@ def build_transition(rank_lists, weights, variant="mc2", tun1=0.05) -> np.ndarra
     check_choice("variant", variant, MARKOV_VARIANTS)
     check_options(tun1=tun1)
     r = _as_rank_matrix(rank_lists)
-    n_lists, n = r.shape
-    threshold = MARKOV_VARIANTS[variant]
-
-    def finish(x):
-        if threshold is not None:
-            np.greater(x, threshold, out=x)
-        x /= n
-        return x
-
-    t = _preference(r, _norm_weights(weights, n_lists), finish)
-    # the diagonal is 0.0 until here: no list ranks a sample before itself
-    t.reshape(-1)[:: n + 1] = 1.0 - t.sum(axis=1)
-    t *= 1.0 - tun1
-    t += tun1 / n
-    return t
+    return _transition(_rank_key(r), _norm_weights(weights, len(r)), variant, tun1)
 
 
 def stationary_distribution(transition) -> np.ndarray:
@@ -320,6 +356,14 @@ def stationary_distribution(transition) -> np.ndarray:
         raise ValueError("transition entries must be finite and non-negative")
     if not np.abs(t.sum(axis=1) - 1.0).max() <= 1e-12:
         raise ValueError("transition rows must sum to 1")
+    return _stationary(t)
+
+
+def _stationary(t):
+    """The stationary kernel: pi of a C-ordered, writable float64 T, which
+    is written in place and restored (see ``stationary_distribution``).
+    Checks only the residual, which ``stationary_distribution`` and
+    ``markov_from_values`` need alike."""
     n = len(t)
     diag = t.reshape(-1)[:: n + 1]  # a view, as t is C-ordered
     saved_diag, saved_last = diag.copy(), t[:, -1].copy()
@@ -356,15 +400,43 @@ def markov_aggregate(rank_lists, weights, variant="mc2", n_select=1,
     # T is freed once pi is known, before the result arrays are allocated: a
     # large T left below them would pin that much of the heap
     pi = stationary_distribution(build_transition(r[:, cand], weights, variant=variant, tun1=tun1))
-    desc = np.argsort(-pi, kind="stable")  # tiers absorb round-off between tied pi
-    tier = np.concatenate(([0], np.cumsum(np.diff(pi[desc]) < -1e-12)))
-    best = desc[np.lexsort((desc, tier))]
-    rest = np.ones(n, dtype=bool)
-    rest[cand] = False
-    order = np.concatenate([cand[best], np.flatnonzero(rest)]).astype(int)
-    scores = np.zeros(n)
-    scores[: len(cand)] = pi[best]
-    return _ranking(order, scores, ids)
+    return _markov_ranking(cand, pi, n, ids)
+
+
+def markov_from_values(values, weights, variant, committee_flags, *, n_select, tun1, tun2,
+                       ids=None) -> AggregatedRanking:
+    """``markov_aggregate`` with truncation, on normalized score lists
+    instead of their ranks, checking nothing: the fused query step's entry.
+
+    ``values`` is the (L, n) array of ``criteria.normalize_scores`` lists
+    (lowest best), ``weights`` the blended weights, one per list,
+    ``committee_flags`` a bool array and ``variant`` one of
+    ``MARKOV_VARIANTS``; the caller has checked them (``ALConfig`` checks
+    the options, ``blend_weights`` the weights).  Competition ranks are
+    rank(i) = 1 + #{j : v_j < v_i}, so v_i < v_j exactly when rank(i) <
+    rank(j): each list orders the samples as its ranks do, and every
+    preference, every entry of T and so pi and the ranking equal
+    ``markov_aggregate`` on the ranks.
+
+    A sample is ranked within the top N* = n_select + tun2 of a list exactly
+    when its value is at most the list's N*-th smallest value (every value
+    of a list of at most N* samples), which one ``np.partition`` of each
+    non-committee list finds; the minimum always qualifies, so some sample
+    is kept.  With no non-committee list, truncation is skipped with
+    ``truncate_candidates``' warning.
+    """
+    n = values.shape[1]
+    nominating = values[~committee_flags]
+    if len(nominating):
+        kth = min(n_select + tun2, n) - 1
+        cut = np.partition(nominating, kth, axis=1)[:, kth:kth + 1]
+        cand = np.flatnonzero((nominating <= cut).any(axis=0))
+    else:
+        warnings.warn(_ALL_COMMITTEE)
+        cand = np.arange(n)
+    # T is freed before the result arrays are allocated, as in markov_aggregate
+    pi = _stationary(_transition(values[:, cand], weights / weights.sum(), variant, tun1))
+    return _markov_ranking(cand, pi, n, ids)
 
 
 def aggregate(method, rank_lists, weights, *, ids=None, n_select=1, tun1=0.05,

@@ -12,10 +12,12 @@ uncertain, most diverse, most disagreed-upon, most representative) receives
 the MINIMUM score.  Scorers whose natural quantity grows with value are
 multiplied by -1.
 
-``normalize_and_rank`` min-max scales a score list to [0, 1] (rounded to 12
-decimals, which also defines score equality for ties) and produces
-competition-style ranks: equal scores share the smallest applicable rank
-("1224" pattern).
+``normalize_scores`` min-max scales a score list to [0, 1] (rounded to 12
+decimals, which also defines score equality for ties); it is the one
+normalization rule.  ``normalize_and_rank`` adds competition-style ranks:
+equal scores share the smallest applicable rank ("1224" pattern).  Only the
+Borda and Bucklin aggregators read ranks; the Markov chains and the
+parallel baseline read the normalized values alone.
 """
 
 from __future__ import annotations
@@ -219,20 +221,20 @@ def score_ted(pool_features, lam=0.1) -> np.ndarray:
     return np.negative(scores, out=scores)
 
 
-def normalize_and_rank(scores):
-    """Min-max normalize to [0, 1] and rank competition-style.
+def normalize_scores(scores):
+    """Min-max normalize a score list to [0, 1], rounded to 12 decimals.
 
-    Returns (values, ranks), two arrays aligned with ``scores``: the
-    normalized values and their ranks.  A constant list maps to all 0.5, and
-    so does a list whose span is at most 1e-12: the scores are O(1), so such
-    a span is round-off (a committee whose members agree up to round-off
-    gives qbc scores of 0 and -5.6e-17), which min-max scaling would
-    otherwise stretch to [0, 1].  Normalized values are rounded to 12
-    decimals; ranks use exact equality on the rounded values, so
-    rank(i) = 1 + #{j : s_j < s_i}: one plus the leftmost sorted position
-    of s_i.
+    Returns the normalized values, aligned with ``scores``.  A constant list
+    maps to all 0.5, and so does a list whose span is at most 1e-12: the
+    scores are O(1), so such a span is round-off (a committee whose members
+    agree up to round-off gives qbc scores of 0 and -5.6e-17), which min-max
+    scaling would otherwise stretch to [0, 1].  The rounding also defines
+    score equality for ties.  ValueError unless ``scores`` is a non-empty
+    1-D array of finite numbers.
     """
     s = np.asarray(scores, dtype=float)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("scores must be a non-empty 1-D array")
     lo, hi = s.min(), s.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN and +-inf reach an extreme
         raise ValueError("scores must be finite")
@@ -241,7 +243,20 @@ def normalize_and_rank(scores):
         values /= hi - lo
     else:
         values = np.full_like(s, 0.5)
-    np.round(values, ROUND_DECIMALS, out=values)
+    return np.round(values, ROUND_DECIMALS, out=values)
+
+
+def normalize_and_rank(scores):
+    """Normalize (``normalize_scores``) and rank competition-style.
+
+    Returns (values, ranks), two arrays aligned with ``scores``: the
+    normalized values and their ranks.  Ranks use exact equality on the
+    rounded values, so rank(i) = 1 + #{j : s_j < s_i}: one plus the leftmost
+    sorted position of s_i.  The Markov aggregators read only the values,
+    which order the samples as the ranks do (see
+    ``aggregation.markov_from_values``).
+    """
+    values = normalize_scores(scores)
     order = np.argsort(values)  # any order of ties gives the same ranks
     ordered = values[order]
     ranks = np.empty_like(order)

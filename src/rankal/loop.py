@@ -4,8 +4,14 @@ Every strategy follows the same skeleton: label an initial batch, then
 repeatedly pick N unlabeled samples, reveal their labels, and evaluate the
 classifier on the held-out test set whenever the labeled fraction crosses a
 checkpoint.  The fused strategy scores the pool under every configured
-criterion, turns the score lists into tie-aware rank lists, computes
-self-adaptive weights, and feeds everything to the configured aggregator.
+criterion, normalizes the score lists, computes self-adaptive weights from
+them, and feeds everything to the configured aggregator.  ``_fuse``
+dispatches once on the aggregator family: the Borda fusions and Bucklin
+read competition ranks (``normalize_and_rank``) through
+``aggregation.aggregate``; the Markov chains read the normalized values
+(``normalize_scores``), which order each list as its ranks do, through
+``aggregation.markov_from_values``, which ranks nothing and repeats none of
+the checks that ``ALConfig`` and ``blend_weights`` made.
 
 Each strategy is one step function, ``<strategy>_step(pool, cfg, ted_scores,
 warm=None)``, returning ``(batch, weights)``: the pool indices to label and
@@ -76,8 +82,8 @@ import numpy as np
 
 from . import aggregation as agg
 from .checks import check_choice, check_int, check_real, check_weights, is_real
-from .criteria import (DIVERSITY_REDUCE, normalize_and_rank, score_diversity, score_margin,
-                       score_qbc, score_ted)
+from .criteria import (DIVERSITY_REDUCE, normalize_and_rank, normalize_scores, score_diversity,
+                       score_margin, score_qbc, score_ted)
 from .data import Dataset, PoolState, oracle_label
 from .evaluation import accuracy, auc, f1
 from . import learner
@@ -363,28 +369,41 @@ def top_positions(scores, k):
 
 
 def _fuse(pool: PoolState, cfg: ALConfig, scores):
-    """Rank, weight and aggregate one iteration's criterion scores.
+    """Normalize, weight and aggregate one iteration's criterion scores.
 
-    Returns (ranking, weights, rank lists): the ``AggregatedRanking`` of the
-    unlabeled pool, the blended weights and the (L, n_unlabeled) ranks.
+    Returns (ranking, weights, lists): the ``AggregatedRanking`` of the
+    unlabeled pool, the blended weights and the (L, n_unlabeled) lists the
+    aggregator read.  The Markov chains read the normalized values, which
+    order each list as its ranks do, through ``markov_from_values``, which
+    repeats none of the checks ``ALConfig`` and ``blend_weights`` made; the
+    Borda fusions and Bucklin read competition ranks, through ``aggregate``.
     Needs ``pool.n_unlabeled > cfg.n_select``, as every step does.
     """
-    flags = [CRITERIA[name].committee for name in cfg.criteria]
-    rank_rows, raw_weights = [], []
+    flags = np.array([CRITERIA[name].committee for name in cfg.criteria])
+    markov = cfg.aggregator in agg.MARKOV_VARIANTS
+    rows, raw_weights = [], []
     for s, committee_based in zip(scores, flags):
-        values, ranks = normalize_and_rank(s)
+        if markov:
+            values = row = normalize_scores(s)
+        else:
+            values, row = normalize_and_rank(s)
         weight = duplicate_weight if committee_based else bvsb_weight
-        rank_rows.append(ranks)
+        rows.append(row)
         raw_weights.append(weight(values, cfg.n_select))
 
     weights = blend_weights(raw_weights, flags)
-    rank_lists = np.array(rank_rows, dtype=float)
-    ranking = agg.aggregate(
-        cfg.aggregator, rank_lists, weights,
-        ids=pool.unlabeled_idx, n_select=cfg.n_select, tun1=cfg.tun1, tun2=cfg.tun2,
-        p=cfg.p, committee_flags=np.array(flags),
-    )
-    return ranking, weights, rank_lists
+    lists = np.array(rows, dtype=float)
+    if markov:
+        ranking = agg.markov_from_values(
+            lists, weights, cfg.aggregator, flags, n_select=cfg.n_select, tun1=cfg.tun1,
+            tun2=cfg.tun2, ids=pool.unlabeled_idx,
+        )
+    else:
+        ranking = agg.aggregate(
+            cfg.aggregator, lists, weights, ids=pool.unlabeled_idx, n_select=cfg.n_select,
+            tun1=cfg.tun1, tun2=cfg.tun2, p=cfg.p, committee_flags=flags,
+        )
+    return ranking, weights, lists
 
 
 def fused_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
@@ -433,7 +452,7 @@ def parallel_step(pool: PoolState, cfg: ALConfig, ted_scores, warm=None):
     w = np.asarray(cfg.fixed_weights, dtype=float)
     total = np.zeros(pool.n_unlabeled)
     for scores, wk in zip(criterion_scores(pool, cfg, ted_scores, warm), w):
-        total += wk * normalize_and_rank(scores)[0]
+        total += wk * normalize_scores(scores)
     return pool.unlabeled_idx[top_positions(total, cfg.n_select)], {}
 
 

@@ -8,7 +8,8 @@ rarely the remaining samples tie with the last selected score.  The two
 groups then share the total mass proportionally to their head counts.
 
 Both raw weights take the normalized scores in any order and read order
-statistics of them (one ``np.partition``), not a sorted copy.  The query
+statistics of them (one ``np.partition``), not a sorted copy; a NaN or
+infinite score is a ValueError, read off the same order statistics.  The query
 loop computes the raw weights and blends them once per fused step, only
 while more than N samples remain unlabeled (the last, draining batch ranks
 nothing); the blended array becomes the step's ``{criterion: weight}``
@@ -27,12 +28,17 @@ _EPS = 1e-12
 def _order_statistics(scores, n_select):
     """``scores`` as a float array partitioned so that positions 0, N - 1, N
     and -1 hold the smallest, N-th smallest, (N+1)-th smallest and largest
-    score.  ValueError unless N is an integer >= 1 below the score count."""
+    score.  ValueError unless N is an integer >= 1 below the score count
+    and every score is finite."""
     check_int("n_select", n_select, 1)
     s = np.asarray(scores, dtype=float)
     if len(s) <= n_select:
         raise ValueError(f"need more than N={n_select} scores, got {len(s)}")
-    return np.partition(s, (0, n_select - 1, n_select, len(s) - 1))
+    s = np.partition(s, (0, n_select - 1, n_select, len(s) - 1))
+    # the partition puts NaN last and -inf or +inf at an end
+    if not (s[0] > -np.inf and s[-1] < np.inf):
+        raise ValueError("scores must be finite")
+    return s
 
 
 def bvsb_weight(scores, n_select) -> float:

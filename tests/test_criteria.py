@@ -14,6 +14,7 @@ import reference
 from rankal.criteria import (
     _row_blocks,
     normalize_and_rank,
+    normalize_scores,
     score_diversity,
     score_margin,
     score_qbc,
@@ -383,6 +384,12 @@ class TestNormalizeAndRank:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             normalize_and_rank([1.0, np.nan])
+
+    @pytest.mark.parametrize("scores", [[[1, 2], [3, 4]], [], 3.0, [[]], np.empty((2, 0))])
+    @pytest.mark.parametrize("normalize", [normalize_and_rank, normalize_scores])
+    def test_rejects_a_bad_shape(self, normalize, scores):
+        with pytest.raises(ValueError, match=r"^scores must be a non-empty 1-D array$"):
+            normalize(scores)
 
     @given(
         st.lists(st.integers(-3, 3), min_size=1, max_size=60),

@@ -1,13 +1,16 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rankal.aggregation
 import rankal.learner
 import rankal.loop
 from certify import certify
+from rankal.aggregation import markov_aggregate, truncate_candidates
 from rankal.cli import main
 from rankal.criteria import (
     normalize_and_rank,
@@ -27,6 +30,7 @@ from rankal.data import (
     split_pool,
 )
 from rankal.learner import LearnerConfig, fit, kernel_matrix, posterior
+from rankal.weighting import blend_weights, bvsb_weight, duplicate_weight
 from rankal.loop import (
     CRITERIA,
     ALConfig,
@@ -94,6 +98,93 @@ class TestFusedStep:
         b2, weights = fused_step(state, double, pool_ted_scores(state, double))
         assert weights == {"margin": pytest.approx(1.0)}  # both halves, under one key
         assert b1.tolist() == b2.tolist()
+
+
+@st.composite
+def tied_score_lists(draw):
+    """(scores, criteria) for one fused query under heavy ties: L lists of n
+    scores, each a few levels, constant, a span of at most 1e-12, a qbc-like
+    ladder with round-off or untied, and a criterion per list (qbc is the
+    committee criterion), all of them qbc in some draws."""
+    n_select = draw(st.integers(1, 4))
+    n = draw(st.integers(n_select + 1, 40))  # n <= N* = n_select + tun2 in some draws
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores, criteria = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("levels", "constant", "tiny", "ladder", "untied")))
+        if kind == "levels":
+            s = rng.integers(0, draw(st.integers(2, 4)), n) * draw(st.floats(1e-3, 1e3))
+        elif kind == "constant":
+            s = np.full(n, draw(st.floats(-5, 5)))
+        elif kind == "tiny":  # round-off, which normalization maps to all 0.5
+            s = 0.3 + rng.uniform(0.0, 1e-12, n)
+        elif kind == "ladder":  # std of g member votes, with qbc's round-off
+            p = rng.integers(0, 6, n) / 5
+            s = -np.sqrt(p * (1 - p)) - rng.choice([0.0, 5.6e-17], n)
+        else:
+            s = rng.normal(size=n)
+        scores.append(s)
+        criteria.append(draw(st.sampled_from(("margin", "qbc"))))
+    return scores, tuple(criteria), n_select
+
+
+class TestMarkovFusionReadsValues:
+    """The mc1-mc3 fused step reads normalized values, never ranks, and
+    equals the ranked path: ``markov_aggregate`` on ``normalize_and_rank``."""
+
+    @given(tied_score_lists(), st.sampled_from(("mc1", "mc2", "mc3")), st.integers(0, 6),
+           st.floats(0.01, 0.5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    @example((([0.0, 0.5, 1.0, 1.0],), ("qbc",), 1), "mc2", 5, 0.05, 0)
+    def test_equals_the_ranked_path(self, instance, variant, tun2, tun1, seed):
+        scores, criteria, n_select = instance
+        n = len(scores[0])
+        cfg = ALConfig(criteria=criteria, aggregator=variant, n_select=n_select, tun1=tun1,
+                       tun2=tun2)
+        ids = np.random.default_rng(seed).permutation(n + 3)
+        data = Dataset(np.zeros((n + 3, 1)), np.ones(n + 3), np.arange(n + 3))
+        pool = PoolState(data, np.sort(ids[n:]), ids[:n])
+        flags = np.array([c == "qbc" for c in criteria])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ranking, weights, _ = _fuse(pool, cfg, scores)
+        assert any("committee-based" in str(w.message) for w in caught) == flags.all()
+
+        normalized = [normalize_and_rank(s) for s in scores]
+        expected_weights = blend_weights(
+            [(duplicate_weight if f else bvsb_weight)(v, n_select)
+             for (v, _), f in zip(normalized, flags)], flags)
+        ranks = np.array([r for _, r in normalized], dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = markov_aggregate(ranks, expected_weights, variant, n_select, tun1, tun2,
+                                        committee_flags=flags, ids=pool.unlabeled_idx)
+            cand = truncate_candidates(ranks, flags, n_select, tun2)
+        np.testing.assert_array_equal(weights, expected_weights)
+        np.testing.assert_array_equal(ranking.ids, expected.ids)
+        np.testing.assert_array_equal(ranking.scores, expected.scores)
+        np.testing.assert_array_equal(ranking.ranks, expected.ranks)
+        # the candidates lead the ranking, each with a positive stationary probability
+        n_cand = np.count_nonzero(ranking.scores)
+        np.testing.assert_array_equal(np.flatnonzero(ranking.ranks <= n_cand), cand)
+        if flags.all():
+            assert n_cand == n
+
+    @pytest.mark.parametrize("variant", ["mc1", "mc2", "mc3"])
+    def test_step_runs_without_ranks_or_checks(self, variant, monkeypatch):
+        state = prepared_pool(seed=8)
+        cfg = ALConfig(aggregator=variant, n_select=2)
+        expected = fused_step(state, cfg, None)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fused Markov step ranked or re-checked its input")
+
+        monkeypatch.setattr(rankal.loop, "normalize_and_rank", forbidden)
+        for name in ("check_options", "check_weights", "_as_rank_matrix", "truncate_candidates",
+                     "build_transition", "stationary_distribution", "markov_aggregate"):
+            monkeypatch.setattr(rankal.aggregation, name, forbidden)
+        batch, weights = fused_step(state, cfg, None)
+        assert batch.tolist() == expected[0].tolist() and weights == expected[1]
 
 
 class TestStrategiesAgainstDirectComputation:

@@ -57,8 +57,8 @@ def test_every_wrapped_scorer_records_spans():
     assert {"criteria.score_ted", "criteria.score_margin", "criteria.score_qbc",
             "criteria.score_diversity", "criteria.normalize_and_rank"} <= scorers
     test, pool = split_pool(normalize_features(make_two_blobs(n=80, seed=3)), SplitSpec(0.5, 3))
-    cfg = ALConfig(criteria=("ted", "diversity", "margin", "qbc"), budget=0.3,
-                   checkpoints=(0.3,), seed=3)
+    cfg = ALConfig(criteria=("ted", "diversity", "margin", "qbc"), aggregator="bucklin",
+                   budget=0.3, checkpoints=(0.3,), seed=3)
     tracer = tracing.Tracer(rankal)
     tracer.install()
     try:

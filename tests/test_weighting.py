@@ -80,6 +80,26 @@ class TestOrderStatistics:
         assert bvsb_weight(shuffled, n) == _sorted_bvsb(ordered, n)
         assert duplicate_weight(shuffled, n) == _sorted_duplicate(ordered, n)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 1, 4])
+    @pytest.mark.parametrize("n_select", [1, 3])
+    @pytest.mark.parametrize("weight", [bvsb_weight, duplicate_weight])
+    def test_non_finite_scores_rejected(self, weight, n_select, at, bad):
+        scores = np.array([0.1, 0.7, 0.3, 0.9, 0.5])
+        scores[at] = bad
+        with pytest.raises(ValueError, match=r"^scores must be finite$"):
+            weight(scores, n_select)
+
+    @pytest.mark.parametrize("weight", [bvsb_weight, duplicate_weight])
+    def test_non_finite_among_many_ties_rejected(self, weight):
+        rng = np.random.default_rng(5)
+        for bad in (np.nan, np.inf, -np.inf):
+            for _ in range(50):
+                scores = rng.integers(0, 3, 40) / 2.0
+                scores[rng.integers(40)] = bad
+                with pytest.raises(ValueError, match="scores"):
+                    weight(scores, int(rng.integers(1, 39)))
+
     @pytest.mark.parametrize("n_select", [0, -2, 1.5, True])
     @pytest.mark.parametrize("weight", [bvsb_weight, duplicate_weight])
     def test_n_select_must_be_a_positive_integer(self, weight, n_select):
